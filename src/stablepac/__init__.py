@@ -12,6 +12,7 @@ from .bound import (
     gibbs_estimates,
     gibbs_weights,
     pac_bound,
+    pooled_psi,
     psi1_exponent,
     psi2_exponent,
     psi_hat,
@@ -45,6 +46,7 @@ from .dynsys import (
     steady_state_outputs,
 )
 from .errors import (
+    ConfigError,
     DegenerateTruncationError,
     InstabilityError,
     InvalidConfidenceError,

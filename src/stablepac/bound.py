@@ -2,10 +2,11 @@
 
 Per sampled parameter the two moment exponents are stored raw (before
 exponentiation) and pooled with a stabilised log-mean-exp, so the bound stays
-finite even when individual exponents reach 1e4.  Posterior quantities (KL
-divergence and posterior-expected empirical loss) come from importance
-reweighting of the prior cloud with Gibbs weights, which avoids sampling the
-posterior altogether.
+finite even when individual exponents reach 1e4.  The exponent formulas work
+elementwise, so one call covers a whole cloud of per-sample constants.
+Posterior quantities (KL divergence and posterior-expected empirical loss)
+come from importance reweighting of the prior cloud with Gibbs weights, which
+avoids sampling the posterior altogether.
 """
 
 from __future__ import annotations
@@ -87,19 +88,24 @@ def psi2_exponent(
     """
     if lambda_ <= 0 or n < 1:
         raise ValueError("lambda must be positive and n >= 1")
-    if c.tau >= 1.0:
-        raise NotStableError(f"tau = {c.tau} >= 1", value=c.tau)
+    if np.any(c.tau >= 1.0):
+        raise NotStableError(f"tau = {c.tau} >= 1", value=float(np.max(c.tau)))
     inner = 2.0 * b_q * gh.h + s0_norm * c.l_gs / (1.0 - c.tau)
     return (2.0 * lambda_ * l_ell * c.c / n) * inner
 
 
-def psi_hat(samples: list[SampleRecord]) -> float:
+def pooled_psi(psi1: np.ndarray, psi2: np.ndarray) -> float:
     """Pooled moment term: half the sum of the two log-mean-exp aggregates."""
+    return 0.5 * (log_mean_exp(psi1) + log_mean_exp(psi2))
+
+
+def psi_hat(samples: list[SampleRecord]) -> float:
+    """pooled_psi over the exponents of a list of sample records."""
     if not samples:
         raise ValueError("sample set is empty")
-    lme1 = log_mean_exp([r.psi1_exp for r in samples])
-    lme2 = log_mean_exp([r.psi2_exp for r in samples])
-    return 0.5 * (lme1 + lme2)
+    return pooled_psi(
+        np.array([r.psi1_exp for r in samples]), np.array([r.psi2_exp for r in samples])
+    )
 
 
 def gibbs_weights(losses: np.ndarray, lambda_n: float) -> np.ndarray:

@@ -28,7 +28,11 @@ _TAU_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class StabilityConstants:
-    """Certificate tuple governing every bound formula downstream."""
+    """Certificate tuple governing every bound formula downstream.
+
+    Fields are floats for one system, or equal-length arrays holding the
+    certificates of a whole parameter cloud; validation is elementwise.
+    """
 
     c: float
     tau: float
@@ -37,13 +41,13 @@ class StabilityConstants:
     l_gv: float
 
     def __post_init__(self):
-        if not (self.c >= 1.0 and math.isfinite(self.c)):
+        if not np.all((self.c >= 1.0) & np.isfinite(self.c)):
             raise ValueError(f"c must be finite and >= 1, got {self.c}")
-        if not (0.0 <= self.tau < 1.0):
+        if not np.all((self.tau >= 0.0) & (self.tau < 1.0)):
             raise ValueError(f"tau must lie in [0, 1), got {self.tau}")
         for name in ("l_v", "l_gs", "l_gv"):
             v = getattr(self, name)
-            if not (v >= 0.0 and math.isfinite(v)):
+            if not np.all((v >= 0.0) & np.isfinite(v)):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
 
@@ -53,6 +57,7 @@ class GainPair:
 
     g bounds the steady output amplitude per unit of input amplitude; h is the
     memory-weighted variant that enters every transient and mixing bound.
+    Floats or arrays, matching the certificate they derive from.
     """
 
     g: float
@@ -237,8 +242,8 @@ def check_metric_contraction_sampled(
 
 
 def gain_pair(c: StabilityConstants) -> GainPair:
-    """Derived gains g and h of a certificate (tau < 1 required)."""
-    if c.tau >= 1.0:
-        raise NotStableError(f"tau = {c.tau} >= 1", value=c.tau)
+    """Derived gains g and h of a certificate (tau < 1 required), elementwise."""
+    if np.any(c.tau >= 1.0):
+        raise NotStableError(f"tau = {c.tau} >= 1", value=float(np.max(c.tau)))
     core = c.l_gs * c.l_v / (1.0 - c.tau)
     return GainPair(g=core + c.l_gv, h=core / (1.0 - c.tau))

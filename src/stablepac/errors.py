@@ -35,3 +35,7 @@ class InvalidStartError(StablepacError):
 
 class InvalidConfidenceError(StablepacError):
     """Confidence parameter delta outside (0, 0.5]."""
+
+
+class ConfigError(StablepacError):
+    """A configuration value is invalid or unsupported; raised before any work starts."""

@@ -5,7 +5,8 @@ tanh output that emits a (label, input) pair per step, driven by truncated
 Gaussian noise.  Predictors share the generator's shape; all 14 weights
 including the initial state form the parameter vector.  For every (seed, n)
 cell the bound is evaluated from a fresh prior sample cloud drawn by
-Metropolis-Hastings from a stability-truncated Gaussian prior.
+Metropolis-Hastings from a stability-truncated Gaussian prior; the cloud is
+certified and simulated as whole arrays, one entry per sample.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .bound import (
     gibbs_estimates,
     gibbs_weights,
     pac_bound,
+    pooled_psi,
     psi1_exponent,
     psi2_exponent,
-    psi_hat,
 )
-from .certify import gain_pair, rnn_constants
+from .certify import GainPair, StabilityConstants, gain_pair, rnn_constants
 from .dynsys import (
     RnnSystem,
     Trajectory,
@@ -37,11 +38,11 @@ from .dynsys import (
     save_trajectory,
     simulate,
 )
-from .errors import NotStableError
+from .errors import ConfigError
 from .loss import LossSpec, loss_lipschitz
 from .mcmc import ChainConfig, mh_sample
 from .mixing import DataConstants, generator_data_constants
-from .numerics import seeded_rng, spectral_norm, truncated_gaussian
+from .numerics import seeded_rng, spectral_norm, spectral_norm_2x2, truncated_gaussian
 
 # Parameter vector layout of the benchmark predictor (two states, scalar
 # input and output, ReLU/tanh): A row-major (4), B (2), b_s (2), C (2),
@@ -142,7 +143,7 @@ class ChainSettings:
 
     def __post_init__(self):
         if self.proposal_std <= 0 or self.burn_in < 0 or self.thin < 1:
-            raise ValueError("invalid chain settings")
+            raise ConfigError("invalid chain settings")
 
 
 @dataclass(frozen=True)
@@ -164,25 +165,30 @@ class ExperimentConfig:
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or any(n < 1 for n in grid) or list(grid) != sorted(set(grid)):
-            raise ValueError("n_grid must be a nonempty ascending list of positive ints")
+            raise ConfigError("n_grid must be a nonempty ascending list of positive ints")
         object.__setattr__(self, "n_grid", grid)
         if self.n_seeds < 1:
-            raise ValueError("n_seeds must be positive")
+            raise ConfigError("n_seeds must be positive")
         if self.prior_sigma2 <= 0:
-            raise ValueError("prior_sigma2 must be positive")
+            raise ConfigError("prior_sigma2 must be positive")
         if isinstance(self.lambda_rule, str):
             if self.lambda_rule != "sqrt_n":
-                raise ValueError("lambda_rule must be 'sqrt_n' or a positive number")
+                raise ConfigError("lambda_rule must be 'sqrt_n' or a positive number")
         elif not self.lambda_rule > 0:
-            raise ValueError("fixed lambda must be positive")
+            raise ConfigError("fixed lambda must be positive")
         if not 0.0 < self.delta <= 0.5:
-            raise ValueError("delta must lie in (0, 0.5]")
+            raise ConfigError("delta must lie in (0, 0.5]")
         if self.n_f < 1:
-            raise ValueError("n_f must be positive")
+            raise ConfigError("n_f must be positive")
         if not 0.0 < self.tau_max < 1.0:
-            raise ValueError("tau_max must lie in (0, 1)")
+            raise ConfigError("tau_max must lie in (0, 1)")
         if self.e_inf <= 0 or self.e_std <= 0:
-            raise ValueError("e_inf and e_std must be positive")
+            raise ConfigError("e_inf and e_std must be positive")
+        if self.loss.kind != "square":
+            raise ConfigError(
+                f"loss kind {self.loss.kind!r} is not supported by the benchmark; "
+                "use 'square'"
+            )
 
     def lambda_for(self, n: int) -> float:
         if self.lambda_rule == "sqrt_n":
@@ -197,13 +203,17 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
-        if "chain" in doc and isinstance(doc["chain"], dict):
-            doc["chain"] = ChainSettings(**doc["chain"])
-        if "loss" in doc and isinstance(doc["loss"], dict):
-            doc["loss"] = LossSpec(**doc["loss"])
-        if "n_grid" in doc:
-            doc["n_grid"] = tuple(doc["n_grid"])
-        return cls(**doc)
+        try:
+            if "chain" in doc and isinstance(doc["chain"], dict):
+                doc["chain"] = ChainSettings(**doc["chain"])
+            if "loss" in doc and isinstance(doc["loss"], dict):
+                doc["loss"] = LossSpec(**doc["loss"])
+            if "n_grid" in doc:
+                doc["n_grid"] = tuple(doc["n_grid"])
+            return cls(**doc)
+        except TypeError as exc:
+            # Unknown or misspelled keys.
+            raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def stability_truncated_log_prior(
@@ -259,6 +269,66 @@ def _batch_empirical_losses(
     return acc / x.shape[0]
 
 
+@dataclass(frozen=True)
+class CloudCertificate:
+    """Certificates and bound terms of a parameter cloud, one array entry per sample."""
+
+    constants: StabilityConstants
+    gh: GainPair
+    s0_norm: np.ndarray
+    l_ell: np.ndarray
+    psi1: np.ndarray
+    psi2: np.ndarray
+
+
+def _cloud_tau(thetas: np.ndarray) -> np.ndarray:
+    # Contraction factor Lip(sigma_f) * ||A||_2 of every predictor in the cloud.
+    a = thetas[:, 0:4].T
+    return _RELU.lipschitz * spectral_norm_2x2(a[0], a[1], a[2], a[3])
+
+
+def certify_cloud(
+    thetas: np.ndarray,
+    dc: DataConstants,
+    lambda_: float,
+    n: int,
+    loss_spec: LossSpec,
+    tau_max: float,
+) -> CloudCertificate:
+    """rnn_constants, gain_pair, loss_lipschitz and both moment exponents, over arrays.
+
+    B and C of the benchmark predictor are vectors and D is a scalar, so their
+    spectral norms are Euclidean norms and an absolute value; ||A||_2 has a
+    closed form.  Every sample must satisfy tau < tau_max.
+    """
+    tau = _cloud_tau(thetas)
+    bad = np.flatnonzero(tau >= tau_max)
+    if bad.size:
+        i = int(bad[0])
+        raise RuntimeError(
+            f"retained sample {i} has tau={tau[i]:.6f} >= tau_max={tau_max}; "
+            "prior truncation failed"
+        )
+    consts = StabilityConstants(
+        c=1.0,
+        tau=tau,
+        l_v=_RELU.lipschitz * np.hypot(thetas[:, 4], thetas[:, 5]),
+        l_gs=_TANH.lipschitz * np.hypot(thetas[:, 8], thetas[:, 9]),
+        l_gv=_TANH.lipschitz * np.abs(thetas[:, 10]),
+    )
+    gh = gain_pair(consts)
+    l_ell = loss_lipschitz(loss_spec, dc, gh)
+    s0_norm = np.hypot(thetas[:, 12], thetas[:, 13])
+    return CloudCertificate(
+        constants=consts,
+        gh=gh,
+        s0_norm=s0_norm,
+        l_ell=l_ell,
+        psi1=psi1_exponent(lambda_, n, l_ell, dc, gh),
+        psi2=psi2_exponent(lambda_, n, l_ell, consts, dc.b_q, gh, s0_norm),
+    )
+
+
 def evaluate_cloud(
     thetas: np.ndarray,
     data: Trajectory,
@@ -267,38 +337,12 @@ def evaluate_cloud(
     n: int,
     loss_spec: LossSpec,
     tau_max: float,
-) -> list[SampleRecord]:
-    """Certify every sampled predictor and attach loss and moment exponents."""
+) -> tuple[np.ndarray, CloudCertificate]:
+    """Empirical losses and certificates of every sampled predictor."""
     if loss_spec.kind != "square":
         raise ValueError("the benchmark cloud evaluator supports square loss only")
-    losses = _batch_empirical_losses(thetas, data.inputs, data.outputs)
-    records = []
-    for i in range(thetas.shape[0]):
-        sys, s0 = predictor_from_theta(thetas[i])
-        consts = rnn_constants(sys)
-        if consts.tau >= tau_max:
-            raise RuntimeError(
-                f"retained sample {i} has tau={consts.tau:.6f} >= tau_max={tau_max}; "
-                "prior truncation failed"
-            )
-        gh = gain_pair(consts)
-        l_ell = loss_lipschitz(loss_spec, dc, gh)
-        s0_norm = float(np.linalg.norm(s0))
-        records.append(
-            SampleRecord(
-                theta=thetas[i],
-                s0_norm=s0_norm,
-                constants=consts,
-                gh=gh,
-                l_ell=l_ell,
-                emp_loss=float(losses[i]),
-                psi1_exp=psi1_exponent(lambda_, n, l_ell, dc, gh),
-                psi2_exp=psi2_exponent(
-                    lambda_, n, l_ell, consts, dc.b_q, gh, s0_norm
-                ),
-            )
-        )
-    return records
+    cert = certify_cloud(thetas, dc, lambda_, n, loss_spec, tau_max)
+    return _batch_empirical_losses(thetas, data.inputs, data.outputs), cert
 
 
 def run_cell(
@@ -322,13 +366,12 @@ def run_cell(
         chain_cfg,
     )
     dc = generator_data_constants(build_reference_generator(), cfg.e_inf)
-    records = evaluate_cloud(
+    losses, cert = evaluate_cloud(
         chain.samples, prefix, dc, lambda_, n, cfg.loss, cfg.tau_max
     )
-    losses = np.array([r.emp_loss for r in records])
     beta = gibbs_weights(losses, lambda_)
     z_hat, kl, post_emp_loss = gibbs_estimates(beta, losses)
-    ph = psi_hat(records)
+    ph = pooled_psi(cert.psi1, cert.psi2)
     r_n = pac_bound(lambda_, cfg.delta, kl, ph)
     return BoundReport(
         n=n,
@@ -341,7 +384,7 @@ def run_cell(
         post_emp_loss=post_emp_loss,
         total=post_emp_loss + r_n,
         z_hat=z_hat,
-        n_samples=len(records),
+        n_samples=losses.size,
     )
 
 
@@ -392,33 +435,30 @@ def box_search_records(
         raise ValueError(f"box bounds must have shape ({PARAM_DIM},)")
     if np.any(low > high):
         raise ValueError("box lower bounds exceed upper bounds")
-    rng = seeded_rng(seed)
-    records = []
-    for _ in range(n_draws):
-        theta = rng.uniform(low, high)
-        sys, s0 = predictor_from_theta(theta)
-        try:
-            consts = rnn_constants(sys)
-        except NotStableError:
-            continue
-        if consts.tau >= tau_max:
-            continue
-        gh = gain_pair(consts)
-        l_ell = loss_lipschitz(loss_spec, dc, gh)
-        s0_norm = float(np.linalg.norm(s0))
-        records.append(
-            SampleRecord(
-                theta=theta,
-                s0_norm=s0_norm,
-                constants=consts,
-                gh=gh,
-                l_ell=l_ell,
-                emp_loss=0.0,
-                psi1_exp=psi1_exponent(lambda_, n, l_ell, dc, gh),
-                psi2_exp=psi2_exponent(lambda_, n, l_ell, consts, dc.b_q, gh, s0_norm),
-            )
+    thetas = seeded_rng(seed).uniform(low, high, size=(n_draws, PARAM_DIM))
+    tau = _cloud_tau(thetas)
+    kept = thetas[(tau < 1.0) & (tau < tau_max)]
+    cert = certify_cloud(kept, dc, lambda_, n, loss_spec, tau_max)
+    c, gh = cert.constants, cert.gh
+    return [
+        SampleRecord(
+            theta=kept[i],
+            s0_norm=float(cert.s0_norm[i]),
+            constants=StabilityConstants(
+                c=1.0,
+                tau=float(c.tau[i]),
+                l_v=float(c.l_v[i]),
+                l_gs=float(c.l_gs[i]),
+                l_gv=float(c.l_gv[i]),
+            ),
+            gh=GainPair(g=float(gh.g[i]), h=float(gh.h[i])),
+            l_ell=float(cert.l_ell[i]),
+            emp_loss=0.0,
+            psi1_exp=float(cert.psi1[i]),
+            psi2_exp=float(cert.psi2[i]),
         )
-    return records
+        for i in range(kept.shape[0])
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certify import GainPair, StabilityConstants, gain_pair
 from .dynsys import RnnSystem, Trajectory, simulate
-from .errors import NotStableError
+from .errors import ConfigError, NotStableError
 from .mixing import DataConstants
 
 
@@ -29,9 +29,9 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind not in ("square", "softmax_xent"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+            raise ConfigError(f"unknown loss kind {self.kind!r}")
         if self.kind == "softmax_xent" and self.classes < 2:
-            raise ValueError("softmax cross-entropy needs classes >= 2")
+            raise ConfigError("softmax cross-entropy needs classes >= 2")
 
 
 def loss_value(spec: LossSpec, y: np.ndarray, yhat: np.ndarray) -> float:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DegenerateTruncationError, InstabilityError
 
-# Power iteration on the Gram matrix: convergence tolerance on the Rayleigh
-# quotient and hard iteration cap.
+# Power iteration on the Gram matrix: relative convergence tolerance on the
+# Rayleigh quotient and hard iteration cap.
 _POWER_TOL = 1e-12
 _POWER_MAX_ITER = 10_000
 
@@ -55,7 +55,7 @@ def _power_iterate(gram: np.ndarray, v: np.ndarray) -> float:
             return 0.0
         v = w / wn
         lam_new = float(v @ (gram @ v))
-        if abs(lam_new - lam) <= _POWER_TOL * max(1.0, lam_new):
+        if abs(lam_new - lam) <= _POWER_TOL * lam_new:
             return lam_new
         lam = lam_new
     return lam
@@ -77,6 +77,16 @@ def spectral_norm(m: np.ndarray) -> float:
     v_harmonic = 1.0 / np.arange(1.0, n + 1.0)
     lam = max(_power_iterate(gram, v_ones), _power_iterate(gram, v_harmonic))
     return math.sqrt(max(lam, 0.0))
+
+
+def spectral_norm_2x2(a00, a01, a10, a11):
+    """Largest singular value of [[a00, a01], [a10, a11]], elementwise over arrays.
+
+    Closed form (|z1| + |z2|) / 2 with z1 = (a00 + a11) + i(a10 - a01) and
+    z2 = (a00 - a11) + i(a01 + a10); ``hypot`` keeps it free of cancellation
+    at every scale, so it also serves as a certificate for tiny matrices.
+    """
+    return 0.5 * (np.hypot(a00 + a11, a10 - a01) + np.hypot(a00 - a11, a01 + a10))
 
 
 def log_mean_exp(values: Sequence[float]) -> float:

@@ -14,6 +14,7 @@ from stablepac import (
     gibbs_estimates,
     gibbs_weights,
     pac_bound,
+    pooled_psi,
     psi1_exponent,
     psi2_exponent,
     psi_hat,
@@ -122,6 +123,12 @@ class TestPsiHat:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             psi_hat([])
+
+    def test_records_pool_like_arrays(self):
+        rng = np.random.default_rng(12)
+        e1, e2 = rng.uniform(-3, 30, size=(2, 50))
+        recs = [self._record_with_exponents(a, b) for a, b in zip(e1, e2)]
+        assert psi_hat(recs) == pooled_psi(e1, e2)
 
 
 class TestGibbsWeights:
@@ -294,6 +301,21 @@ class TestBoxSearch:
         g1_half, g2_half = estimate_g1_g2(recs[:100], dc)
         g1_all, g2_all = estimate_g1_g2(recs, dc)
         assert g1_all >= g1_half and g2_all >= g2_half
+
+    def test_box_draws_follow_the_per_draw_stream(self):
+        from stablepac import box_search_records, generator_data_constants, seeded_rng
+        from stablepac.experiment import PARAM_DIM, build_reference_generator
+
+        dc = generator_data_constants(build_reference_generator(), 1.27)
+        lo = np.full(PARAM_DIM, -1.0)
+        hi = np.full(PARAM_DIM, 1.0)
+        rng = seeded_rng(3)
+        draws = [rng.uniform(lo, hi) for _ in range(300)]
+        kept = [d for d in draws if np.linalg.norm(d[:4].reshape(2, 2), 2) < 0.995]
+        recs = box_search_records(lo, hi, 300, 3, dc, 2.0, 50, SQUARE_SPEC, 0.995)
+        assert 0 < len(recs) < 300
+        assert len(recs) == len(kept)
+        assert all(np.array_equal(r.theta, d) for r, d in zip(recs, kept))
 
     def test_bad_box_rejected(self):
         from stablepac import box_search_records, generator_data_constants

@@ -149,3 +149,13 @@ class TestExperimentCommand:
         assert len(reports) == 1 + 4
         summary = (out_dir / "summary.csv").read_text().splitlines()
         assert len(summary) == 1 + 2
+
+    def test_unsupported_loss_fails_before_sampling(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"loss": {"kind": "softmax_xent", "classes": 3}}))
+        out_dir = tmp_path / "out"
+        assert main(
+            ["experiment", "--config", str(cfg_path), "--out", str(out_dir)]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()

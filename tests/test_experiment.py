@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -19,6 +20,7 @@ from stablepac import (
     theta_from_predictor,
 )
 from stablepac.bound import psi2_exponent
+from stablepac.errors import ConfigError
 from stablepac.experiment import (
     PARAM_DIM,
     ChainSettings,
@@ -136,6 +138,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(delta=0.75)
 
+    def test_bad_values_raise_config_error(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(n_f=0)
+        with pytest.raises(ConfigError):
+            ChainSettings(burn_in=-1)
+        assert issubclass(ConfigError, ValueError)
+
+    def test_unsupported_loss_rejected_at_config_time(self):
+        with pytest.raises(ConfigError, match="square"):
+            ExperimentConfig(loss=LossSpec(kind="softmax_xent", classes=3))
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"loss": {"kind": "softmax_xent", "classes": 3}})
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError, match="n_seed"):
+            ExperimentConfig.from_dict({"n_seed": 3})
+
     def test_dict_round_trip(self):
         cfg = ExperimentConfig(
             n_grid=(10, 20), n_f=100, lambda_rule=3.0,
@@ -227,13 +246,11 @@ class TestRunExperiment:
                         seed=_cell_chain_seed(0, 1, 30)),
         )
         dc = generator_data_constants(build_reference_generator(), 1.27)
-        records = evaluate_cloud(
+        _, cert = evaluate_cloud(
             chain.samples, data, dc, math.sqrt(30), 30, LossSpec(kind="square"), 0.995
         )
-        assert all(r.constants.tau < 0.995 for r in records)
-        assert all(
-            math.isfinite(r.psi1_exp) and math.isfinite(r.psi2_exp) for r in records
-        )
+        assert np.all(cert.constants.tau < 0.995)
+        assert np.all(np.isfinite(cert.psi1)) and np.all(np.isfinite(cert.psi2))
 
     def test_batch_losses_match_reference_evaluator(self):
         from stablepac.experiment import _batch_empirical_losses
@@ -266,6 +283,76 @@ class TestRunExperiment:
             a = psi2_exponent(lam, n, 1.3, c, 1.4, gh, 0.7)
             b = psi2_exponent(lam, 2 * n, 1.3, c, 1.4, gh, 0.7)
             assert b == a / 2.0
+
+
+class TestCloudCertificate:
+    """The array certificate agrees sample by sample with the per-system path."""
+
+    TAU_MAX = 0.995
+
+    @classmethod
+    def cloud(cls, rng, m=300):
+        thetas = rng.normal(0, 0.14, size=(m, PARAM_DIM))
+        # A third with tiny weights, a third with tau just below tau_max.
+        thetas[: m // 3] *= 10.0 ** rng.uniform(-8, -2, size=(m // 3, 1))
+        near = slice(m // 3, 2 * m // 3)
+        a = thetas[near, 0:4].reshape(-1, 2, 2)
+        target = cls.TAU_MAX - 10.0 ** rng.uniform(-7, -2, size=a.shape[0])
+        scale = target / np.linalg.norm(a, 2, axis=(1, 2))
+        thetas[near, 0:4] = (a * scale[:, None, None]).reshape(-1, 4)
+        return thetas[np.linalg.norm(thetas[:, 0:4].reshape(-1, 2, 2), 2, axis=(1, 2)) < cls.TAU_MAX]
+
+    def test_matches_per_sample_functions(self):
+        from stablepac import gain_pair, loss_lipschitz, psi1_exponent
+        from stablepac.experiment import certify_cloud
+        from stablepac.mixing import generator_data_constants
+
+        rng = np.random.default_rng(21)
+        thetas = self.cloud(rng)
+        assert thetas.shape[0] > 250
+        dc = generator_data_constants(build_reference_generator(), 1.27)
+        spec = LossSpec(kind="square")
+        lambda_, n = math.sqrt(50), 50
+        cert = certify_cloud(thetas, dc, lambda_, n, spec, self.TAU_MAX)
+        arr = cert.constants
+        for i, theta in enumerate(thetas):
+            sys, s0 = predictor_from_theta(theta)
+            ref = rnn_constants(sys)
+            for name in ("l_v", "l_gs", "l_gv"):
+                assert getattr(arr, name)[i] == pytest.approx(getattr(ref, name), rel=1e-12)
+            assert arr.c == ref.c
+            # rnn_constants' power iteration is accurate to ~1e-11 relative
+            # when the two singular values are close; the closed form is
+            # checked against the SVD at 1e-12 instead.
+            svd = np.linalg.svd(sys.a, compute_uv=False)[0]
+            assert arr.tau[i] == pytest.approx(svd, rel=1e-12)
+            assert arr.tau[i] == pytest.approx(ref.tau, rel=1e-9)
+            # Near tau_max the gains amplify a one-ulp change of tau by
+            # tau / (1 - tau), so the bound terms are compared on the same tau.
+            ref = dataclasses.replace(ref, tau=float(arr.tau[i]))
+            gh = gain_pair(ref)
+            assert cert.gh.g[i] == pytest.approx(gh.g, rel=1e-12)
+            assert cert.gh.h[i] == pytest.approx(gh.h, rel=1e-12)
+            l_ell = loss_lipschitz(spec, dc, gh)
+            assert cert.l_ell[i] == pytest.approx(l_ell, rel=1e-12)
+            s0_norm = float(np.linalg.norm(s0))
+            assert cert.s0_norm[i] == pytest.approx(s0_norm, rel=1e-12)
+            assert cert.psi1[i] == pytest.approx(
+                psi1_exponent(lambda_, n, l_ell, dc, gh), rel=1e-12
+            )
+            assert cert.psi2[i] == pytest.approx(
+                psi2_exponent(lambda_, n, l_ell, ref, dc.b_q, gh, s0_norm), rel=1e-12
+            )
+
+    def test_truncation_failure_is_reported(self):
+        from stablepac.experiment import certify_cloud
+        from stablepac.mixing import generator_data_constants
+
+        thetas = np.zeros((3, PARAM_DIM))
+        thetas[1, 0] = self.TAU_MAX
+        dc = generator_data_constants(build_reference_generator(), 1.27)
+        with pytest.raises(RuntimeError, match="sample 1 .*prior truncation failed"):
+            certify_cloud(thetas, dc, 1.0, 10, LossSpec(kind="square"), self.TAU_MAX)
 
 
 class TestEmitCurves:

@@ -13,6 +13,7 @@ from stablepac import (
     spectral_norm,
     truncated_gaussian,
 )
+from stablepac.numerics import spectral_norm_2x2
 
 
 class TestSpectralNorm:
@@ -44,11 +45,55 @@ class TestSpectralNorm:
             expected = eig_spectral_norm(m)
             assert spectral_norm(m) == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
+    def test_relative_accuracy_at_every_scale(self):
+        # The convergence test is relative, so small matrices are not
+        # stopped early with an underestimated norm.
+        rng = np.random.default_rng(77)
+        for scale in 10.0 ** np.arange(-8, 3):
+            for _ in range(200):
+                m = scale * rng.normal(0, 1, size=(2, 2))
+                expected = np.linalg.svd(m, compute_uv=False)[0]
+                assert abs(spectral_norm(m) - expected) <= 1e-9 * expected
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             spectral_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             spectral_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+class TestSpectralNorm2x2:
+    @staticmethod
+    def closed_form(ms):
+        return spectral_norm_2x2(ms[:, 0, 0], ms[:, 0, 1], ms[:, 1, 0], ms[:, 1, 1])
+
+    def test_matches_eigensolve_on_random_matrices(self):
+        rng = np.random.default_rng(4321)
+        scales = 10.0 ** rng.uniform(-8, 2, size=(2000, 1, 1))
+        ms = scales * rng.normal(0, 1, size=(2000, 2, 2))
+        got = self.closed_form(ms)
+        for m, value in zip(ms, got):
+            assert value == pytest.approx(eig_spectral_norm(m), rel=1e-12)
+
+    def test_rotations_and_rank_one(self):
+        rng = np.random.default_rng(99)
+        angles = rng.uniform(0, 2 * math.pi, size=200)
+        radii = 10.0 ** rng.uniform(-8, 2, size=200)
+        rot = radii[:, None, None] * np.stack(
+            [np.cos(angles), -np.sin(angles), np.sin(angles), np.cos(angles)], axis=1
+        ).reshape(-1, 2, 2)
+        u = rng.normal(0, 1, size=(200, 2, 1))
+        v = rng.normal(0, 1, size=(200, 1, 2))
+        rank_one = radii[:, None, None] * (u @ v)
+        for ms in (rot, rank_one):
+            for m, value in zip(ms, self.closed_form(ms)):
+                assert value == pytest.approx(eig_spectral_norm(m), rel=1e-12)
+
+    def test_scalar_arguments(self):
+        assert spectral_norm_2x2(0.52, 0.23, 0.23, -0.52) == pytest.approx(
+            math.sqrt(0.52**2 + 0.23**2), rel=1e-15
+        )
+        assert spectral_norm_2x2(0.0, 0.0, 0.0, 0.0) == 0.0
 
 
 class TestLogMeanExp:
