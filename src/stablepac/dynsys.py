@@ -26,6 +26,10 @@ from .numerics import check_finite_matrix
 if TYPE_CHECKING:
     from .certify import StabilityConstants
 
+# Rows per chunk wherever a whole trajectory would need large temporaries:
+# simulate's outputs and save_trajectory's row lists.
+_CHUNK_ROWS = 4096
+
 # kind -> (elementwise map, global Lipschitz constant)
 _ACTIVATION_TABLE: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float]] = {
     "relu": (lambda x: np.maximum(x, 0.0), 1.0),
@@ -154,13 +158,27 @@ def simulate(
         raise ValueError(f"s0 must have dimension {sys.n_s}, got shape {s.shape}")
     if x.shape[1] != sys.n_v:
         raise ValueError(f"inputs must have dimension {sys.n_v}, got {x.shape[1]}")
+    # Only the state recursion runs step by step.  B v(t), C s(t) and D v(t)
+    # are stacked matmuls over all t: they run the same kernel per item as a
+    # per-step product, so the result is bit-identical to a step-by-step loop
+    # (a plain ``states @ c.T`` is not: BLAS gemm and gemv round differently).
+    # Row t+1 of ``states`` holds B v(t) until the step overwrites it with the
+    # state; the outputs are formed in chunks to bound their temporaries.
     n = x.shape[0]
-    states = np.empty((n, sys.n_s))
+    x3 = x[:, :, None]
+    states = np.empty((n + 1, sys.n_s))
+    np.matmul(sys.b, x3, out=states[1:, :, None])
+    states[0] = s
+    for s_t, next_row in zip(states, states[1:]):
+        next_row[...] = sys.sigma_f(sys.a @ s_t + next_row + sys.b_s)
+    states = states[:n]
     outputs = np.empty((n, sys.n_y))
-    for t in range(n):
-        states[t] = s
-        outputs[t] = sys.sigma_g(sys.c @ s + sys.d @ x[t] + sys.b_y)
-        s = sys.sigma_f(sys.a @ s + sys.b @ x[t] + sys.b_s)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        pre = np.matmul(sys.c, states[start:stop, :, None])[:, :, 0]
+        pre += np.matmul(sys.d, x3[start:stop])[:, :, 0]
+        pre += sys.b_y
+        outputs[start:stop] = sys.sigma_g(pre)
     return states, outputs
 
 
@@ -171,31 +189,17 @@ def simulate_series(
     s0_2: np.ndarray,
     inputs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lockstep simulation of two blocks in series (output of sys1 drives sys2).
+    """Simulation of two blocks in series (output of sys1 drives sys2).
 
     Returns (stacked_states, mid_outputs, outputs) where stacked_states[t] is
-    the concatenated state [s1(t); s2(t)].  The arithmetic per step is
-    identical to simulating the blocks one after the other, so both routes
-    produce bit-identical trajectories.
+    the concatenated state [s1(t); s2(t)].  sys1 runs first and its outputs
+    drive sys2, which is exactly the cascade's per-step arithmetic.
     """
     if sys1.n_y != sys2.n_v:
         raise ValueError("output dimension of sys1 must match input dimension of sys2")
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    s1 = np.asarray(s0_1, dtype=float)
-    s2 = np.asarray(s0_2, dtype=float)
-    n = x.shape[0]
-    stacked = np.empty((n, sys1.n_s + sys2.n_s))
-    mid = np.empty((n, sys1.n_y))
-    out = np.empty((n, sys2.n_y))
-    for t in range(n):
-        stacked[t, : sys1.n_s] = s1
-        stacked[t, sys1.n_s :] = s2
-        y1 = sys1.sigma_g(sys1.c @ s1 + sys1.d @ x[t] + sys1.b_y)
-        mid[t] = y1
-        out[t] = sys2.sigma_g(sys2.c @ s2 + sys2.d @ y1 + sys2.b_y)
-        s1 = sys1.sigma_f(sys1.a @ s1 + sys1.b @ x[t] + sys1.b_s)
-        s2 = sys2.sigma_f(sys2.a @ s2 + sys2.b @ y1 + sys2.b_s)
-    return stacked, mid, out
+    states1, mid = simulate(sys1, s0_1, inputs)
+    states2, out = simulate(sys2, s0_2, mid)
+    return np.hstack([states1, states2]), mid, out
 
 
 def burn_in_length(consts: "StabilityConstants", s0_bound: float, tol: float) -> int:
@@ -291,17 +295,26 @@ def load_model(path: str) -> RnnSystem:
 
 
 def save_trajectory(traj: Trajectory, path: str) -> None:
-    """Write a trajectory as CSV with header t, x_0.., y_0.. (round-trip exact)."""
+    """Write a trajectory as CSV with header t, x_0.., y_0.. (round-trip exact).
+
+    The bytes are those of ``csv.writer``: no field needs quoting (finite
+    float reprs contain no comma, quote or line break) and rows end in
+    ``\\r\\n``.  Rows are formatted in chunks to bound the memory of the
+    intermediate lists.
+    """
     m, p = traj.inputs.shape[1], traj.outputs.shape[1]
     header = ["t"] + [f"x_{i}" for i in range(m)] + [f"y_{i}" for i in range(p)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(traj.length):
-            row = [str(t)]
-            row += [repr(float(v)) for v in traj.inputs[t]]
-            row += [repr(float(v)) for v in traj.outputs[t]]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, traj.length, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            rows = np.hstack((traj.inputs[start:stop], traj.outputs[start:stop]))
+            fh.write(
+                "".join(
+                    f"{t},{','.join(map(repr, row))}\r\n"
+                    for t, row in enumerate(rows.tolist(), start)
+                )
+            )
 
 
 def load_trajectory(path: str) -> Trajectory:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -16,11 +17,41 @@ from stablepac import (
     save_trajectory,
     seeded_rng,
     simulate,
+    simulate_series,
     steady_state_outputs,
     truncated_gaussian,
 )
 from stablepac.certify import StabilityConstants
 from helpers import random_contractive_system
+
+ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
+
+
+def reference_simulate(sys, s0, inputs):
+    """Step-by-step recursion: the reference the stacked simulate must match bit for bit."""
+    x = np.atleast_2d(np.asarray(inputs, dtype=float))
+    s = np.asarray(s0, dtype=float)
+    states = np.empty((x.shape[0], sys.n_s))
+    outputs = np.empty((x.shape[0], sys.n_y))
+    for t in range(x.shape[0]):
+        states[t] = s
+        outputs[t] = sys.sigma_g(sys.c @ s + sys.d @ x[t] + sys.b_y)
+        s = sys.sigma_f(sys.a @ s + sys.b @ x[t] + sys.b_s)
+    return states, outputs
+
+
+def reference_save_trajectory(traj, path):
+    """One csv.writer row per step: the bytes save_trajectory must reproduce."""
+    m, p = traj.inputs.shape[1], traj.outputs.shape[1]
+    header = ["t"] + [f"x_{i}" for i in range(m)] + [f"y_{i}" for i in range(p)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t in range(traj.length):
+            row = [str(t)]
+            row += [repr(float(v)) for v in traj.inputs[t]]
+            row += [repr(float(v)) for v in traj.outputs[t]]
+            writer.writerow(row)
 
 
 class TestActivation:
@@ -106,6 +137,54 @@ class TestSimulate:
             n0 = max(0.0, 0.52 * s0 + 0.23 * s1 - 0.82 * e[t, 0] - 0.45 * e[t, 1] + 0.38)
             n1 = max(0.0, 0.23 * s0 - 0.52 * s1 + 0.36 * e[t, 0] - 0.96 * e[t, 1] - 0.06)
             s0, s1 = n0, n1
+
+    def test_reference_generator_long_run_matches_step_loop(self):
+        gen = build_reference_generator()
+        e = truncated_gaussian(seeded_rng(4), 1.0, 1.27, 20_000).reshape(10_000, 2)
+        states, outputs = simulate(gen, np.zeros(2), e)
+        ref_states, ref_outputs = reference_simulate(gen, np.zeros(2), e)
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(outputs, ref_outputs)
+
+    @pytest.mark.parametrize("kind_f", ACTIVATIONS)
+    @pytest.mark.parametrize("kind_g", ACTIVATIONS)
+    def test_random_systems_match_step_loop(self, kind_f, kind_g):
+        rng = np.random.default_rng(ACTIVATIONS.index(kind_f) * 4 + ACTIVATIONS.index(kind_g))
+        for n_s in range(1, 5):
+            for n_v in range(1, 5):
+                for n_y in range(1, 5):
+                    base = random_contractive_system(rng, n_s=n_s, n_v=n_v, n_y=n_y)
+                    sys = RnnSystem(
+                        a=base.a, b=base.b, b_s=base.b_s, c=base.c, d=base.d,
+                        b_y=base.b_y, sigma_f=activation(kind_f),
+                        sigma_g=activation(kind_g),
+                    )
+                    s0 = rng.normal(size=n_s)
+                    inputs = rng.uniform(-2, 2, size=(40, n_v))
+                    states, outputs = simulate(sys, s0, inputs)
+                    ref_states, ref_outputs = reference_simulate(sys, s0, inputs)
+                    assert np.array_equal(states, ref_states)
+                    assert np.array_equal(outputs, ref_outputs)
+
+    def test_series_matches_lockstep_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            sys1 = random_contractive_system(rng)
+            sys2 = random_contractive_system(rng, n_v=sys1.n_y)
+            s01, s02 = rng.normal(size=sys1.n_s), rng.normal(size=sys2.n_s)
+            inputs = rng.uniform(-1, 1, size=(60, sys1.n_v))
+            stacked, mid, out = simulate_series(sys1, sys2, s01, s02, inputs)
+            st1, ref_mid = reference_simulate(sys1, s01, inputs)
+            st2, ref_out = reference_simulate(sys2, s02, ref_mid)
+            assert np.array_equal(stacked, np.hstack([st1, st2]))
+            assert np.array_equal(mid, ref_mid) and np.array_equal(out, ref_out)
+
+    def test_series_dimension_mismatch_rejected(self):
+        gen = build_reference_generator()
+        rng = np.random.default_rng(13)
+        sys2 = random_contractive_system(rng, n_v=3)
+        with pytest.raises(ValueError):
+            simulate_series(gen, sys2, np.zeros(2), np.zeros(sys2.n_s), np.zeros((5, 2)))
 
     def test_dimension_mismatch_rejected(self):
         gen = build_reference_generator()
@@ -281,3 +360,20 @@ class TestModelFiles:
         assert np.array_equal(loaded.outputs, traj.outputs)
         header = path.read_text().splitlines()[0]
         assert header == "t,x_0,x_1,y_0,y_1,y_2"
+
+    @pytest.mark.parametrize("m,p", [(1, 1), (2, 3)])
+    def test_trajectory_file_matches_csv_writer_across_chunks(self, tmp_path, m, p):
+        rng = np.random.default_rng(10)
+        n = 5000
+        inputs = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-30, 30, size=(n, m))
+        outputs = rng.normal(size=(n, p))
+        inputs[0, 0], outputs[1, 0], outputs[2, 0] = -0.0, 0.0, 5e-324
+        traj = Trajectory(inputs=inputs, outputs=outputs)
+        path, ref_path = tmp_path / "traj.csv", tmp_path / "ref.csv"
+        save_trajectory(traj, str(path))
+        reference_save_trajectory(traj, str(ref_path))
+        assert path.read_bytes() == ref_path.read_bytes()
+        loaded = load_trajectory(str(path))
+        assert np.array_equal(loaded.inputs, traj.inputs)
+        assert np.array_equal(loaded.outputs, traj.outputs)
+        assert np.signbit(loaded.inputs[0, 0])

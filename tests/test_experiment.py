@@ -29,6 +29,26 @@ from stablepac.experiment import (
     write_outputs,
 )
 
+
+
+def reference_batch_losses(thetas, inputs, labels):
+    """Per-step cloud loop: the reference the buffered loss loop must match bit for bit."""
+    x, y = inputs[:, 0], labels[:, 0]
+    a00, a01, a10, a11 = thetas[:, 0], thetas[:, 1], thetas[:, 2], thetas[:, 3]
+    bb0, bb1, c0, c1 = thetas[:, 4], thetas[:, 5], thetas[:, 6], thetas[:, 7]
+    w0, w1, dd, by = thetas[:, 8], thetas[:, 9], thetas[:, 10], thetas[:, 11]
+    s0, s1 = thetas[:, 12].copy(), thetas[:, 13].copy()
+    acc = np.zeros(thetas.shape[0])
+    for t in range(x.shape[0]):
+        yhat = np.tanh(w0 * s0 + w1 * s1 + dd * x[t] + by)
+        diff = yhat - y[t]
+        acc += diff * diff
+        p0 = np.maximum(a00 * s0 + a01 * s1 + bb0 * x[t] + c0, 0.0)
+        s1 = np.maximum(a10 * s0 + a11 * s1 + bb1 * x[t] + c1, 0.0)
+        s0 = p0
+    return acc / x.shape[0]
+
+
 SMALL = ExperimentConfig(
     n_grid=(5, 20),
     n_seeds=2,
@@ -264,6 +284,34 @@ class TestRunExperiment:
             sys, s0 = predictor_from_theta(thetas[i])
             ref = empirical_loss(LossSpec(kind="square"), sys, s0, data)
             assert batch[i] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("m,n", [(300, 500), (4999, 40), (1, 3)])
+    def test_batch_losses_match_step_loop(self, m, n):
+        # 300 samples over 500 steps span ten tanh buffers (54 steps each);
+        # 4999 samples leave 3 steps per buffer and a one-step remainder.
+        from stablepac.experiment import _batch_empirical_losses
+
+        rng = np.random.default_rng(m)
+        data = generate_dataset(5, n)
+        thetas = rng.normal(0, 0.5, size=(m, PARAM_DIM))
+        batch = _batch_empirical_losses(thetas, data.inputs, data.outputs)
+        ref = reference_batch_losses(thetas, data.inputs, data.outputs)
+        assert np.array_equal(batch, ref)
+
+    def test_cell_chain_seeds_distinct_across_base_seeds(self):
+        from stablepac.experiment import _cell_chain_seed
+
+        # (base_seed=b, seed=s) used to share the chain of (b-1, s+1)
+        assert _cell_chain_seed(1, 0, 100) != _cell_chain_seed(0, 1, 100)
+        cells = [
+            (b, s, n)
+            for b in (0, 1, 2, 1000, 2000)
+            for s in range(10)
+            for n in (5, 9, 20, 50, 100, 1000, 10_000, 100_000)
+        ]
+        assert len({_cell_chain_seed(*c) for c in cells}) == len(cells)
+        # base seed 0 keeps the reference experiment's seeds
+        assert all(_cell_chain_seed(0, s, n) == s * 1_000_003 + n for _, s, n in cells)
 
     def test_doubling_n_halves_transient_exponents_exactly(self, reports):
         rng = np.random.default_rng(9)
