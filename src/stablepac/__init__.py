@@ -25,7 +25,6 @@ from .certify import (
     check_contraction,
     check_linear_lyapunov,
     check_metric_contraction_sampled,
-    error_system_constants,
     full_generator_constants,
     gain_pair,
     rnn_constants,
@@ -61,8 +60,8 @@ from .experiment import (
     build_reference_generator,
     generate_dataset,
     predictor_from_theta,
-    run_cell,
     run_experiment,
+    run_seed,
     theta_from_predictor,
 )
 from .loss import (

@@ -184,18 +184,6 @@ def full_generator_constants(
     return series_compose(gen, _with_label_passthrough(pred), allow_zero_tau)
 
 
-def error_system_constants(
-    gen: StabilityConstants, pred: StabilityConstants, allow_zero_tau: bool = False
-) -> StabilityConstants:
-    """Certificate of the system whose output is the prediction error.
-
-    The label-minus-prediction output map has the same Lipschitz constants as
-    the joint-output map, so the certificate coincides with
-    full_generator_constants.
-    """
-    return series_compose(gen, _with_label_passthrough(pred), allow_zero_tau)
-
-
 @dataclass(frozen=True)
 class HeuristicCheck:
     """Outcome of a sampled check: suggestive evidence, not a certificate."""

@@ -19,8 +19,8 @@ from .errors import StablepacError
 from .experiment import (
     ExperimentConfig,
     generate_dataset,
-    run_cell,
     run_experiment,
+    run_seed,
     write_outputs,
 )
 from .mixing import data_constants, generator_data_constants, saturation_bound
@@ -93,10 +93,9 @@ def _cmd_bound(args) -> int:
         )
     if args.delta is not None:
         overrides["delta"] = args.delta
-    if overrides:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
+    cfg = dataclasses.replace(cfg, n_grid=(args.n,), **overrides)
     data = generate_dataset(args.seed, args.n, cfg.e_std, cfg.e_inf)
-    report = run_cell(cfg, args.seed, args.n, data)
+    (report,) = run_seed(cfg, args.seed, data)
     _print_json(dataclasses.asdict(report))
     if args.out is not None:
         from .experiment import emit_curves

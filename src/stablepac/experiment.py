@@ -3,10 +3,11 @@
 The benchmark uses a fixed two-state generator with ReLU state updates and a
 tanh output that emits a (label, input) pair per step, driven by truncated
 Gaussian noise.  Predictors share the generator's shape; all 14 weights
-including the initial state form the parameter vector.  For every (seed, n)
-cell the bound is evaluated from a fresh prior sample cloud drawn by
-Metropolis-Hastings from a stability-truncated Gaussian prior; the cloud is
-certified and simulated as whole arrays, one entry per sample.
+including the initial state form the parameter vector.  The bound is
+evaluated at every n of the grid from a fresh prior sample cloud per seed,
+drawn by Metropolis-Hastings from a stability-truncated Gaussian prior; the
+cloud is certified and simulated as whole arrays, one entry per sample, and
+one simulation pass gives its losses on every data prefix.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -238,19 +239,24 @@ def stability_truncated_log_prior(
 
 
 def _cell_chain_seed(base_seed: int, seed: int, n: int) -> int:
-    # Distinct deterministic seed per (base seed, data seed, n) cell while the
-    # data seed and n stay below the multiplier; base seed 0 gives
-    # seed * 1_000_003 + n, the seeds of the reference experiment.
+    # Distinct deterministic seed per (base seed, data seed, n) while the data
+    # seed and n stay below the multiplier; base seed 0 gives
+    # seed * 1_000_003 + n.  A seed's cloud is drawn with n = n_max, the seed
+    # of its largest cell when every cell drew its own cloud.
     return (base_seed * 1_000_003 + seed) * 1_000_003 + n
 
 
 def _batch_empirical_losses(
-    thetas: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+    thetas: np.ndarray, inputs: np.ndarray, labels: np.ndarray, ns: Sequence[int]
 ) -> np.ndarray:
-    """Mean squared losses of every predictor in the cloud, simulated in lockstep.
+    """Mean squared losses of every predictor in the cloud on each data prefix.
 
-    Pure elementwise arithmetic on arrays over the cloud: deterministic and
-    independent of BLAS threading.  Agrees with per-sample empirical_loss.
+    Row k holds the mean loss over the first ``ns[k]`` steps, for ascending
+    ``ns``.  One pass to the largest n serves every row: the running sums are
+    divided by n as the pass reaches step n, so each row equals a separate
+    pass over that prefix bit for bit.  Pure elementwise arithmetic on arrays
+    over the cloud: deterministic and independent of BLAS threading.  Agrees
+    with per-sample empirical_loss.
 
     The cloud advances as one (3, m) pre-activation array whose rows are the
     next s0, the next s1 and the output, each element summed in the order
@@ -258,10 +264,19 @@ def _batch_empirical_losses(
     steps are kept, and their squared errors are added to the sums row by row
     afterwards, in time order.
     """
+    if (
+        not ns
+        or ns[0] < 1
+        or ns[-1] > inputs.shape[0]
+        or any(a >= b for a, b in zip(ns, ns[1:]))
+    ):
+        raise ValueError(
+            f"prefix lengths {ns} must ascend strictly within 1..{inputs.shape[0]}"
+        )
     m = thetas.shape[0]
-    n = inputs.shape[0]
-    x = inputs[:, 0]
-    y = labels[:, 0]
+    n_max = ns[-1]
+    x = inputs[:n_max, 0]
+    y = labels[:n_max, 0]
     # Rows (next s0, next s1, output) of the coefficients of s0, s1, x and 1.
     k_s0 = thetas[:, [0, 2, 8]].T.copy()
     k_s1 = thetas[:, [1, 3, 9]].T.copy()
@@ -275,7 +290,9 @@ def _batch_empirical_losses(
     rows = max(1, _LOSS_CHUNK_ELEMENTS // max(m, 1))
     yhat = np.empty((rows, m))
     acc = np.zeros(m)
-    for start in range(0, n, rows):
+    means = np.empty((len(ns), m))
+    k = 0
+    for start in range(0, n_max, rows):
         x_chunk = x[start : start + rows]
         chunk = yhat[: x_chunk.shape[0]]
         for yhat_t, x_t in zip(chunk, x_chunk.tolist()):
@@ -289,9 +306,13 @@ def _batch_empirical_losses(
             np.tanh(pre_y, out=yhat_t)
         chunk -= y[start : start + rows, None]
         chunk *= chunk
-        for sq_t in chunk:
+        for t, sq_t in enumerate(chunk, start + 1):
             acc += sq_t
-    return acc / n
+            if t == ns[k]:
+                # The last snapshot is taken at the final step, n_max.
+                np.divide(acc, t, out=means[k])
+                k += 1
+    return means
 
 
 @dataclass(frozen=True)
@@ -358,32 +379,43 @@ def evaluate_cloud(
     thetas: np.ndarray,
     data: Trajectory,
     dc: DataConstants,
-    lambda_: float,
-    n: int,
+    lambdas: Sequence[float],
+    ns: Sequence[int],
     loss_spec: LossSpec,
     tau_max: float,
-) -> tuple[np.ndarray, CloudCertificate]:
-    """Empirical losses and certificates of every sampled predictor."""
+) -> tuple[np.ndarray, list[float]]:
+    """Empirical losses and pooled moment terms of the sampled cloud at each n.
+
+    Row k of the losses is the mean over the first ``ns[k]`` steps of the
+    data; entry k of the moment terms is ``pooled_psi`` of the cloud certified
+    at ``(lambdas[k], ns[k])``.  Each certificate is dropped once pooled, so
+    only one is held at a time.
+    """
     if loss_spec.kind != "square":
         raise ValueError("the benchmark cloud evaluator supports square loss only")
-    cert = certify_cloud(thetas, dc, lambda_, n, loss_spec, tau_max)
-    return _batch_empirical_losses(thetas, data.inputs, data.outputs), cert
+    psi = []
+    for lambda_, n in zip(lambdas, ns):
+        cert = certify_cloud(thetas, dc, lambda_, n, loss_spec, tau_max)
+        psi.append(pooled_psi(cert.psi1, cert.psi2))
+    return _batch_empirical_losses(thetas, data.inputs, data.outputs, ns), psi
 
 
-def run_cell(
-    cfg: ExperimentConfig, seed: int, n: int, data: Trajectory
-) -> BoundReport:
-    """Evaluate the bound for one (seed, n) cell on the given data prefix."""
-    if data.length < n:
-        raise ValueError(f"data has {data.length} rows, need at least {n}")
-    prefix = Trajectory(inputs=data.inputs[:n], outputs=data.outputs[:n])
-    lambda_ = cfg.lambda_for(n)
+def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundReport]:
+    """Evaluate the bound at every n of the grid on prefixes of one seed's data.
+
+    One prior cloud serves every n: the prior depends on neither the data nor
+    n, so each per-n bound stays valid.  The cloud's chain seed is the cell
+    seed of the largest n.
+    """
+    n_max = cfg.n_grid[-1]
+    if data.length < n_max:
+        raise ValueError(f"data has {data.length} rows, need at least {n_max}")
     chain_cfg = ChainConfig(
         steps=cfg.chain.burn_in + cfg.n_f * cfg.chain.thin,
         burn_in=cfg.chain.burn_in,
         thin=cfg.chain.thin,
         proposal_std=cfg.chain.proposal_std,
-        seed=_cell_chain_seed(cfg.chain.base_seed, seed, n),
+        seed=_cell_chain_seed(cfg.chain.base_seed, seed, n_max),
     )
     chain = mh_sample(
         stability_truncated_log_prior(cfg.prior_sigma2, cfg.tau_max),
@@ -391,26 +423,31 @@ def run_cell(
         chain_cfg,
     )
     dc = generator_data_constants(build_reference_generator(), cfg.e_inf)
-    losses, cert = evaluate_cloud(
-        chain.samples, prefix, dc, lambda_, n, cfg.loss, cfg.tau_max
+    lambdas = [cfg.lambda_for(n) for n in cfg.n_grid]
+    loss_rows, psi = evaluate_cloud(
+        chain.samples, data, dc, lambdas, cfg.n_grid, cfg.loss, cfg.tau_max
     )
-    beta = gibbs_weights(losses, lambda_)
-    z_hat, kl, post_emp_loss = gibbs_estimates(beta, losses)
-    ph = pooled_psi(cert.psi1, cert.psi2)
-    r_n = pac_bound(lambda_, cfg.delta, kl, ph)
-    return BoundReport(
-        n=n,
-        seed=seed,
-        lambda_=lambda_,
-        delta=cfg.delta,
-        kl=kl,
-        psi_hat=ph,
-        r_n=r_n,
-        post_emp_loss=post_emp_loss,
-        total=post_emp_loss + r_n,
-        z_hat=z_hat,
-        n_samples=losses.size,
-    )
+    reports = []
+    for n, lambda_, losses, ph in zip(cfg.n_grid, lambdas, loss_rows, psi):
+        beta = gibbs_weights(losses, lambda_)
+        z_hat, kl, post_emp_loss = gibbs_estimates(beta, losses)
+        r_n = pac_bound(lambda_, cfg.delta, kl, ph)
+        reports.append(
+            BoundReport(
+                n=n,
+                seed=seed,
+                lambda_=lambda_,
+                delta=cfg.delta,
+                kl=kl,
+                psi_hat=ph,
+                r_n=r_n,
+                post_emp_loss=post_emp_loss,
+                total=post_emp_loss + r_n,
+                z_hat=z_hat,
+                n_samples=losses.size,
+            )
+        )
+    return reports
 
 
 def run_experiment(
@@ -419,18 +456,17 @@ def run_experiment(
     """Evaluate the bound over every (seed, n) cell in deterministic order.
 
     One data realisation per seed, sliced to prefixes for each n; a fresh
-    prior cloud is drawn per cell with a cell-specific chain seed.
+    prior cloud is drawn per seed with a seed-specific chain seed.
     """
     n_max = cfg.n_grid[-1]
     reports = []
     for seed in range(cfg.n_seeds):
         data = generate_dataset(seed, n_max, cfg.e_std, cfg.e_inf)
-        for n in cfg.n_grid:
-            report = run_cell(cfg, seed, n, data)
+        for report in run_seed(cfg, seed, data):
             reports.append(report)
             if progress is not None:
                 progress(
-                    f"seed={seed} n={n} total={report.total:.4f} "
+                    f"seed={seed} n={report.n} total={report.total:.4f} "
                     f"(loss={report.post_emp_loss:.4f} r_n={report.r_n:.4f})"
                 )
     return reports

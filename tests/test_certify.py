@@ -13,7 +13,6 @@ from stablepac import (
     build_reference_generator,
     check_contraction,
     check_linear_lyapunov,
-    error_system_constants,
     full_generator_constants,
     gain_pair,
     rnn_constants,
@@ -232,17 +231,6 @@ class TestPredictorCompositions:
         assert full.tau == plain.tau
         assert full.l_gs == plain.l_gs
         assert full.l_gv == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-    def test_error_system_equals_full_generator(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            gen = random_constants(rng)
-            pred = random_constants(rng)
-            if max(gen.tau, pred.tau) == 0.0:
-                continue
-            assert error_system_constants(gen, pred) == full_generator_constants(
-                gen, pred
-            )
 
 
 class TestGainPair:

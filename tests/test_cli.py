@@ -130,6 +130,10 @@ class TestBoundCommand:
         rows = (out_dir / "bound_reports.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith("10,0,")
 
+    def test_nonpositive_n_fails_before_sampling(self, capsys):
+        assert main(["bound", "--n", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: n_grid")
+
 
 class TestExperimentCommand:
     def test_end_to_end_outputs(self, tmp_path, capsys):

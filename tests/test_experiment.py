@@ -14,8 +14,8 @@ from stablepac import (
     load_model,
     predictor_from_theta,
     rnn_constants,
-    run_cell,
     run_experiment,
+    run_seed,
     save_model,
     theta_from_predictor,
 )
@@ -48,6 +48,44 @@ def reference_batch_losses(thetas, inputs, labels):
         s0 = p0
     return acc / x.shape[0]
 
+
+
+def reference_run_cell(cfg, seed, n, data, chain_n=None):
+    """One (seed, n) cell from its own chain and a separate loss pass over the prefix.
+
+    With chain_n left at n this is the per-cell evaluation that drew one
+    cloud per cell; a seed's shared cloud is the one drawn for chain_n = n_max.
+    """
+    from stablepac.bound import (
+        BoundReport, gibbs_estimates, gibbs_weights, pac_bound, pooled_psi,
+    )
+    from stablepac.experiment import _cell_chain_seed, certify_cloud
+    from stablepac.mcmc import ChainConfig, mh_sample
+    from stablepac.mixing import generator_data_constants
+
+    chain = mh_sample(
+        stability_truncated_log_prior(cfg.prior_sigma2, cfg.tau_max),
+        np.zeros(PARAM_DIM),
+        ChainConfig(
+            steps=cfg.chain.burn_in + cfg.n_f * cfg.chain.thin,
+            burn_in=cfg.chain.burn_in,
+            thin=cfg.chain.thin,
+            proposal_std=cfg.chain.proposal_std,
+            seed=_cell_chain_seed(cfg.chain.base_seed, seed, chain_n or n),
+        ),
+    )
+    lambda_ = cfg.lambda_for(n)
+    dc = generator_data_constants(build_reference_generator(), cfg.e_inf)
+    cert = certify_cloud(chain.samples, dc, lambda_, n, cfg.loss, cfg.tau_max)
+    losses = reference_batch_losses(chain.samples, data.inputs[:n], data.outputs[:n])
+    z_hat, kl, post = gibbs_estimates(gibbs_weights(losses, lambda_), losses)
+    ph = pooled_psi(cert.psi1, cert.psi2)
+    r_n = pac_bound(lambda_, cfg.delta, kl, ph)
+    return BoundReport(
+        n=n, seed=seed, lambda_=lambda_, delta=cfg.delta, kl=kl, psi_hat=ph,
+        r_n=r_n, post_emp_loss=post, total=post + r_n, z_hat=z_hat,
+        n_samples=losses.size,
+    )
 
 SMALL = ExperimentConfig(
     n_grid=(5, 20),
@@ -242,7 +280,7 @@ class TestRunExperiment:
             ChainConfig(steps=350, burn_in=50, thin=1, proposal_std=0.05,
                         seed=_cell_chain_seed(0, 0, 20)),
         )
-        losses = _batch_empirical_losses(chain.samples, data.inputs, data.outputs)
+        (losses,) = _batch_empirical_losses(chain.samples, data.inputs, data.outputs, [20])
         beta = gibbs_weights(losses, math.sqrt(20))
         _, _, post = gibbs_estimates(beta, losses)
         assert float(np.min(losses)) <= post <= float(np.max(losses))
@@ -253,7 +291,7 @@ class TestRunExperiment:
         from stablepac.experiment import (
             _cell_chain_seed,
             build_reference_generator,
-            evaluate_cloud,
+            certify_cloud,
         )
         from stablepac.mcmc import ChainConfig, mh_sample
         from stablepac.mixing import generator_data_constants
@@ -266,8 +304,8 @@ class TestRunExperiment:
                         seed=_cell_chain_seed(0, 1, 30)),
         )
         dc = generator_data_constants(build_reference_generator(), 1.27)
-        _, cert = evaluate_cloud(
-            chain.samples, data, dc, math.sqrt(30), 30, LossSpec(kind="square"), 0.995
+        cert = certify_cloud(
+            chain.samples, dc, math.sqrt(30), 30, LossSpec(kind="square"), 0.995
         )
         assert np.all(cert.constants.tau < 0.995)
         assert np.all(np.isfinite(cert.psi1)) and np.all(np.isfinite(cert.psi2))
@@ -279,7 +317,7 @@ class TestRunExperiment:
         rng = np.random.default_rng(8)
         data = generate_dataset(4, 30)
         thetas = rng.normal(0, 0.14, size=(20, PARAM_DIM))
-        batch = _batch_empirical_losses(thetas, data.inputs, data.outputs)
+        (batch,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [30])
         for i in range(20):
             sys, s0 = predictor_from_theta(thetas[i])
             ref = empirical_loss(LossSpec(kind="square"), sys, s0, data)
@@ -294,7 +332,7 @@ class TestRunExperiment:
         rng = np.random.default_rng(m)
         data = generate_dataset(5, n)
         thetas = rng.normal(0, 0.5, size=(m, PARAM_DIM))
-        batch = _batch_empirical_losses(thetas, data.inputs, data.outputs)
+        (batch,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [n])
         ref = reference_batch_losses(thetas, data.inputs, data.outputs)
         assert np.array_equal(batch, ref)
 
@@ -312,6 +350,74 @@ class TestRunExperiment:
         assert len({_cell_chain_seed(*c) for c in cells}) == len(cells)
         # base seed 0 keeps the reference experiment's seeds
         assert all(_cell_chain_seed(0, s, n) == s * 1_000_003 + n for _, s, n in cells)
+
+    def test_prefix_loss_rows_match_separate_passes(self):
+        # 300 samples give 2**14 // 300 = 54 steps per tanh buffer: n = 1,
+        # n on a buffer boundary (54, 108), n off it (77) and n_max.
+        from stablepac.experiment import _batch_empirical_losses
+
+        rng = np.random.default_rng(31)
+        data = generate_dataset(6, 500)
+        thetas = rng.normal(0, 0.5, size=(300, PARAM_DIM))
+        ns = [1, 54, 77, 108, 500]
+        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        assert rows.shape == (len(ns), 300)
+        for n, row in zip(ns, rows):
+            (alone,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [n])
+            assert np.array_equal(row, alone)
+        assert np.array_equal(
+            rows[2], reference_batch_losses(thetas, data.inputs[:77], data.outputs[:77])
+        )
+
+    @pytest.mark.parametrize("ns", [[], [0, 5], [5, 5], [9, 5], [5, 31]])
+    def test_bad_prefix_lengths_rejected(self, ns):
+        from stablepac.experiment import _batch_empirical_losses
+
+        data = generate_dataset(6, 30)
+        with pytest.raises(ValueError, match="prefix lengths"):
+            _batch_empirical_losses(np.zeros((4, PARAM_DIM)), data.inputs, data.outputs, ns)
+
+    def test_one_chain_per_seed(self, monkeypatch):
+        import stablepac.experiment as experiment
+        from stablepac.experiment import _cell_chain_seed
+
+        seeds = []
+        real = experiment.mh_sample
+
+        def counted(log_density, init, cfg):
+            seeds.append(cfg.seed)
+            return real(log_density, init, cfg)
+
+        monkeypatch.setattr(experiment, "mh_sample", counted)
+        run_experiment(SMALL)
+        n_max = SMALL.n_grid[-1]
+        assert seeds == [_cell_chain_seed(0, s, n_max) for s in range(SMALL.n_seeds)]
+
+    def test_reports_match_per_cell_reference(self, reports):
+        # Each seed's n_max cell is the per-cell evaluation unchanged; the
+        # smaller n reuse that cell's cloud on a data prefix.
+        n_max = SMALL.n_grid[-1]
+        for seed in range(SMALL.n_seeds):
+            data = generate_dataset(seed, n_max)
+            mine = [r for r in reports if r.seed == seed]
+            assert mine[-1] == reference_run_cell(SMALL, seed, n_max, data)
+            assert mine == [
+                reference_run_cell(SMALL, seed, n, data, chain_n=n_max)
+                for n in SMALL.n_grid
+            ]
+
+    def test_run_seed_needs_n_max_rows(self):
+        with pytest.raises(ValueError, match="need at least 20"):
+            run_seed(SMALL, 0, generate_dataset(0, 19))
+
+    def test_chain_seeds_differ_from_data_seeds(self):
+        from stablepac.experiment import _cell_chain_seed
+
+        # A shared PCG64 stream would make the prior depend on the data.
+        data_seeds = set(range(10))
+        for b in (0, 1, 1000):
+            for n_max in (20, 100, 1000, 100_000):
+                assert all(_cell_chain_seed(b, s, n_max) not in data_seeds for s in range(10))
 
     def test_doubling_n_halves_transient_exponents_exactly(self, reports):
         rng = np.random.default_rng(9)
@@ -405,7 +511,7 @@ class TestCloudCertificate:
 
 class TestEmitCurves:
     def test_columns_golden(self, tmp_path):
-        reports = [run_cell(SMALL, 0, 5, generate_dataset(0, 5))]
+        reports = run_seed(dataclasses.replace(SMALL, n_grid=(5,)), 0, generate_dataset(0, 5))
         report_path, summary_path = emit_curves(reports, str(tmp_path))
         report_lines = open(report_path).read().splitlines()
         assert report_lines[0] == (
