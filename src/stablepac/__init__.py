@@ -8,7 +8,6 @@ sampling with Gibbs-posterior reweighting on dependent time-series data.
 from .bound import (
     BoundReport,
     SampleRecord,
-    estimate_g1_g2,
     gibbs_estimates,
     gibbs_weights,
     pac_bound,
@@ -19,13 +18,9 @@ from .bound import (
 )
 from .certify import (
     ContractionCheck,
-    HeuristicCheck,
     GainPair,
     StabilityConstants,
     check_contraction,
-    check_linear_lyapunov,
-    check_metric_contraction_sampled,
-    full_generator_constants,
     gain_pair,
     rnn_constants,
     series_compose,
@@ -42,7 +37,6 @@ from .dynsys import (
     save_trajectory,
     simulate,
     simulate_series,
-    steady_state_outputs,
 )
 from .errors import (
     ConfigError,
@@ -56,13 +50,11 @@ from .errors import (
 )
 from .experiment import (
     ExperimentConfig,
-    box_search_records,
     build_reference_generator,
     generate_dataset,
     predictor_from_theta,
     run_experiment,
     run_seed,
-    theta_from_predictor,
 )
 from .loss import (
     LossSpec,
@@ -75,16 +67,12 @@ from .loss import (
 from .mcmc import (
     ChainConfig,
     ChainResult,
-    chain_diagnostics,
     mh_sample,
-    mh_sample_chains,
-    save_chain,
 )
 from .mixing import (
     DataConstants,
     data_constants,
     generator_data_constants,
-    predictor_mixing,
     saturation_bound,
 )
 from .numerics import (

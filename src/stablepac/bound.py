@@ -156,29 +156,3 @@ def pac_bound(lambda_: float, delta: float, kl: float, psi_hat_val: float) -> fl
     if not 0.0 < delta <= 0.5:
         raise InvalidConfidenceError(f"delta must lie in (0, 0.5], got {delta}")
     return (kl + math.log(1.0 / delta) + psi_hat_val) / lambda_
-
-
-def estimate_g1_g2(
-    samples: list[SampleRecord], data: DataConstants
-) -> tuple[float, float]:
-    """Sample-maximum estimates of the two rate constants of the fixed-constant bound.
-
-        g1 at theta = 2 * l_ell^2 * (b_q*(g+h) + theta_bar*g)^2
-        g2 at theta = 2 * l_ell * c * (2*b_q*h + s0_norm*l_gs/(1-tau))
-
-    These are maxima over the sampled cloud only, hence lower bounds of the
-    true suprema over the parameter set.
-    """
-    if not samples:
-        raise ValueError("sample set is empty")
-    g1 = 0.0
-    g2 = 0.0
-    for r in samples:
-        inner1 = data.b_q * (r.gh.g + r.gh.h) + data.theta_bar * r.gh.g
-        g1 = max(g1, 2.0 * r.l_ell * r.l_ell * inner1 * inner1)
-        inner2 = (
-            2.0 * data.b_q * r.gh.h
-            + r.s0_norm * r.constants.l_gs / (1.0 - r.constants.tau)
-        )
-        g2 = max(g2, 2.0 * r.l_ell * r.constants.c * inner2)
-    return g1, g2

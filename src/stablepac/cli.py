@@ -31,6 +31,26 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a nonnegative integer, got {text!r}"
+        )
+    return int(text)
+
+
+def _lambda(text: str) -> str | float:
+    # Positivity is checked by ExperimentConfig.
+    if text == "sqrt_n":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"lambda must be 'sqrt_n' or a positive number, got {text!r}"
+        ) from None
+
+
 def _load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
@@ -88,9 +108,7 @@ def _cmd_bound(args) -> int:
     cfg = _load_config(args.config)
     overrides = {}
     if args.lambda_ is not None:
-        overrides["lambda_rule"] = (
-            "sqrt_n" if args.lambda_ == "sqrt_n" else float(args.lambda_)
-        )
+        overrides["lambda_rule"] = args.lambda_
     if args.delta is not None:
         overrides["delta"] = args.delta
     cfg = dataclasses.replace(cfg, n_grid=(args.n,), **overrides)
@@ -139,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="drive a model with seeded noise, write a trajectory CSV")
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e-std", type=float, default=1.0)
     p.add_argument("--e-inf", type=float, default=1.27)
@@ -149,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "generate-data", help="synthesize benchmark data from the built-in generator"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e-std", type=float, default=1.0)
     p.add_argument("--e-inf", type=float, default=1.27)
@@ -158,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate the bound for one (seed, n) cell")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lambda_", default=None,
+    p.add_argument("--lambda", dest="lambda_", type=_lambda, default=None,
                    help="'sqrt_n' or a fixed positive value")
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--out", default=None, help="directory for a one-row report CSV")

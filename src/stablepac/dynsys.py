@@ -231,21 +231,6 @@ def burn_in_length(consts: "StabilityConstants", s0_bound: float, tol: float) ->
     return t
 
 
-def steady_state_outputs(
-    sys: RnnSystem, inputs_with_prefix: np.ndarray, burn_in: int
-) -> np.ndarray:
-    """Outputs after a burn-in prefix, starting from the zero state.
-
-    Approximates the steady-state output trajectory for the post-prefix
-    window within the tolerance that produced ``burn_in``.
-    """
-    x = np.atleast_2d(np.asarray(inputs_with_prefix, dtype=float))
-    if burn_in < 0 or burn_in >= x.shape[0]:
-        raise ValueError("burn_in must satisfy 0 <= burn_in < len(inputs)")
-    _, outputs = simulate(sys, np.zeros(sys.n_s), x)
-    return outputs[burn_in:]
-
-
 # ---------------------------------------------------------------------------
 # Model and trajectory files
 

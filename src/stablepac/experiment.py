@@ -13,6 +13,7 @@ one simulation pass gives its losses on every data prefix.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -21,7 +22,6 @@ import numpy as np
 
 from .bound import (
     BoundReport,
-    SampleRecord,
     gibbs_estimates,
     gibbs_weights,
     pac_bound,
@@ -119,21 +119,11 @@ def predictor_from_theta(theta: np.ndarray) -> tuple[RnnSystem, np.ndarray]:
     return sys, theta[12:14]
 
 
-def theta_from_predictor(sys: RnnSystem, s0: np.ndarray) -> np.ndarray:
-    """Flatten a benchmark-shaped predictor back into its 14-vector (exact round trip)."""
-    if (sys.n_s, sys.n_v, sys.n_y) != (2, 1, 1):
-        raise ValueError("predictor must have shape n_s=2, n_v=1, n_y=1")
-    return np.concatenate(
-        [
-            sys.a.reshape(4),
-            sys.b.reshape(2),
-            sys.b_s,
-            sys.c.reshape(2),
-            sys.d.reshape(1),
-            sys.b_y,
-            np.asarray(s0, dtype=float),
-        ]
-    )
+def _require_int(name: str, value) -> None:
+    # A count such as 5.7 must not be truncated silently; bool is an Integral
+    # too, but true/false for a count is a typo.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +136,8 @@ class ChainSettings:
     base_seed: int = 0
 
     def __post_init__(self):
+        for name in ("burn_in", "thin", "base_seed"):
+            _require_int(f"chain.{name}", getattr(self, name))
         if self.proposal_std <= 0 or self.burn_in < 0 or self.thin < 1:
             raise ConfigError("invalid chain settings")
 
@@ -167,6 +159,10 @@ class ExperimentConfig:
     tau_max: float = 0.995
 
     def __post_init__(self):
+        for n in self.n_grid:
+            _require_int("n_grid entry", n)
+        _require_int("n_seeds", self.n_seeds)
+        _require_int("n_f", self.n_f)
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or any(n < 1 for n in grid) or list(grid) != sorted(set(grid)):
             raise ConfigError("n_grid must be a nonempty ascending list of positive ints")
@@ -470,56 +466,6 @@ def run_experiment(
                     f"(loss={report.post_emp_loss:.4f} r_n={report.r_n:.4f})"
                 )
     return reports
-
-
-def box_search_records(
-    low: np.ndarray,
-    high: np.ndarray,
-    n_draws: int,
-    seed: int,
-    dc: DataConstants,
-    lambda_: float,
-    n: int,
-    loss_spec: LossSpec,
-    tau_max: float,
-) -> list[SampleRecord]:
-    """Uniform draws from a parameter box, certified and turned into records.
-
-    Supplements a prior cloud when estimating the rate-constant suprema: the
-    result is still only a sampled lower bound of the true supremum, never a
-    certified one.  Draws outside the stability region are skipped; empirical
-    losses are not evaluated (set to zero).
-    """
-    low = np.asarray(low, dtype=float)
-    high = np.asarray(high, dtype=float)
-    if low.shape != (PARAM_DIM,) or high.shape != (PARAM_DIM,):
-        raise ValueError(f"box bounds must have shape ({PARAM_DIM},)")
-    if np.any(low > high):
-        raise ValueError("box lower bounds exceed upper bounds")
-    thetas = seeded_rng(seed).uniform(low, high, size=(n_draws, PARAM_DIM))
-    tau = _cloud_tau(thetas)
-    kept = thetas[(tau < 1.0) & (tau < tau_max)]
-    cert = certify_cloud(kept, dc, lambda_, n, loss_spec, tau_max)
-    c, gh = cert.constants, cert.gh
-    return [
-        SampleRecord(
-            theta=kept[i],
-            s0_norm=float(cert.s0_norm[i]),
-            constants=StabilityConstants(
-                c=1.0,
-                tau=float(c.tau[i]),
-                l_v=float(c.l_v[i]),
-                l_gs=float(c.l_gs[i]),
-                l_gv=float(c.l_gv[i]),
-            ),
-            gh=GainPair(g=float(gh.g[i]), h=float(gh.h[i])),
-            l_ell=float(cert.l_ell[i]),
-            emp_loss=0.0,
-            psi1_exp=float(cert.psi1[i]),
-            psi2_exp=float(cert.psi2[i]),
-        )
-        for i in range(kept.shape[0])
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -52,18 +52,14 @@ def loss_value(spec: LossSpec, y: np.ndarray, yhat: np.ndarray) -> float:
     return float(np.sum(y * (lse - yhat)))
 
 
-def loss_lipschitz(
-    spec: LossSpec, data: DataConstants, gh: GainPair, conservative: bool = False
-) -> float:
+def loss_lipschitz(spec: LossSpec, data: DataConstants, gh: GainPair) -> float:
     """Certified Lipschitz constant of the loss on the reachable range.
 
-    square:       2 * b_q * g          (conservative=True: 2 * b_q * (g + 1),
-                                         which also covers the label amplitude)
+    square:       2 * b_q * g
     softmax_xent: K * (2 * b_q * g + ln K + 2)
     """
     if spec.kind == "square":
-        g = gh.g + 1.0 if conservative else gh.g
-        return 2.0 * data.b_q * g
+        return 2.0 * data.b_q * gh.g
     return spec.classes * (2.0 * data.b_q * gh.g + math.log(spec.classes) + 2.0)
 
 

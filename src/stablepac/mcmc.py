@@ -1,13 +1,10 @@
 """Random-walk Metropolis-Hastings sampling in the log domain.
 
-One chain is strictly sequential and deterministic given its seed; callers
-wanting several chains run them with independent seeds and concatenate in
-chain order.
+One chain is strictly sequential and deterministic given its seed.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -41,11 +38,9 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Retained states with their log-densities and acceptance bookkeeping."""
+    """Retained states and acceptance bookkeeping."""
 
-    samples: np.ndarray        # (kept, d)
-    log_densities: np.ndarray  # (kept,)
-    kept_steps: np.ndarray     # (kept,) 1-based step index of each retained state
+    samples: np.ndarray  # (kept, d)
     accepted: int
     steps: int
 
@@ -69,8 +64,6 @@ def mh_sample(
     rng = seeded_rng(cfg.seed)
     d = x.size
     kept = []
-    kept_ld = []
-    kept_steps = []
     accepted = 0
     for step in range(1, cfg.steps + 1):
         prop = x + cfg.proposal_std * rng.normal(size=d)
@@ -84,76 +77,8 @@ def mh_sample(
             accepted += 1
         if step > cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
             kept.append(x.copy())
-            kept_ld.append(ld)
-            kept_steps.append(step)
     return ChainResult(
         samples=np.array(kept).reshape(len(kept), d),
-        log_densities=np.array(kept_ld),
-        kept_steps=np.array(kept_steps, dtype=int),
         accepted=accepted,
         steps=cfg.steps,
     )
-
-
-def mh_sample_chains(
-    log_density: Callable[[np.ndarray], float],
-    init: np.ndarray,
-    cfg: ChainConfig,
-    n_chains: int,
-) -> ChainResult:
-    """Run ``n_chains`` independent chains and merge them in chain order.
-
-    Chain k uses seed ``cfg.seed + k``; the merged result concatenates the
-    retained states chain by chain, so it is deterministic regardless of how
-    the chains were scheduled.
-    """
-    if n_chains < 1:
-        raise ValueError("n_chains must be positive")
-    results = [
-        mh_sample(log_density, init, replace_seed(cfg, cfg.seed + k))
-        for k in range(n_chains)
-    ]
-    return ChainResult(
-        samples=np.concatenate([r.samples for r in results]),
-        log_densities=np.concatenate([r.log_densities for r in results]),
-        kept_steps=np.concatenate([r.kept_steps for r in results]),
-        accepted=sum(r.accepted for r in results),
-        steps=sum(r.steps for r in results),
-    )
-
-
-def replace_seed(cfg: ChainConfig, seed: int) -> ChainConfig:
-    return ChainConfig(
-        steps=cfg.steps,
-        burn_in=cfg.burn_in,
-        thin=cfg.thin,
-        proposal_std=cfg.proposal_std,
-        seed=seed,
-    )
-
-
-def chain_diagnostics(samples: np.ndarray, accepted: int, proposals: int) -> dict:
-    """Acceptance rate plus per-coordinate mean and standard deviation."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 0:
-        raise ValueError("chain is empty")
-    if proposals < 1 or not 0 <= accepted <= proposals:
-        raise ValueError("need 0 <= accepted <= proposals with proposals >= 1")
-    return {
-        "acceptance_rate": accepted / proposals,
-        "mean": samples.mean(axis=0),
-        "std": samples.std(axis=0),
-    }
-
-
-def save_chain(result: ChainResult, path: str) -> None:
-    """Dump retained states as CSV: step, theta_0.., log_density."""
-    d = result.samples.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"theta_{i}" for i in range(d)] + ["log_density"])
-        for k in range(result.samples.shape[0]):
-            row = [str(int(result.kept_steps[k]))]
-            row += [repr(float(v)) for v in result.samples[k]]
-            row.append(repr(float(result.log_densities[k])))
-            writer.writerow(row)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .certify import GainPair, StabilityConstants, rnn_constants
+from .certify import StabilityConstants, rnn_constants
 from .dynsys import RnnSystem
 from .errors import NotStableError
 
@@ -78,12 +78,3 @@ def generator_data_constants(sys: RnnSystem, e_inf: float) -> DataConstants:
     if cap is not None and cap < dc.b_q:
         dc = replace(dc, b_q=cap)
     return dc
-
-
-def predictor_mixing(data: DataConstants, gh: GainPair) -> tuple[float, float]:
-    """Dependence coefficient and amplitude of the joint (label, prediction) process.
-
-    Returns (theta_o, o_inf) with theta_o = theta_bar*g + b_q*h and
-    o_inf = b_q*g.
-    """
-    return data.theta_bar * gh.g + data.b_q * gh.h, data.b_q * gh.g

@@ -1,0 +1,46 @@
+"""Every exported function must have a user outside its own module.
+
+A function in ``stablepac.__all__`` counts as used when its name appears in
+another module of the package, in the acceptance gate, in the shared test
+helpers or in the benchmark harness.  Unit tests of the function itself do
+not count: public API that only its own tests call is dead weight.  Exported
+classes are exempt, since they are the argument and result types of the
+functions checked here.
+"""
+
+import inspect
+import re
+from pathlib import Path
+
+import stablepac
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "stablepac"
+
+# load_trajectory reads back the trajectory CSVs the CLI writes.
+EXEMPT = {"load_trajectory"}
+
+
+def _user_files():
+    yield from PACKAGE.glob("*.py")
+    yield ROOT / "tests" / "test_acceptance.py"
+    yield ROOT / "tests" / "helpers.py"
+    yield from (ROOT / "perfbench").rglob("*.py")
+
+
+def test_every_exported_function_has_a_user():
+    texts = {path: path.read_text(encoding="utf-8") for path in _user_files()}
+    unused = []
+    for name in stablepac.__all__:
+        obj = getattr(stablepac, name)
+        if not inspect.isfunction(obj) or name in EXEMPT:
+            continue
+        own = PACKAGE / (obj.__module__.rsplit(".", 1)[-1] + ".py")
+        pattern = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(
+            pattern.search(text)
+            for path, text in texts.items()
+            if path not in (own, PACKAGE / "__init__.py")
+        ):
+            unused.append(f"{obj.__module__}.{name}")
+    assert not unused, f"exported but used only by its own module and tests: {unused}"

@@ -9,7 +9,6 @@ from stablepac import (
     InvalidConfidenceError,
     SampleRecord,
     StabilityConstants,
-    estimate_g1_g2,
     gain_pair,
     gibbs_estimates,
     gibbs_weights,
@@ -21,10 +20,6 @@ from stablepac import (
 )
 
 DC_UNIT = DataConstants(b_q=1.0, theta_bar=0.0, e_inf=1.0)
-
-from stablepac import LossSpec
-
-SQUARE_SPEC = LossSpec(kind="square")
 
 
 def make_record(rng, lambda_, n, data):
@@ -215,49 +210,6 @@ class TestPacBound:
         assert pac_bound(1.0, 0.5, 0.0, 0.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
 
-class TestG1G2:
-    def test_singleton_reduces_to_formulas(self):
-        rng = np.random.default_rng(1)
-        rec = make_record(rng, 2.0, 50, DC_UNIT)
-        g1, g2 = estimate_g1_g2([rec], DC_UNIT)
-        inner1 = DC_UNIT.b_q * (rec.gh.g + rec.gh.h)
-        assert g1 == pytest.approx(2.0 * rec.l_ell**2 * inner1**2, rel=1e-12)
-        inner2 = (
-            2.0 * DC_UNIT.b_q * rec.gh.h
-            + rec.s0_norm * rec.constants.l_gs / (1 - rec.constants.tau)
-        )
-        assert g2 == pytest.approx(2.0 * rec.l_ell * rec.constants.c * inner2, rel=1e-12)
-
-    def test_two_samples_componentwise_max(self):
-        rng = np.random.default_rng(2)
-        a = make_record(rng, 2.0, 50, DC_UNIT)
-        b = make_record(rng, 2.0, 50, DC_UNIT)
-        ga, _ = estimate_g1_g2([a], DC_UNIT)
-        gb, _ = estimate_g1_g2([b], DC_UNIT)
-        g_both, _ = estimate_g1_g2([a, b], DC_UNIT)
-        assert g_both == max(ga, gb)
-
-    def test_fixed_constant_bound_dominates_pooled_bound(self):
-        # sup-based rate constants can only give a looser gap bound
-        rng = np.random.default_rng(3)
-        n, lambda_ = 200, math.sqrt(200)
-        recs = [make_record(rng, lambda_, n, DC_UNIT) for _ in range(100)]
-        g1, g2 = estimate_g1_g2(recs, DC_UNIT)
-        loose = pac_bound(
-            lambda_, 0.05, 0.3, (lambda_**2 / n) * g1 + (lambda_ / n) * g2
-        )
-        tight = pac_bound(lambda_, 0.05, 0.3, psi_hat(recs))
-        assert loose >= tight - 1e-12
-
-    def test_catoni_consistency(self):
-        rng = np.random.default_rng(4)
-        for n in (10, 100, 1000):
-            lambda_ = math.sqrt(n)
-            recs = [make_record(rng, lambda_, n, DC_UNIT) for _ in range(50)]
-            g1, g2 = estimate_g1_g2(recs, DC_UNIT)
-            assert (lambda_**2 / n) * g1 + (lambda_ / n) * g2 >= psi_hat(recs) - 1e-12
-
-
 class TestRateDecay:
     def test_quarter_n_halves_the_bound(self):
         # with lambda = sqrt(n) and fixed records, r_{4n}/r_n -> 1/2
@@ -285,45 +237,3 @@ class TestRateDecay:
             r_n = pac_bound(math.sqrt(n), 0.025, kl, psi_hat(recs_n))
             r_4n = pac_bound(math.sqrt(4 * n), 0.025, kl, psi_hat(recs_4n))
             assert 0.45 < r_4n / r_n < 0.55
-
-
-class TestBoxSearch:
-    def test_box_records_extend_the_supremum_estimate(self):
-        from stablepac import box_search_records, generator_data_constants
-        from stablepac.experiment import PARAM_DIM, build_reference_generator
-
-        dc = generator_data_constants(build_reference_generator(), 1.27)
-        lo = np.full(PARAM_DIM, -0.3)
-        hi = np.full(PARAM_DIM, 0.3)
-        recs = box_search_records(lo, hi, 500, 5, dc, 2.0, 50, SQUARE_SPEC, 0.995)
-        assert 0 < len(recs) <= 500
-        assert all(r.constants.tau < 0.995 for r in recs)
-        g1_half, g2_half = estimate_g1_g2(recs[:100], dc)
-        g1_all, g2_all = estimate_g1_g2(recs, dc)
-        assert g1_all >= g1_half and g2_all >= g2_half
-
-    def test_box_draws_follow_the_per_draw_stream(self):
-        from stablepac import box_search_records, generator_data_constants, seeded_rng
-        from stablepac.experiment import PARAM_DIM, build_reference_generator
-
-        dc = generator_data_constants(build_reference_generator(), 1.27)
-        lo = np.full(PARAM_DIM, -1.0)
-        hi = np.full(PARAM_DIM, 1.0)
-        rng = seeded_rng(3)
-        draws = [rng.uniform(lo, hi) for _ in range(300)]
-        kept = [d for d in draws if np.linalg.norm(d[:4].reshape(2, 2), 2) < 0.995]
-        recs = box_search_records(lo, hi, 300, 3, dc, 2.0, 50, SQUARE_SPEC, 0.995)
-        assert 0 < len(recs) < 300
-        assert len(recs) == len(kept)
-        assert all(np.array_equal(r.theta, d) for r, d in zip(recs, kept))
-
-    def test_bad_box_rejected(self):
-        from stablepac import box_search_records, generator_data_constants
-        from stablepac.experiment import PARAM_DIM, build_reference_generator
-
-        dc = generator_data_constants(build_reference_generator(), 1.27)
-        with pytest.raises(ValueError):
-            box_search_records(
-                np.ones(PARAM_DIM), np.zeros(PARAM_DIM), 10, 0, dc, 1.0, 10,
-                SQUARE_SPEC, 0.995,
-            )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stablepac import (
-    InstabilityError,
     NotStableError,
     RnnSystem,
     SingularCompositionError,
@@ -12,8 +11,6 @@ from stablepac import (
     activation,
     build_reference_generator,
     check_contraction,
-    check_linear_lyapunov,
-    full_generator_constants,
     gain_pair,
     rnn_constants,
     series_compose,
@@ -104,13 +101,9 @@ class TestRnnConstants:
             sigma_f=activation("sigmoid"),
             sigma_g=activation("tanh"),
         )
-        default = rnn_constants(sys)
-        alt = rnn_constants(sys, l_v_scaling="inverse_lipschitz")
+        # l_v = Lip(sigma_f) * ||B||_2, with Lip(sigmoid) = 0.25
         norm_b = eig_spectral_norm(sys.b)
-        assert default.l_v == pytest.approx(0.25 * norm_b, rel=1e-9)
-        assert alt.l_v == pytest.approx(norm_b / 0.25, rel=1e-9)
-        with pytest.raises(ValueError):
-            rnn_constants(sys, l_v_scaling="bogus")
+        assert rnn_constants(sys).l_v == pytest.approx(0.25 * norm_b, rel=1e-9)
 
 
 class TestCheckContraction:
@@ -140,32 +133,6 @@ class TestCheckContraction:
             assert check_contraction(sys).tau == rnn_constants(sys).tau
 
 
-class TestLinearLyapunov:
-    def test_quarter_radius_certificate(self):
-        a = 0.5 * np.eye(2)
-        p = check_linear_lyapunov(a, 0.3)
-        assert p is not None
-        margin = 0.3 * p - a.T @ p @ a
-        assert np.min(np.linalg.eigvalsh(margin)) > 0
-
-    def test_zero_dynamics_any_mu(self):
-        for mu in (0.1, 0.5, 0.9):
-            p = check_linear_lyapunov(np.zeros((2, 2)), mu)
-            assert np.allclose(p, np.eye(2), atol=1e-13)
-
-    def test_unstable_map_rejected(self):
-        with pytest.raises(InstabilityError):
-            check_linear_lyapunov(1.1 * np.eye(2), 0.5)
-
-    def test_stable_but_mu_too_small(self):
-        # rho(a)^2 = 0.81 > 0.5: no certificate at this mu, but a is stable
-        assert check_linear_lyapunov(0.9 * np.eye(2), 0.5) is None
-
-    def test_mu_range_validated(self):
-        with pytest.raises(ValueError):
-            check_linear_lyapunov(np.zeros((2, 2)), 1.5)
-
-
 class TestSeriesCompose:
     def test_worked_example(self):
         c = StabilityConstants(c=1.0, tau=0.25, l_v=1.0, l_gs=1.0, l_gv=1.0)
@@ -193,12 +160,10 @@ class TestSeriesCompose:
         assert out.c == pytest.approx(math.hypot(1.5, 2.0), rel=1e-12)
         assert out.tau == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
-    def test_zero_tau_needs_explicit_opt_in(self):
+    def test_zero_tau_rejected(self):
         c = StabilityConstants(c=1.0, tau=0.0, l_v=1.0, l_gs=1.0, l_gv=1.0)
         with pytest.raises(SingularCompositionError):
             series_compose(c, c)
-        out = series_compose(c, c, allow_zero_tau=True)
-        assert 0.0 < out.tau < 1e-5
 
     def test_composed_certificate_always_valid(self):
         rng = np.random.default_rng(77)
@@ -212,25 +177,6 @@ class TestSeriesCompose:
             assert 0.0 <= out.tau < 1.0
             assert out.l_v >= 0 and out.l_gs >= 0 and out.l_gv >= 0
             assert np.isfinite([out.c, out.tau, out.l_v]).all()
-
-
-class TestPredictorCompositions:
-    def test_unit_gain_added_in_quadrature(self):
-        rng = np.random.default_rng(5)
-        gen = random_constants(rng, tau_min=0.1)
-        pred = StabilityConstants(c=1.0, tau=0.3, l_v=1.0, l_gs=1.0, l_gv=0.0)
-        assert full_generator_constants(gen, pred).l_gv == pytest.approx(1.0, rel=1e-12)
-        pred3 = StabilityConstants(c=1.0, tau=0.3, l_v=1.0, l_gs=1.0, l_gv=math.sqrt(3))
-        assert full_generator_constants(gen, pred3).l_gv == pytest.approx(2.0, rel=1e-12)
-
-    def test_matches_series_compose_except_output_gain(self):
-        c = StabilityConstants(c=1.0, tau=0.25, l_v=1.0, l_gs=1.0, l_gv=1.0)
-        plain = series_compose(c, c)
-        full = full_generator_constants(c, c)
-        assert full.c == pytest.approx(plain.c, rel=1e-12)
-        assert full.tau == plain.tau
-        assert full.l_gs == plain.l_gs
-        assert full.l_gv == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 class TestGainPair:
@@ -292,45 +238,3 @@ class TestCompositionSimulation:
             gaps = np.linalg.norm(stacked - stacked_b, axis=1)
             envelope = comp.c * comp.tau ** np.arange(n) * gaps[0]
             assert np.all(gaps <= envelope + 1e-12)
-
-
-class TestSampledMetricContraction:
-    def test_linear_system_with_lyapunov_metric(self):
-        # a non-contractive (in the identity metric) but Schur linear map is
-        # contractive in its Lyapunov metric; the sampled check should agree
-        from stablepac import check_linear_lyapunov, check_metric_contraction_sampled
-
-        a = np.array([[0.5, 0.9], [0.0, 0.5]])
-        assert np.linalg.norm(a, 2) > 1.0  # not a contraction in the identity metric
-        mu = 0.8
-        p = check_linear_lyapunov(a, mu)
-        assert p is not None
-        sys = RnnSystem(
-            a=a,
-            b=np.ones((2, 1)),
-            b_s=np.zeros(2),
-            c=np.ones((1, 2)),
-            d=np.ones((1, 1)),
-            b_y=np.zeros(1),
-            sigma_f=activation("identity"),
-            sigma_g=activation("identity"),
-        )
-        check = check_metric_contraction_sampled(sys, p, mu, n_points=2000, seed=1)
-        assert check.ok
-        assert check.worst_ratio <= math.sqrt(mu)
-
-    def test_detects_violation(self):
-        from stablepac import check_metric_contraction_sampled
-
-        sys = RnnSystem(
-            a=0.9 * np.eye(2),
-            b=np.ones((2, 1)),
-            b_s=np.zeros(2),
-            c=np.ones((1, 2)),
-            d=np.ones((1, 1)),
-            b_y=np.zeros(1),
-            sigma_f=activation("identity"),
-            sigma_g=activation("identity"),
-        )
-        check = check_metric_contraction_sampled(sys, np.eye(2), 0.5, n_points=500, seed=2)
-        assert not check.ok

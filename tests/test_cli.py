@@ -135,6 +135,32 @@ class TestBoundCommand:
         assert capsys.readouterr().err.startswith("error: n_grid")
 
 
+    def test_bad_lambda_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--n", "5", "--lambda", "abc"])
+        assert exc.value.code == 2
+        assert "error: argument --lambda" in capsys.readouterr().err
+
+    def test_nonpositive_lambda_fails_before_sampling(self, capsys):
+        assert main(["bound", "--n", "5", "--lambda", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: fixed lambda")
+
+
+@pytest.mark.parametrize("command", ["bound", "generate-data", "simulate"])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_bad_seed_is_usage_error(command, seed, generator_path, tmp_path, capsys):
+    argv = [command, "--n", "5", "--seed", seed]
+    if command != "bound":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    if command == "simulate":
+        argv += ["--model", generator_path]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument --seed" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 class TestExperimentCommand:
     def test_end_to_end_outputs(self, tmp_path, capsys):
         cfg = {
@@ -162,4 +188,14 @@ class TestExperimentCommand:
             ["experiment", "--config", str(cfg_path), "--out", str(out_dir)]
         ) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+
+    def test_non_integral_count_fails_before_sampling(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_seeds": 1.5}))
+        out_dir = tmp_path / "out"
+        assert main(
+            ["experiment", "--config", str(cfg_path), "--out", str(out_dir)]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: n_seeds must be an integer")
         assert not out_dir.exists()

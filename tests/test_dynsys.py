@@ -18,7 +18,6 @@ from stablepac import (
     seeded_rng,
     simulate,
     simulate_series,
-    steady_state_outputs,
     truncated_gaussian,
 )
 from stablepac.certify import StabilityConstants
@@ -249,12 +248,8 @@ class TestBurnInLength:
 
 
 class TestSteadyState:
-    def test_zero_burn_in_is_plain_simulation(self):
-        gen = build_reference_generator()
-        inputs = truncated_gaussian(seeded_rng(3), 1.0, 1.27, 40).reshape(20, 2)
-        _, direct = simulate(gen, np.zeros(2), inputs)
-        assert np.array_equal(steady_state_outputs(gen, inputs, 0), direct)
-
+    # generate_dataset keeps simulate(...)[burn:] from the zero state as its
+    # steady-state window; these tests pin that guarantee.
     def test_initial_state_forgotten_within_tolerance(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -265,9 +260,9 @@ class TestSteadyState:
             s0 /= max(np.linalg.norm(s0), 1.0)
             burn = burn_in_length(consts, float(np.linalg.norm(s0)), tol)
             inputs = rng.uniform(-1, 1, size=(burn + 30, sys.n_v))
-            from_zero = steady_state_outputs(sys, inputs, burn)
+            _, from_zero = simulate(sys, np.zeros(sys.n_s), inputs)
             _, from_s0 = simulate(sys, s0, inputs)
-            gap = np.linalg.norm(from_zero - from_s0[burn:], axis=1)
+            gap = np.linalg.norm(from_zero[burn:] - from_s0[burn:], axis=1)
             assert np.max(gap) <= consts.l_gs * tol + 1e-15
 
     def test_constant_input_converges_to_fixed_point(self):
@@ -276,18 +271,13 @@ class TestSteadyState:
             sys = random_contractive_system(rng, tau_range=(0.2, 0.8))
             u = rng.uniform(-1, 1, size=sys.n_v)
             inputs = np.tile(u, (400, 1))
-            out = steady_state_outputs(sys, inputs, 399)
+            _, out = simulate(sys, np.zeros(sys.n_s), inputs)
             # fixed-point iteration oracle on f(s, u)
             s = np.zeros(sys.n_s)
             for _ in range(10_000):
                 s = sys.sigma_f(sys.a @ s + sys.b @ u + sys.b_s)
             expected = sys.sigma_g(sys.c @ s + sys.d @ u + sys.b_y)
             assert np.allclose(out[-1], expected, atol=1e-8)
-
-    def test_burn_in_too_long_rejected(self):
-        gen = build_reference_generator()
-        with pytest.raises(ValueError):
-            steady_state_outputs(gen, np.zeros((5, 2)), 5)
 
 
 class TestUecProbes:

@@ -17,7 +17,6 @@ from stablepac import (
     run_experiment,
     run_seed,
     save_model,
-    theta_from_predictor,
 )
 from stablepac.bound import psi2_exponent
 from stablepac.errors import ConfigError
@@ -154,7 +153,8 @@ class TestParameterVector:
         for _ in range(100):
             theta = rng.normal(0, 0.2, size=PARAM_DIM)
             sys, s0 = predictor_from_theta(theta)
-            assert np.array_equal(theta_from_predictor(sys, s0), theta)
+            flat = [sys.a, sys.b, sys.b_s, sys.c, sys.d, sys.b_y, s0]
+            assert np.array_equal(np.concatenate([m.ravel() for m in flat]), theta)
 
     def test_layout(self):
         theta = np.arange(14.0)
@@ -202,6 +202,33 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ChainSettings(burn_in=-1)
         assert issubclass(ConfigError, ValueError)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n_grid": [5.7, 9]},
+            {"n_seeds": 1.5},
+            {"n_seeds": True},
+            {"n_f": 50.5},
+            {"chain": {"burn_in": 10.5}},
+            {"chain": {"thin": 2.0}},
+            {"chain": {"base_seed": 0.5}},
+        ],
+    )
+    def test_non_integral_counts_rejected(self, doc):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ExperimentConfig(
+            n_grid=(np.int64(5), np.int32(9)),
+            n_seeds=np.int64(2),
+            n_f=np.int64(50),
+            chain=ChainSettings(
+                burn_in=np.int64(10), thin=np.int64(2), base_seed=np.int64(3)
+            ),
+        )
+        assert cfg.n_grid == (5, 9)
 
     def test_unsupported_loss_rejected_at_config_time(self):
         with pytest.raises(ConfigError, match="square"):

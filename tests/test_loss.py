@@ -64,10 +64,6 @@ class TestLossLipschitz:
         dc = DataConstants(b_q=1.0, theta_bar=0.0, e_inf=1.0)
         assert loss_lipschitz(SQUARE, dc, GainPair(g=1.0, h=0.0)) == 2.0
 
-    def test_square_conservative_flag(self):
-        dc = DataConstants(b_q=1.0, theta_bar=0.0, e_inf=1.0)
-        assert loss_lipschitz(SQUARE, dc, GainPair(g=1.0, h=0.0), conservative=True) == 4.0
-
     def test_softmax_hand_value(self):
         dc = DataConstants(b_q=1.0, theta_bar=0.0, e_inf=1.0)
         spec = LossSpec(kind="softmax_xent", classes=2)

@@ -1,15 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from stablepac import (
-    ChainConfig,
-    InvalidStartError,
-    chain_diagnostics,
-    mh_sample,
-    save_chain,
-)
+from stablepac import ChainConfig, InvalidStartError, mh_sample
 
 
 def std_normal_logpdf(x):
@@ -50,6 +45,11 @@ class TestMhSample:
             )
             chain = mh_sample(std_normal_logpdf, np.zeros(1), cfg)
             assert chain.samples.shape[0] == (steps - burn_in) // thin
+            # the retained states are those after steps burn_in + k*thin of
+            # the same-seed chain that keeps every step
+            every = dataclasses.replace(cfg, burn_in=0, thin=1)
+            full = mh_sample(std_normal_logpdf, np.zeros(1), every)
+            assert np.array_equal(chain.samples, full.samples[burn_in + thin - 1 :: thin])
 
     def test_forbidden_region_never_visited(self):
         def half_normal(x):
@@ -60,7 +60,6 @@ class TestMhSample:
         cfg = ChainConfig(steps=20_000, burn_in=100, thin=1, proposal_std=1.0, seed=3)
         chain = mh_sample(half_normal, np.array([0.5]), cfg)
         assert np.all(chain.samples[:, 0] >= 0)
-        assert np.all(np.isfinite(chain.log_densities))
 
     def test_invalid_start_rejected(self):
         def density(x):
@@ -108,60 +107,9 @@ class TestDiagnostics:
     def test_flat_target_accepts_all(self):
         cfg = ChainConfig(steps=500, burn_in=0, thin=1, proposal_std=1.0, seed=5)
         chain = mh_sample(lambda x: 0.0, np.zeros(2), cfg)
-        diag = chain_diagnostics(chain.samples, chain.accepted, chain.steps)
-        assert diag["acceptance_rate"] == 1.0
+        assert chain.accepted == chain.steps
 
     def test_tuned_normal_in_sanity_band(self):
         cfg = ChainConfig(steps=20_000, burn_in=500, thin=1, proposal_std=2.4, seed=6)
         chain = mh_sample(std_normal_logpdf, np.zeros(1), cfg)
-        diag = chain_diagnostics(chain.samples, chain.accepted, chain.steps)
-        assert 0.1 <= diag["acceptance_rate"] <= 0.7
-
-    def test_constant_chain_zero_std(self):
-        samples = np.tile(np.array([1.0, -2.0]), (50, 1))
-        diag = chain_diagnostics(samples, 0, 50)
-        assert np.all(diag["std"] == 0.0)
-        assert np.allclose(diag["mean"], [1.0, -2.0])
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            chain_diagnostics(np.empty((0, 2)), 0, 10)
-
-
-class TestChainDump:
-    def test_csv_round_trip(self, tmp_path):
-        cfg = ChainConfig(steps=200, burn_in=50, thin=5, proposal_std=1.0, seed=7)
-        chain = mh_sample(std_normal_logpdf, np.zeros(2), cfg)
-        path = tmp_path / "chain.csv"
-        save_chain(chain, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,theta_0,theta_1,log_density"
-        assert len(lines) == 1 + chain.samples.shape[0]
-        first = lines[1].split(",")
-        assert int(first[0]) == chain.kept_steps[0]
-        assert float(first[1]) == chain.samples[0, 0]
-
-
-class TestMultiChain:
-    def test_merge_is_chain_ordered_concatenation(self):
-        from stablepac import mh_sample_chains
-        from stablepac.mcmc import replace_seed
-
-        cfg = ChainConfig(steps=500, burn_in=100, thin=2, proposal_std=1.0, seed=30)
-        merged = mh_sample_chains(std_normal_logpdf, np.zeros(2), cfg, 3)
-        singles = [
-            mh_sample(std_normal_logpdf, np.zeros(2), replace_seed(cfg, 30 + k))
-            for k in range(3)
-        ]
-        assert np.array_equal(
-            merged.samples, np.concatenate([s.samples for s in singles])
-        )
-        assert merged.accepted == sum(s.accepted for s in singles)
-        assert merged.samples.shape[0] == 3 * ((500 - 100) // 2)
-
-    def test_chain_count_validated(self):
-        from stablepac import mh_sample_chains
-
-        cfg = ChainConfig(steps=10, burn_in=0, thin=1, proposal_std=1.0, seed=0)
-        with pytest.raises(ValueError):
-            mh_sample_chains(std_normal_logpdf, np.zeros(1), cfg, 0)
+        assert 0.1 <= chain.accepted / chain.steps <= 0.7

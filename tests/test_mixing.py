@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from stablepac import (
-    GainPair,
     StabilityConstants,
     activation,
     build_reference_generator,
     data_constants,
     generator_data_constants,
-    predictor_mixing,
     rnn_constants,
     saturation_bound,
     seeded_rng,
@@ -108,27 +106,6 @@ class TestSaturationBound:
         assert dc_big.b_q == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
-class TestPredictorMixing:
-    def test_iid_memoryless(self):
-        theta_o, o_inf = predictor_mixing(
-            _dc(b_q=1.0, theta_bar=0.0), GainPair(g=1.0, h=0.0)
-        )
-        assert theta_o == 0.0 and o_inf == 1.0
-
-    def test_hand_arithmetic(self):
-        theta_o, o_inf = predictor_mixing(
-            _dc(b_q=math.sqrt(2.0), theta_bar=2.0), GainPair(g=1.0, h=1.0)
-        )
-        assert theta_o == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-12)
-        assert o_inf == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-    def test_amplitude_scaling(self):
-        gh = GainPair(g=1.3, h=0.4)
-        t1, o1 = predictor_mixing(_dc(b_q=1.0, theta_bar=0.0), gh)
-        t2, o2 = predictor_mixing(_dc(b_q=2.0, theta_bar=0.0), gh)
-        assert t2 == 2.0 * t1 and o2 == 2.0 * o1
-
-
 class TestEmpiricalAmplitude:
     def test_generator_outputs_within_bound(self):
         # simulated stacked outputs stay within min(formula, saturation)
@@ -141,8 +118,3 @@ class TestEmpiricalAmplitude:
         norms = np.linalg.norm(outputs, axis=1)
         assert float(np.max(norms)) <= dc.b_q
 
-
-def _dc(b_q, theta_bar):
-    from stablepac import DataConstants
-
-    return DataConstants(b_q=b_q, theta_bar=theta_bar, e_inf=1.0)
