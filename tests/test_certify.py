@@ -160,7 +160,8 @@ class TestSeriesCompose:
         assert out.c == pytest.approx(math.hypot(1.5, 2.0), rel=1e-12)
         assert out.tau == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
-    def test_zero_tau_rejected(self):
+    def test_zero_tau_needs_explicit_opt_in(self):
+        # there is no opt-in: t = 0 always raises
         c = StabilityConstants(c=1.0, tau=0.0, l_v=1.0, l_gs=1.0, l_gv=1.0)
         with pytest.raises(SingularCompositionError):
             series_compose(c, c)

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from stablepac import (
+    LossSpec,
     RnnSystem,
     Trajectory,
     activation,
     build_reference_generator,
     burn_in_length,
+    infinite_horizon_loss,
     load_model,
     load_trajectory,
+    predictor_from_theta,
     rnn_constants,
     save_model,
     save_trajectory,
@@ -278,6 +281,17 @@ class TestSteadyState:
                 s = sys.sigma_f(sys.a @ s + sys.b @ u + sys.b_s)
             expected = sys.sigma_g(sys.c @ s + sys.d @ u + sys.b_y)
             assert np.allclose(out[-1], expected, atol=1e-8)
+
+
+    def test_burn_in_too_long_rejected(self):
+        # the steady-state loss window must keep at least one step
+        pred, _ = predictor_from_theta(np.zeros(14))
+        data = Trajectory(inputs=np.zeros((5, 1)), outputs=np.zeros((5, 1)))
+        square = LossSpec(kind="square")
+        with pytest.raises(ValueError):
+            infinite_horizon_loss(square, pred, data, 5)
+        with pytest.raises(ValueError):
+            infinite_horizon_loss(square, pred, data, -1)
 
 
 class TestUecProbes:

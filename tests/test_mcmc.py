@@ -113,3 +113,24 @@ class TestDiagnostics:
         cfg = ChainConfig(steps=20_000, burn_in=500, thin=1, proposal_std=2.4, seed=6)
         chain = mh_sample(std_normal_logpdf, np.zeros(1), cfg)
         assert 0.1 <= chain.accepted / chain.steps <= 0.7
+
+    def test_constant_chain_zero_std(self):
+        # every proposal lands at -inf, so the chain never leaves its start
+        start = np.array([1.0, -2.0])
+
+        def point_mass(x):
+            return 0.0 if np.array_equal(x, start) else -math.inf
+
+        cfg = ChainConfig(steps=50, burn_in=0, thin=1, proposal_std=1.0, seed=8)
+        chain = mh_sample(point_mass, start, cfg)
+        assert chain.accepted == 0
+        assert chain.samples.shape == (50, 2)
+        assert np.all(np.std(chain.samples, axis=0) == 0.0)
+        assert np.allclose(np.mean(chain.samples, axis=0), [1.0, -2.0])
+
+    def test_empty_chain_rejected(self):
+        # a chain with no step, or a burn-in longer than the chain, keeps nothing
+        with pytest.raises(ValueError):
+            ChainConfig(steps=0, burn_in=0, thin=1, proposal_std=1.0, seed=0)
+        with pytest.raises(ValueError):
+            ChainConfig(steps=10, burn_in=12, thin=1, proposal_std=1.0, seed=0)
