@@ -17,10 +17,8 @@ from .bound import (
     psi_hat,
 )
 from .certify import (
-    ContractionCheck,
     GainPair,
     StabilityConstants,
-    check_contraction,
     gain_pair,
     rnn_constants,
     series_compose,

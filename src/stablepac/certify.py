@@ -60,14 +60,6 @@ class GainPair:
     h: float
 
 
-@dataclass(frozen=True)
-class ContractionCheck:
-    """Outcome of the contraction test; tau is reported either way."""
-
-    ok: bool
-    tau: float
-
-
 def rnn_constants(sys: RnnSystem) -> StabilityConstants:
     """Certificate of one affine-then-activation block.
 
@@ -89,12 +81,6 @@ def rnn_constants(sys: RnnSystem) -> StabilityConstants:
         l_gs=rho_g * spectral_norm(sys.c),
         l_gv=rho_g * spectral_norm(sys.d),
     )
-
-
-def check_contraction(sys: RnnSystem) -> ContractionCheck:
-    """Check Lip(sigma_f) * ||A||_2 < 1 and report the factor."""
-    tau = sys.sigma_f.lipschitz * spectral_norm(sys.a)
-    return ContractionCheck(ok=tau < 1.0, tau=tau)
 
 
 def series_compose(c1: StabilityConstants, c2: StabilityConstants) -> StabilityConstants:

@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
-from .certify import check_contraction, rnn_constants
+from .certify import rnn_constants
 from .dynsys import Trajectory, load_model, save_trajectory, simulate
-from .errors import StablepacError
+from .errors import NotStableError, StablepacError
 from .experiment import (
     ExperimentConfig,
     generate_dataset,
@@ -37,6 +38,22 @@ def _seed(text: str) -> int:
             f"seed must be a nonnegative integer, got {text!r}"
         )
     return int(text)
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+        if math.isfinite(value) and value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
 
 
 def _lambda(text: str) -> str | float:
@@ -67,9 +84,12 @@ def _cmd_constants(args) -> int:
 
 def _cmd_check_stability(args) -> int:
     sys_ = load_model(args.model)
-    check = check_contraction(sys_)
-    _print_json({"ok": check.ok, "tau": check.tau})
-    return 0 if check.ok else 1
+    try:
+        ok, tau = True, rnn_constants(sys_).tau
+    except NotStableError as exc:
+        ok, tau = False, exc.value
+    _print_json({"ok": ok, "tau": tau})
+    return 0 if ok else 1
 
 
 def _cmd_data_constants(args) -> int:
@@ -152,15 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
         "data-constants", help="print the data-distribution constants of a generator"
     )
     p.add_argument("--model", required=True)
-    p.add_argument("--e-inf", type=float, default=1.27)
+    p.add_argument("--e-inf", type=_positive_float, default=1.27)
     p.set_defaults(func=_cmd_data_constants)
 
     p = sub.add_parser("simulate", help="drive a model with seeded noise, write a trajectory CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e-std", type=float, default=1.0)
-    p.add_argument("--e-inf", type=float, default=1.27)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--e-std", type=_positive_float, default=1.0)
+    p.add_argument("--e-inf", type=_positive_float, default=1.27)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -168,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
         "generate-data", help="synthesize benchmark data from the built-in generator"
     )
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e-std", type=float, default=1.0)
-    p.add_argument("--e-inf", type=float, default=1.27)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--e-std", type=_positive_float, default=1.0)
+    p.add_argument("--e-inf", type=_positive_float, default=1.27)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate_data)
 

@@ -6,8 +6,8 @@ Gaussian noise.  Predictors share the generator's shape; all 14 weights
 including the initial state form the parameter vector.  The bound is
 evaluated at every n of the grid from a fresh prior sample cloud per seed,
 drawn by Metropolis-Hastings from a stability-truncated Gaussian prior; the
-cloud is certified and simulated as whole arrays, one entry per sample, and
-one simulation pass gives its losses on every data prefix.
+cloud is certified once and simulated as whole arrays, one entry per sample,
+and one simulation pass gives its losses on every data prefix.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ _LOSS_CHUNK_ELEMENTS = 1 << 14
 
 _RELU = activation("relu")
 _TANH = activation("tanh")
+
+# The benchmark's predictors are scored by squared error.
+_SQUARE_LOSS = LossSpec(kind="square")
 
 # Squared error of the all-zero predictor against tanh-bounded labels cannot
 # exceed this level; the bound is vacuous above it.
@@ -126,6 +129,16 @@ def _require_int(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_real(name: str, value) -> None:
+    # A string or null would otherwise fail in a comparison that names no key.
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChainSettings:
     """Per-cell Metropolis-Hastings settings; steps are derived from n_f."""
@@ -138,6 +151,7 @@ class ChainSettings:
     def __post_init__(self):
         for name in ("burn_in", "thin", "base_seed"):
             _require_int(f"chain.{name}", getattr(self, name))
+        _require_real("chain.proposal_std", self.proposal_std)
         if self.proposal_std <= 0 or self.burn_in < 0 or self.thin < 1:
             raise ConfigError("invalid chain settings")
 
@@ -153,16 +167,21 @@ class ExperimentConfig:
     delta: float = 0.025
     n_f: int = 5000
     chain: ChainSettings = field(default_factory=ChainSettings)
-    loss: LossSpec = field(default_factory=lambda: LossSpec(kind="square"))
     e_inf: float = 1.27
     e_std: float = 1.0
     tau_max: float = 0.995
 
     def __post_init__(self):
+        if not isinstance(self.n_grid, (tuple, list)):
+            raise ConfigError(f"n_grid must be a list of integers, got {self.n_grid!r}")
+        if not isinstance(self.chain, ChainSettings):
+            raise ConfigError(f"chain must be an object, got {self.chain!r}")
         for n in self.n_grid:
             _require_int("n_grid entry", n)
         _require_int("n_seeds", self.n_seeds)
         _require_int("n_f", self.n_f)
+        for name in ("prior_sigma2", "delta", "e_inf", "e_std", "tau_max"):
+            _require_real(name, getattr(self, name))
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or any(n < 1 for n in grid) or list(grid) != sorted(set(grid)):
             raise ConfigError("n_grid must be a nonempty ascending list of positive ints")
@@ -174,8 +193,10 @@ class ExperimentConfig:
         if isinstance(self.lambda_rule, str):
             if self.lambda_rule != "sqrt_n":
                 raise ConfigError("lambda_rule must be 'sqrt_n' or a positive number")
-        elif not self.lambda_rule > 0:
-            raise ConfigError("fixed lambda must be positive")
+        else:
+            _require_real("lambda_rule", self.lambda_rule)
+            if self.lambda_rule <= 0:
+                raise ConfigError("fixed lambda must be positive")
         if not 0.0 < self.delta <= 0.5:
             raise ConfigError("delta must lie in (0, 0.5]")
         if self.n_f < 1:
@@ -184,11 +205,6 @@ class ExperimentConfig:
             raise ConfigError("tau_max must lie in (0, 1)")
         if self.e_inf <= 0 or self.e_std <= 0:
             raise ConfigError("e_inf and e_std must be positive")
-        if self.loss.kind != "square":
-            raise ConfigError(
-                f"loss kind {self.loss.kind!r} is not supported by the benchmark; "
-                "use 'square'"
-            )
 
     def lambda_for(self, n: int) -> float:
         if self.lambda_rule == "sqrt_n":
@@ -202,14 +218,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be an object, got {doc!r}")
         doc = dict(doc)
         try:
-            if "chain" in doc and isinstance(doc["chain"], dict):
+            if isinstance(doc.get("chain"), dict):
                 doc["chain"] = ChainSettings(**doc["chain"])
-            if "loss" in doc and isinstance(doc["loss"], dict):
-                doc["loss"] = LossSpec(**doc["loss"])
-            if "n_grid" in doc:
-                doc["n_grid"] = tuple(doc["n_grid"])
             return cls(**doc)
         except TypeError as exc:
             # Unknown or misspelled keys.
@@ -311,39 +325,19 @@ def _batch_empirical_losses(
     return means
 
 
-@dataclass(frozen=True)
-class CloudCertificate:
-    """Certificates and bound terms of a parameter cloud, one array entry per sample."""
-
-    constants: StabilityConstants
-    gh: GainPair
-    s0_norm: np.ndarray
-    l_ell: np.ndarray
-    psi1: np.ndarray
-    psi2: np.ndarray
-
-
-def _cloud_tau(thetas: np.ndarray) -> np.ndarray:
-    # Contraction factor Lip(sigma_f) * ||A||_2 of every predictor in the cloud.
-    a = thetas[:, 0:4].T
-    return _RELU.lipschitz * spectral_norm_2x2(a[0], a[1], a[2], a[3])
-
-
 def certify_cloud(
-    thetas: np.ndarray,
-    dc: DataConstants,
-    lambda_: float,
-    n: int,
-    loss_spec: LossSpec,
-    tau_max: float,
-) -> CloudCertificate:
-    """rnn_constants, gain_pair, loss_lipschitz and both moment exponents, over arrays.
+    thetas: np.ndarray, dc: DataConstants, tau_max: float
+) -> tuple[StabilityConstants, GainPair, np.ndarray, np.ndarray]:
+    """rnn_constants, gain_pair, loss_lipschitz and ||s0||, over arrays.
 
-    B and C of the benchmark predictor are vectors and D is a scalar, so their
-    spectral norms are Euclidean norms and an absolute value; ||A||_2 has a
-    closed form.  Every sample must satisfy tau < tau_max.
+    Returns ``(constants, gains, l_ell, s0_norm)``, one array entry per
+    sample.  None depends on lambda or n, so one call serves a seed's whole n
+    grid.  B and C of the benchmark predictor are vectors and D is a scalar,
+    so their spectral norms are Euclidean norms and an absolute value;
+    ||A||_2 has a closed form.  Every sample must satisfy tau < tau_max.
     """
-    tau = _cloud_tau(thetas)
+    a = thetas[:, 0:4].T
+    tau = _RELU.lipschitz * spectral_norm_2x2(a[0], a[1], a[2], a[3])
     bad = np.flatnonzero(tau >= tau_max)
     if bad.size:
         i = int(bad[0])
@@ -359,41 +353,8 @@ def certify_cloud(
         l_gv=_TANH.lipschitz * np.abs(thetas[:, 10]),
     )
     gh = gain_pair(consts)
-    l_ell = loss_lipschitz(loss_spec, dc, gh)
-    s0_norm = np.hypot(thetas[:, 12], thetas[:, 13])
-    return CloudCertificate(
-        constants=consts,
-        gh=gh,
-        s0_norm=s0_norm,
-        l_ell=l_ell,
-        psi1=psi1_exponent(lambda_, n, l_ell, dc, gh),
-        psi2=psi2_exponent(lambda_, n, l_ell, consts, dc.b_q, gh, s0_norm),
-    )
-
-
-def evaluate_cloud(
-    thetas: np.ndarray,
-    data: Trajectory,
-    dc: DataConstants,
-    lambdas: Sequence[float],
-    ns: Sequence[int],
-    loss_spec: LossSpec,
-    tau_max: float,
-) -> tuple[np.ndarray, list[float]]:
-    """Empirical losses and pooled moment terms of the sampled cloud at each n.
-
-    Row k of the losses is the mean over the first ``ns[k]`` steps of the
-    data; entry k of the moment terms is ``pooled_psi`` of the cloud certified
-    at ``(lambdas[k], ns[k])``.  Each certificate is dropped once pooled, so
-    only one is held at a time.
-    """
-    if loss_spec.kind != "square":
-        raise ValueError("the benchmark cloud evaluator supports square loss only")
-    psi = []
-    for lambda_, n in zip(lambdas, ns):
-        cert = certify_cloud(thetas, dc, lambda_, n, loss_spec, tau_max)
-        psi.append(pooled_psi(cert.psi1, cert.psi2))
-    return _batch_empirical_losses(thetas, data.inputs, data.outputs, ns), psi
+    l_ell = loss_lipschitz(_SQUARE_LOSS, dc, gh)
+    return consts, gh, l_ell, np.hypot(thetas[:, 12], thetas[:, 13])
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundReport]:
@@ -401,7 +362,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundRe
 
     One prior cloud serves every n: the prior depends on neither the data nor
     n, so each per-n bound stays valid.  The cloud's chain seed is the cell
-    seed of the largest n.
+    seed of the largest n.  The cloud is certified and simulated once; only
+    the moment exponents and the Gibbs reweighting depend on n.
     """
     n_max = cfg.n_grid[-1]
     if data.length < n_max:
@@ -413,18 +375,21 @@ def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundRe
         proposal_std=cfg.chain.proposal_std,
         seed=_cell_chain_seed(cfg.chain.base_seed, seed, n_max),
     )
-    chain = mh_sample(
+    thetas = mh_sample(
         stability_truncated_log_prior(cfg.prior_sigma2, cfg.tau_max),
         np.zeros(PARAM_DIM),
         chain_cfg,
-    )
+    ).samples
     dc = generator_data_constants(build_reference_generator(), cfg.e_inf)
-    lambdas = [cfg.lambda_for(n) for n in cfg.n_grid]
-    loss_rows, psi = evaluate_cloud(
-        chain.samples, data, dc, lambdas, cfg.n_grid, cfg.loss, cfg.tau_max
-    )
+    consts, gh, l_ell, s0_norm = certify_cloud(thetas, dc, cfg.tau_max)
+    loss_rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, cfg.n_grid)
     reports = []
-    for n, lambda_, losses, ph in zip(cfg.n_grid, lambdas, loss_rows, psi):
+    for n, losses in zip(cfg.n_grid, loss_rows):
+        lambda_ = cfg.lambda_for(n)
+        ph = pooled_psi(
+            psi1_exponent(lambda_, n, l_ell, dc, gh),
+            psi2_exponent(lambda_, n, l_ell, consts, dc.b_q, gh, s0_norm),
+        )
         beta = gibbs_weights(losses, lambda_)
         z_hat, kl, post_emp_loss = gibbs_estimates(beta, losses)
         r_n = pac_bound(lambda_, cfg.delta, kl, ph)

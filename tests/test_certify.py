@@ -10,7 +10,6 @@ from stablepac import (
     StabilityConstants,
     activation,
     build_reference_generator,
-    check_contraction,
     gain_pair,
     rnn_constants,
     series_compose,
@@ -104,33 +103,6 @@ class TestRnnConstants:
         # l_v = Lip(sigma_f) * ||B||_2, with Lip(sigmoid) = 0.25
         norm_b = eig_spectral_norm(sys.b)
         assert rnn_constants(sys).l_v == pytest.approx(0.25 * norm_b, rel=1e-9)
-
-
-class TestCheckContraction:
-    def test_reference_generator_passes(self):
-        check = check_contraction(build_reference_generator())
-        assert check.ok
-        assert check.tau == pytest.approx(0.56859475903318, rel=1e-10)
-
-    def test_boundary_excluded(self):
-        sys = RnnSystem(
-            a=np.eye(2),
-            b=np.ones((2, 1)),
-            b_s=np.zeros(2),
-            c=np.ones((1, 2)),
-            d=np.ones((1, 1)),
-            b_y=np.zeros(1),
-            sigma_f=activation("relu"),
-            sigma_g=activation("tanh"),
-        )
-        check = check_contraction(sys)
-        assert not check.ok and check.tau == pytest.approx(1.0, rel=1e-10)
-
-    def test_tau_agrees_with_rnn_constants(self):
-        rng = np.random.default_rng(14)
-        for _ in range(30):
-            sys = random_contractive_system(rng)
-            assert check_contraction(sys).tau == rnn_constants(sys).tau
 
 
 class TestSeriesCompose:

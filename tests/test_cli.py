@@ -3,9 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from stablepac import build_reference_generator, load_trajectory, save_model
+from stablepac import (
+    build_reference_generator,
+    load_model,
+    load_trajectory,
+    rnn_constants,
+    save_model,
+)
 from stablepac.cli import main
 from stablepac.dynsys import RnnSystem, activation
+from helpers import random_contractive_system
 
 
 @pytest.fixture()
@@ -44,6 +51,12 @@ class TestConstantsCommand:
         assert "error" in capsys.readouterr().err
 
 
+def _system_path(tmp_path, sys, name="model.json"):
+    path = tmp_path / name
+    save_model(sys, str(path))
+    return str(path)
+
+
 class TestCheckStability:
     def test_stable_exit_zero(self, generator_path):
         assert main(["check-stability", "--model", generator_path]) == 0
@@ -52,6 +65,36 @@ class TestCheckStability:
         assert main(["check-stability", "--model", unstable_path]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False and doc["tau"] > 1.0
+
+    def test_reference_generator_passes(self, generator_path, capsys):
+        assert main(["check-stability", "--model", generator_path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is True
+        assert doc["tau"] == pytest.approx(0.56859475903318, rel=1e-10)
+
+    def test_boundary_excluded(self, tmp_path, capsys):
+        sys = RnnSystem(
+            a=np.eye(2),
+            b=np.ones((2, 1)),
+            b_s=np.zeros(2),
+            c=np.ones((1, 2)),
+            d=np.ones((1, 1)),
+            b_y=np.zeros(1),
+            sigma_f=activation("relu"),
+            sigma_g=activation("tanh"),
+        )
+        assert main(["check-stability", "--model", _system_path(tmp_path, sys)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False and doc["tau"] == pytest.approx(1.0, rel=1e-10)
+
+    def test_tau_agrees_with_rnn_constants(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        for k in range(30):
+            sys = random_contractive_system(rng)
+            path = _system_path(tmp_path, sys, f"model{k}.json")
+            assert main(["check-stability", "--model", path]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc == {"ok": True, "tau": rnn_constants(load_model(path)).tau}
 
 
 class TestDataConstants:
@@ -161,6 +204,39 @@ def test_bad_seed_is_usage_error(command, seed, generator_path, tmp_path, capsys
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command,option,value",
+    [
+        ("generate-data", "--n", "0"),
+        ("generate-data", "--n", "-3"),
+        ("generate-data", "--n", "2.5"),
+        ("generate-data", "--e-inf", "-1"),
+        ("generate-data", "--e-std", "0"),
+        ("generate-data", "--e-std", "nan"),
+        ("simulate", "--n", "0"),
+        ("simulate", "--e-inf", "0"),
+        ("simulate", "--e-std", "-1"),
+        ("data-constants", "--e-inf", "0"),
+        ("data-constants", "--e-inf", "inf"),
+    ],
+)
+def test_nonpositive_number_is_usage_error(
+    command, option, value, generator_path, tmp_path, capsys
+):
+    argv = [command]
+    if command != "data-constants":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    if command != "generate-data":
+        argv += ["--model", generator_path]
+    if option != "--n" and command != "data-constants":
+        argv += ["--n", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value])
+    assert exc.value.code == 2
+    assert f"error: argument {option}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 class TestExperimentCommand:
     def test_end_to_end_outputs(self, tmp_path, capsys):
         cfg = {
@@ -187,7 +263,20 @@ class TestExperimentCommand:
         assert main(
             ["experiment", "--config", str(cfg_path), "--out", str(out_dir)]
         ) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'loss'" in err
+        assert not out_dir.exists()
+
+    def test_non_numeric_value_fails_before_sampling(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"prior_sigma2": "abc"}))
+        out_dir = tmp_path / "out"
+        assert main(
+            ["experiment", "--config", str(cfg_path), "--out", str(out_dir)]
+        ) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: prior_sigma2 must be a finite number"
+        )
         assert not out_dir.exists()
 
     def test_non_integral_count_fails_before_sampling(self, tmp_path, capsys):

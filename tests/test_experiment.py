@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,7 @@ def reference_run_cell(cfg, seed, n, data, chain_n=None):
     """
     from stablepac.bound import (
         BoundReport, gibbs_estimates, gibbs_weights, pac_bound, pooled_psi,
+        psi1_exponent,
     )
     from stablepac.experiment import _cell_chain_seed, certify_cloud
     from stablepac.mcmc import ChainConfig, mh_sample
@@ -75,10 +78,13 @@ def reference_run_cell(cfg, seed, n, data, chain_n=None):
     )
     lambda_ = cfg.lambda_for(n)
     dc = generator_data_constants(build_reference_generator(), cfg.e_inf)
-    cert = certify_cloud(chain.samples, dc, lambda_, n, cfg.loss, cfg.tau_max)
+    consts, gh, l_ell, s0_norm = certify_cloud(chain.samples, dc, cfg.tau_max)
     losses = reference_batch_losses(chain.samples, data.inputs[:n], data.outputs[:n])
     z_hat, kl, post = gibbs_estimates(gibbs_weights(losses, lambda_), losses)
-    ph = pooled_psi(cert.psi1, cert.psi2)
+    ph = pooled_psi(
+        psi1_exponent(lambda_, n, l_ell, dc, gh),
+        psi2_exponent(lambda_, n, l_ell, consts, dc.b_q, gh, s0_norm),
+    )
     r_n = pac_bound(lambda_, cfg.delta, kl, ph)
     return BoundReport(
         n=n, seed=seed, lambda_=lambda_, delta=cfg.delta, kl=kl, psi_hat=ph,
@@ -231,10 +237,50 @@ class TestConfig:
         assert cfg.n_grid == (5, 9)
 
     def test_unsupported_loss_rejected_at_config_time(self):
-        with pytest.raises(ConfigError, match="square"):
-            ExperimentConfig(loss=LossSpec(kind="softmax_xent", classes=3))
-        with pytest.raises(ConfigError):
+        # The benchmark scores by squared error only; "loss" is no config key.
+        with pytest.raises(ConfigError, match="loss"):
             ExperimentConfig.from_dict({"loss": {"kind": "softmax_xent", "classes": 3}})
+
+    @pytest.mark.parametrize(
+        "doc,key",
+        [
+            ({"prior_sigma2": "abc"}, "prior_sigma2"),
+            ({"delta": None}, "delta"),
+            ({"e_inf": "1.27"}, "e_inf"),
+            ({"e_std": [1.0]}, "e_std"),
+            ({"tau_max": True}, "tau_max"),
+            ({"prior_sigma2": float("nan")}, "prior_sigma2"),
+            ({"lambda_rule": None}, "lambda_rule"),
+            ({"lambda_rule": float("inf")}, "lambda_rule"),
+            ({"chain": {"proposal_std": "0.05"}}, "chain.proposal_std"),
+            ({"chain": {"proposal_std": None}}, "chain.proposal_std"),
+        ],
+    )
+    def test_non_numeric_values_rejected(self, doc, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be a finite number"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"chain": 5}, "chain must be an object"),
+            ({"chain": None}, "chain must be an object"),
+            ({"n_grid": 5}, "n_grid must be a list"),
+            ([1], "config must be an object"),
+        ],
+    )
+    def test_wrong_shape_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_readme_config_block_is_the_default(self):
+        # A stale README config block fails here instead of for its readers.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(blocks) == 1
+        block = json.loads(blocks[0])
+        assert ExperimentConfig.from_dict(block) == ExperimentConfig()
+        assert block.keys() == ExperimentConfig().to_dict().keys()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="n_seed"):
@@ -244,7 +290,6 @@ class TestConfig:
         cfg = ExperimentConfig(
             n_grid=(10, 20), n_f=100, lambda_rule=3.0,
             chain=ChainSettings(proposal_std=0.1, burn_in=10, thin=2, base_seed=5),
-            loss=LossSpec(kind="square"),
         )
         doc = json.loads(json.dumps(cfg.to_dict()))
         assert ExperimentConfig.from_dict(doc) == cfg
@@ -313,8 +358,7 @@ class TestRunExperiment:
         assert float(np.min(losses)) <= post <= float(np.max(losses))
 
     def test_retained_samples_certified_and_finite(self):
-        import math
-
+        from stablepac.bound import psi1_exponent
         from stablepac.experiment import (
             _cell_chain_seed,
             build_reference_generator,
@@ -323,7 +367,6 @@ class TestRunExperiment:
         from stablepac.mcmc import ChainConfig, mh_sample
         from stablepac.mixing import generator_data_constants
 
-        data = generate_dataset(1, 30)
         chain = mh_sample(
             stability_truncated_log_prior(0.02, 0.995),
             np.zeros(PARAM_DIM),
@@ -331,11 +374,12 @@ class TestRunExperiment:
                         seed=_cell_chain_seed(0, 1, 30)),
         )
         dc = generator_data_constants(build_reference_generator(), 1.27)
-        cert = certify_cloud(
-            chain.samples, dc, math.sqrt(30), 30, LossSpec(kind="square"), 0.995
-        )
-        assert np.all(cert.constants.tau < 0.995)
-        assert np.all(np.isfinite(cert.psi1)) and np.all(np.isfinite(cert.psi2))
+        consts, gh, l_ell, s0_norm = certify_cloud(chain.samples, dc, 0.995)
+        assert np.all(consts.tau < 0.995)
+        lambda_ = math.sqrt(30)
+        psi1 = psi1_exponent(lambda_, 30, l_ell, dc, gh)
+        psi2 = psi2_exponent(lambda_, 30, l_ell, consts, dc.b_q, gh, s0_norm)
+        assert np.all(np.isfinite(psi1)) and np.all(np.isfinite(psi2))
 
     def test_batch_losses_match_reference_evaluator(self):
         from stablepac.experiment import _batch_empirical_losses
@@ -420,6 +464,20 @@ class TestRunExperiment:
         n_max = SMALL.n_grid[-1]
         assert seeds == [_cell_chain_seed(0, s, n_max) for s in range(SMALL.n_seeds)]
 
+    def test_one_certification_per_seed(self, monkeypatch):
+        import stablepac.experiment as experiment
+
+        clouds = []
+        real = experiment.certify_cloud
+
+        def counted(thetas, *args, **kwargs):
+            clouds.append(thetas.shape[0])
+            return real(thetas, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "certify_cloud", counted)
+        run_experiment(SMALL)
+        assert clouds == [SMALL.n_f] * SMALL.n_seeds
+
     def test_reports_match_per_cell_reference(self, reports):
         # Each seed's n_max cell is the per-cell evaluation unchanged; the
         # smaller n reuse that cell's cloud on a data prefix.
@@ -493,9 +551,15 @@ class TestCloudCertificate:
         assert thetas.shape[0] > 250
         dc = generator_data_constants(build_reference_generator(), 1.27)
         spec = LossSpec(kind="square")
-        lambda_, n = math.sqrt(50), 50
-        cert = certify_cloud(thetas, dc, lambda_, n, spec, self.TAU_MAX)
-        arr = cert.constants
+        arr, arr_gh, arr_l_ell, arr_s0_norm = certify_cloud(thetas, dc, self.TAU_MAX)
+        # The moment exponents of the whole cloud, at two values of n.
+        psi = {
+            n: (
+                psi1_exponent(math.sqrt(n), n, arr_l_ell, dc, arr_gh),
+                psi2_exponent(math.sqrt(n), n, arr_l_ell, arr, dc.b_q, arr_gh, arr_s0_norm),
+            )
+            for n in (5, 50)
+        }
         for i, theta in enumerate(thetas):
             sys, s0 = predictor_from_theta(theta)
             ref = rnn_constants(sys)
@@ -512,18 +576,20 @@ class TestCloudCertificate:
             # tau / (1 - tau), so the bound terms are compared on the same tau.
             ref = dataclasses.replace(ref, tau=float(arr.tau[i]))
             gh = gain_pair(ref)
-            assert cert.gh.g[i] == pytest.approx(gh.g, rel=1e-12)
-            assert cert.gh.h[i] == pytest.approx(gh.h, rel=1e-12)
+            assert arr_gh.g[i] == pytest.approx(gh.g, rel=1e-12)
+            assert arr_gh.h[i] == pytest.approx(gh.h, rel=1e-12)
             l_ell = loss_lipschitz(spec, dc, gh)
-            assert cert.l_ell[i] == pytest.approx(l_ell, rel=1e-12)
+            assert arr_l_ell[i] == pytest.approx(l_ell, rel=1e-12)
             s0_norm = float(np.linalg.norm(s0))
-            assert cert.s0_norm[i] == pytest.approx(s0_norm, rel=1e-12)
-            assert cert.psi1[i] == pytest.approx(
-                psi1_exponent(lambda_, n, l_ell, dc, gh), rel=1e-12
-            )
-            assert cert.psi2[i] == pytest.approx(
-                psi2_exponent(lambda_, n, l_ell, ref, dc.b_q, gh, s0_norm), rel=1e-12
-            )
+            assert arr_s0_norm[i] == pytest.approx(s0_norm, rel=1e-12)
+            for n, (psi1, psi2) in psi.items():
+                lambda_ = math.sqrt(n)
+                assert psi1[i] == pytest.approx(
+                    psi1_exponent(lambda_, n, l_ell, dc, gh), rel=1e-12
+                )
+                assert psi2[i] == pytest.approx(
+                    psi2_exponent(lambda_, n, l_ell, ref, dc.b_q, gh, s0_norm), rel=1e-12
+                )
 
     def test_truncation_failure_is_reported(self):
         from stablepac.experiment import certify_cloud
@@ -533,7 +599,7 @@ class TestCloudCertificate:
         thetas[1, 0] = self.TAU_MAX
         dc = generator_data_constants(build_reference_generator(), 1.27)
         with pytest.raises(RuntimeError, match="sample 1 .*prior truncation failed"):
-            certify_cloud(thetas, dc, 1.0, 10, LossSpec(kind="square"), self.TAU_MAX)
+            certify_cloud(thetas, dc, self.TAU_MAX)
 
 
 class TestEmitCurves:
