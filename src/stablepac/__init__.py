@@ -41,7 +41,6 @@ from .errors import (
     DegenerateTruncationError,
     InstabilityError,
     InvalidConfidenceError,
-    InvalidStartError,
     NotStableError,
     SingularCompositionError,
     StablepacError,
@@ -61,11 +60,6 @@ from .loss import (
     loss_lipschitz,
     loss_value,
     transient_gap_bound,
-)
-from .mcmc import (
-    ChainConfig,
-    ChainResult,
-    mh_sample,
 )
 from .mixing import (
     DataConstants,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certify import rnn_constants
 from .dynsys import Trajectory, load_model, save_trajectory, simulate
-from .errors import NotStableError, StablepacError
+from .errors import ConfigError, NotStableError, StablepacError
 from .experiment import (
     ExperimentConfig,
     generate_dataset,
@@ -71,8 +71,14 @@ def _lambda(text: str) -> str | float:
 def _load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config file {path!r} is not JSON: {exc}") from exc
+    return ExperimentConfig.from_dict(doc)
 
 
 def _cmd_constants(args) -> int:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import NotStableError
+from .errors import ConfigError, NotStableError
 from .numerics import check_finite_matrix
 
 if TYPE_CHECKING:
@@ -275,8 +275,16 @@ def save_model(sys: RnnSystem, path: str) -> None:
 
 
 def load_model(path: str) -> RnnSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    """Read a model file; one that cannot be read or built raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return model_from_dict(json.load(fh))
+    except OSError as exc:
+        raise ConfigError(f"cannot read model file {path!r}: {exc.strerror}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"model file {path!r} has no key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model file {path!r}: {exc}") from exc
 
 
 def save_trajectory(traj: Trajectory, path: str) -> None:

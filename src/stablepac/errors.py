@@ -29,13 +29,9 @@ class SingularCompositionError(StablepacError):
     """Series composition is undefined because both contraction factors are zero."""
 
 
-class InvalidStartError(StablepacError):
-    """MCMC chain started at a point with zero density."""
-
-
 class InvalidConfidenceError(StablepacError):
     """Confidence parameter delta outside (0, 0.5]."""
 
 
 class ConfigError(StablepacError):
-    """A configuration value is invalid or unsupported; raised before any work starts."""
+    """A configuration value or input file is invalid; raised before any work starts."""

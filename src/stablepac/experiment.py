@@ -4,10 +4,12 @@ The benchmark uses a fixed two-state generator with ReLU state updates and a
 tanh output that emits a (label, input) pair per step, driven by truncated
 Gaussian noise.  Predictors share the generator's shape; all 14 weights
 including the initial state form the parameter vector.  The bound is
-evaluated at every n of the grid from a fresh prior sample cloud per seed,
-drawn by Metropolis-Hastings from a stability-truncated Gaussian prior; the
-cloud is certified once and simulated as whole arrays, one entry per sample,
-and one simulation pass gives its losses on every data prefix.
+evaluated at every n of the grid from a fresh prior sample cloud per seed.
+The prior is the zero-mean Gaussian truncated to the stability region
+||A||_2 < tau_max; ``_prior_cloud`` samples it with one random-walk
+Metropolis-Hastings chain per seed, started at theta = 0.  The cloud is
+certified once and simulated as whole arrays, one entry per sample, and one
+simulation pass gives its losses on every data prefix.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .dynsys import (
 )
 from .errors import ConfigError
 from .loss import LossSpec, loss_lipschitz
-from .mcmc import ChainConfig, mh_sample
 from .mixing import DataConstants, generator_data_constants
 from .numerics import seeded_rng, spectral_norm, spectral_norm_2x2, truncated_gaussian
 
@@ -141,7 +142,11 @@ def _require_real(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class ChainSettings:
-    """Per-cell Metropolis-Hastings settings; steps are derived from n_f."""
+    """Per-seed Metropolis-Hastings settings; steps are derived from n_f.
+
+    A chain runs burn_in + n_f * thin steps and keeps n_f, so n_f >= 1 and
+    thin >= 1 already give it a step and a burn-in shorter than the chain.
+    """
 
     proposal_std: float = 0.05
     burn_in: int = 500
@@ -152,8 +157,14 @@ class ChainSettings:
         for name in ("burn_in", "thin", "base_seed"):
             _require_int(f"chain.{name}", getattr(self, name))
         _require_real("chain.proposal_std", self.proposal_std)
-        if self.proposal_std <= 0 or self.burn_in < 0 or self.thin < 1:
-            raise ConfigError("invalid chain settings")
+        if self.proposal_std <= 0:
+            raise ConfigError(f"chain.proposal_std must be > 0, got {self.proposal_std!r}")
+        if self.burn_in < 0:
+            raise ConfigError(f"chain.burn_in must be >= 0, got {self.burn_in!r}")
+        if self.thin < 1:
+            raise ConfigError(f"chain.thin must be >= 1, got {self.thin!r}")
+        if self.base_seed < 0:
+            raise ConfigError(f"chain.base_seed must be >= 0, got {self.base_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -230,30 +241,38 @@ class ExperimentConfig:
             raise ConfigError(f"invalid config: {exc}") from exc
 
 
-def stability_truncated_log_prior(
-    sigma2: float, tau_max: float
-) -> Callable[[np.ndarray], float]:
-    """Gaussian log-prior that is -inf wherever the predictor is not certifiable.
-
-    The contraction factor of the benchmark predictor is ||A||_2 (ReLU has
-    unit Lipschitz constant), so the support is truncated to tau < tau_max.
-    """
-
-    def log_prior(theta: np.ndarray) -> float:
-        tau = spectral_norm(theta[0:4].reshape(2, 2))
-        if tau >= tau_max:
-            return -math.inf
-        return -0.5 * float(theta @ theta) / sigma2
-
-    return log_prior
-
-
 def _cell_chain_seed(base_seed: int, seed: int, n: int) -> int:
     # Distinct deterministic seed per (base seed, data seed, n) while the data
     # seed and n stay below the multiplier; base seed 0 gives
     # seed * 1_000_003 + n.  A seed's cloud is drawn with n = n_max, the seed
     # of its largest cell when every cell drew its own cloud.
     return (base_seed * 1_000_003 + seed) * 1_000_003 + n
+
+
+def _prior_cloud(cfg: ExperimentConfig, seed: int) -> np.ndarray:
+    """One seed's prior cloud, ``cfg.n_f`` rows of 14 parameters.
+
+    Random-walk Metropolis-Hastings from theta = 0 on the N(0, prior_sigma2)
+    prior truncated to tau = ||A||_2 < tau_max, seeded with the cell seed of
+    the largest n; keeps the states after steps burn_in + k * thin.
+    """
+    chain = cfg.chain
+    rng = seeded_rng(_cell_chain_seed(chain.base_seed, seed, cfg.n_grid[-1]))
+    theta = np.zeros(PARAM_DIM)
+    log_p = 0.0
+    cloud = np.empty((cfg.n_f, PARAM_DIM))
+    kept = 0
+    for step in range(1, chain.burn_in + cfg.n_f * chain.thin + 1):
+        prop = theta + chain.proposal_std * rng.normal(size=PARAM_DIM)
+        u = rng.uniform()
+        if spectral_norm(prop[0:4].reshape(2, 2)) < cfg.tau_max:
+            log_q = -0.5 * float(prop @ prop) / cfg.prior_sigma2
+            if log_q >= log_p or (u > 0.0 and math.log(u) < log_q - log_p):
+                theta, log_p = prop, log_q
+        if step > chain.burn_in and (step - chain.burn_in) % chain.thin == 0:
+            cloud[kept] = theta
+            kept += 1
+    return cloud
 
 
 def _batch_empirical_losses(
@@ -368,18 +387,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundRe
     n_max = cfg.n_grid[-1]
     if data.length < n_max:
         raise ValueError(f"data has {data.length} rows, need at least {n_max}")
-    chain_cfg = ChainConfig(
-        steps=cfg.chain.burn_in + cfg.n_f * cfg.chain.thin,
-        burn_in=cfg.chain.burn_in,
-        thin=cfg.chain.thin,
-        proposal_std=cfg.chain.proposal_std,
-        seed=_cell_chain_seed(cfg.chain.base_seed, seed, n_max),
-    )
-    thetas = mh_sample(
-        stability_truncated_log_prior(cfg.prior_sigma2, cfg.tau_max),
-        np.zeros(PARAM_DIM),
-        chain_cfg,
-    ).samples
+    thetas = _prior_cloud(cfg, seed)
     dc = generator_data_constants(build_reference_generator(), cfg.e_inf)
     consts, gh, l_ell, s0_norm = certify_cloud(thetas, dc, cfg.tau_max)
     loss_rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, cfg.n_grid)
@@ -477,44 +485,18 @@ def emit_curves(reports: list[BoundReport], out_dir: str) -> tuple[str, str]:
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(",".join(REPORT_COLUMNS) + "\n")
             for r in sorted(reports, key=lambda r: (r.seed, r.n)):
-                fh.write(
-                    ",".join(
-                        [
-                            str(r.n),
-                            str(r.seed),
-                            _fmt(r.lambda_),
-                            _fmt(r.delta),
-                            _fmt(r.kl),
-                            _fmt(r.psi_hat),
-                            _fmt(r.r_n),
-                            _fmt(r.post_emp_loss),
-                            _fmt(r.total),
-                            _fmt(r.z_hat),
-                            str(r.n_samples),
-                        ]
-                    )
-                    + "\n"
-                )
+                reals = (r.lambda_, r.delta, r.kl, r.psi_hat, r.r_n,
+                         r.post_emp_loss, r.total, r.z_hat)
+                row = [str(r.n), str(r.seed), *map(_fmt, reals), str(r.n_samples)]
+                fh.write(",".join(row) + "\n")
         with open(summary_path, "w", encoding="utf-8") as fh:
             fh.write(",".join(SUMMARY_COLUMNS) + "\n")
             for n in sorted({r.n for r in reports}):
                 totals = np.array(sorted(r.total for r in reports if r.n == n))
                 posts = np.array(sorted(r.post_emp_loss for r in reports if r.n == n))
-                fh.write(
-                    ",".join(
-                        [
-                            str(n),
-                            _fmt(np.median(totals)),
-                            _fmt(totals[0]),
-                            _fmt(totals[-1]),
-                            _fmt(np.median(posts)),
-                            _fmt(posts[0]),
-                            _fmt(posts[-1]),
-                            _fmt(VACUITY_LEVEL),
-                        ]
-                    )
-                    + "\n"
-                )
+                stats = (np.median(totals), totals[0], totals[-1],
+                         np.median(posts), posts[0], posts[-1], VACUITY_LEVEL)
+                fh.write(",".join([str(n), *map(_fmt, stats)]) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing bound curves under {out_dir!r}: {exc}") from exc
     return report_path, summary_path

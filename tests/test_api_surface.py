@@ -5,7 +5,8 @@ another module of the package, in the acceptance gate, in the shared test
 helpers or in the benchmark harness.  Unit tests of the function itself do
 not count: public API that only its own tests call is dead weight.  Exported
 classes are exempt, since they are the argument and result types of the
-functions checked here.
+functions checked here.  Exported error classes must be raised somewhere in
+the package: an exception that nothing raises is dead weight too.
 """
 
 import inspect
@@ -13,6 +14,7 @@ import re
 from pathlib import Path
 
 import stablepac
+from stablepac.errors import StablepacError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stablepac"
@@ -44,3 +46,15 @@ def test_every_exported_function_has_a_user():
         ):
             unused.append(f"{obj.__module__}.{name}")
     assert not unused, f"exported but used only by its own module and tests: {unused}"
+
+
+def test_every_exported_error_is_raised():
+    text = "\n".join(path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py"))
+    never_raised = []
+    for name in stablepac.__all__:
+        obj = getattr(stablepac, name)
+        if not inspect.isclass(obj) or not issubclass(obj, StablepacError):
+            continue
+        if obj is not StablepacError and not re.search(rf"\braise {name}\b", text):
+            never_raised.append(name)
+    assert not never_raised, f"exported but never raised in the package: {never_raised}"

@@ -237,6 +237,36 @@ def test_nonpositive_number_is_usage_error(
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,content,message",
+    [
+        (["constants", "--model"], None, "No such file"),
+        (["constants", "--model"], {"B": None}, "no key 'B'"),
+        (["constants", "--model"], {"A": [[0.5, 0.1, 0.0], [0.1, 0.2, 0.0]]}, "square"),
+        (["check-stability", "--model"], {"sigma_f": "gelu"}, "activation"),
+        (["data-constants", "--model"], "{", "Expecting"),
+        (["experiment", "--out", "out", "--config"], None, "No such file"),
+    ],
+    ids=["missing", "no-B", "non-square", "gelu", "not-json", "missing-config"],
+)
+def test_bad_input_file_is_usage_error(argv, content, message, generator_path, tmp_path,
+                                       capsys):
+    # content: None writes no file, a dict edits the reference generator's
+    # model (a None value drops the key), a string is the file's text.
+    path = tmp_path / "input.json"
+    if isinstance(content, dict):
+        with open(generator_path) as fh:
+            doc = {**json.load(fh), **content}
+        path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    elif content is not None:
+        path.write_text(content)
+    argv = [str(tmp_path / a) if a == "out" else a for a in argv]
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestExperimentCommand:
     def test_end_to_end_outputs(self, tmp_path, capsys):
         cfg = {

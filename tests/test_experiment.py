@@ -25,10 +25,12 @@ from stablepac.errors import ConfigError
 from stablepac.experiment import (
     PARAM_DIM,
     ChainSettings,
+    _cell_chain_seed,
+    _prior_cloud,
     emit_curves,
-    stability_truncated_log_prior,
     write_outputs,
 )
+from stablepac.numerics import spectral_norm_2x2
 
 
 
@@ -61,25 +63,14 @@ def reference_run_cell(cfg, seed, n, data, chain_n=None):
         BoundReport, gibbs_estimates, gibbs_weights, pac_bound, pooled_psi,
         psi1_exponent,
     )
-    from stablepac.experiment import _cell_chain_seed, certify_cloud
-    from stablepac.mcmc import ChainConfig, mh_sample
+    from stablepac.experiment import certify_cloud
     from stablepac.mixing import generator_data_constants
 
-    chain = mh_sample(
-        stability_truncated_log_prior(cfg.prior_sigma2, cfg.tau_max),
-        np.zeros(PARAM_DIM),
-        ChainConfig(
-            steps=cfg.chain.burn_in + cfg.n_f * cfg.chain.thin,
-            burn_in=cfg.chain.burn_in,
-            thin=cfg.chain.thin,
-            proposal_std=cfg.chain.proposal_std,
-            seed=_cell_chain_seed(cfg.chain.base_seed, seed, chain_n or n),
-        ),
-    )
+    thetas = _prior_cloud(dataclasses.replace(cfg, n_grid=(chain_n or n,)), seed)
     lambda_ = cfg.lambda_for(n)
     dc = generator_data_constants(build_reference_generator(), cfg.e_inf)
-    consts, gh, l_ell, s0_norm = certify_cloud(chain.samples, dc, cfg.tau_max)
-    losses = reference_batch_losses(chain.samples, data.inputs[:n], data.outputs[:n])
+    consts, gh, l_ell, s0_norm = certify_cloud(thetas, dc, cfg.tau_max)
+    losses = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
     z_hat, kl, post = gibbs_estimates(gibbs_weights(losses, lambda_), losses)
     ph = pooled_psi(
         psi1_exponent(lambda_, n, l_ell, dc, gh),
@@ -273,6 +264,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{message}"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("thin", 0),
+            ("burn_in", -1),
+            ("proposal_std", 0),
+            ("proposal_std", -0.05),
+            ("base_seed", -1),
+        ],
+    )
+    def test_out_of_range_chain_value_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^chain\.{key} must be "):
+            ExperimentConfig.from_dict({"chain": {key: value}})
+
     def test_readme_config_block_is_the_default(self):
         # A stale README config block fails here instead of for its readers.
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -295,21 +300,69 @@ class TestConfig:
         assert ExperimentConfig.from_dict(doc) == cfg
 
 
+def _autocorrelation_time(x):
+    """Integrated autocorrelation time, summed up to the first lag whose
+    autocorrelation is not positive."""
+    x = x - x.mean()
+    spectrum = np.fft.rfft(x, 2 * x.size)
+    acf = np.fft.irfft(spectrum * np.conj(spectrum))[: x.size] / float(x @ x)
+    cut = int(np.argmax(acf <= 0.0))
+    return 1.0 + 2.0 * float(acf[1:cut].sum())
+
+
 class TestStabilityTruncatedPrior:
+    """``_prior_cloud`` samples the Gaussian prior truncated to tau < tau_max."""
+
     def test_gaussian_inside_support(self):
-        log_prior = stability_truncated_log_prior(0.02, 0.995)
-        theta = np.zeros(PARAM_DIM)
-        assert log_prior(theta) == 0.0
-        theta2 = np.full(PARAM_DIM, 0.05)
-        assert log_prior(theta2) == pytest.approx(
-            -0.5 * float(theta2 @ theta2) / 0.02, rel=1e-12
-        )
+        # At sigma2 = 0.02 the truncation ||A||_2 < 0.995 almost never binds,
+        # so a stationary chain has E[theta_i^2] = prior_sigma2 in every
+        # coordinate.  The pooled statistic is the mean of the per-row series
+        # s_t = mean_i theta_ti^2; its standard error is sqrt(var(s) / ESS),
+        # with ESS = rows / (integrated autocorrelation time of s).  A 10 000-
+        # row chain has ESS ~ 140-230, so 4 standard errors are about 10% of
+        # prior_sigma2; dropping the 1/2 of the log density would halve it.
+        cfg = ExperimentConfig(n_grid=(1,), n_seeds=1, n_f=10_000)
+        s = np.mean(_prior_cloud(cfg, 0) ** 2, axis=1)
+        ess = s.size / _autocorrelation_time(s)
+        assert ess >= 100
+        stderr = math.sqrt(float(np.var(s)) / ess)
+        assert abs(float(np.mean(s)) - cfg.prior_sigma2) < 4.0 * stderr
 
     def test_unstable_region_excluded(self):
-        log_prior = stability_truncated_log_prior(0.02, 0.995)
-        theta = np.zeros(PARAM_DIM)
-        theta[0] = theta[3] = 1.0
-        assert log_prior(theta) == -math.inf
+        # tau_max = 0.1 binds hard at sigma = 0.14: the chain runs into the
+        # boundary, and no retained row crosses it.
+        cfg = ExperimentConfig(n_grid=(1,), n_seeds=1, n_f=3000, tau_max=0.1)
+        a = _prior_cloud(cfg, 0)[:, 0:4].T
+        tau = spectral_norm_2x2(a[0], a[1], a[2], a[3])
+        assert np.all(tau < 0.1)
+        assert float(np.max(tau)) > 0.09
+
+    def test_same_config_same_cloud(self):
+        cfg = dataclasses.replace(SMALL, chain=ChainSettings(burn_in=10, thin=3))
+        cloud = _prior_cloud(cfg, 1)
+        assert cloud.shape == (SMALL.n_f, PARAM_DIM)
+        assert np.array_equal(cloud, _prior_cloud(cfg, 1))
+        assert not np.array_equal(cloud, _prior_cloud(cfg, 0))
+
+    @pytest.mark.parametrize(
+        "burn_in,thin,n_f", [(0, 1, 7), (5, 1, 20), (0, 4, 9), (13, 3, 11)]
+    )
+    def test_retained_rows_follow_burn_in_and_thin(self, burn_in, thin, n_f):
+        # The kept rows are the states after steps burn_in + k * thin of the
+        # chain that keeps every step.
+        base = ExperimentConfig(n_grid=(20,), n_seeds=1, n_f=n_f)
+        cfg = dataclasses.replace(base, chain=ChainSettings(burn_in=burn_in, thin=thin))
+        every = dataclasses.replace(
+            base, n_f=burn_in + n_f * thin, chain=ChainSettings(burn_in=0, thin=1)
+        )
+        full = _prior_cloud(every, 2)
+        assert np.array_equal(_prior_cloud(cfg, 2), full[burn_in + thin - 1 :: thin])
+
+    def test_all_rejected_chain_stays_at_zero(self):
+        # Every proposal moves A off zero by far more than tau_max = 1e-12, so
+        # the truncation rejects them all.
+        cfg = ExperimentConfig(n_grid=(1,), n_seeds=1, n_f=50, tau_max=1e-12)
+        assert np.array_equal(_prior_cloud(cfg, 0), np.zeros((50, PARAM_DIM)))
 
 
 @pytest.fixture(scope="module")
@@ -339,42 +392,24 @@ class TestRunExperiment:
     def test_posterior_loss_containment(self):
         # importance average stays inside the sampled loss range
         from stablepac.bound import gibbs_estimates, gibbs_weights
-        from stablepac.experiment import (
-            _cell_chain_seed,
-            _batch_empirical_losses,
-        )
-        from stablepac.mcmc import ChainConfig, mh_sample
+        from stablepac.experiment import _batch_empirical_losses
 
         data = generate_dataset(0, 20)
-        chain = mh_sample(
-            stability_truncated_log_prior(0.02, 0.995),
-            np.zeros(PARAM_DIM),
-            ChainConfig(steps=350, burn_in=50, thin=1, proposal_std=0.05,
-                        seed=_cell_chain_seed(0, 0, 20)),
-        )
-        (losses,) = _batch_empirical_losses(chain.samples, data.inputs, data.outputs, [20])
+        cfg = ExperimentConfig(n_grid=(20,), n_f=300, chain=ChainSettings(burn_in=50))
+        thetas = _prior_cloud(cfg, 0)
+        (losses,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [20])
         beta = gibbs_weights(losses, math.sqrt(20))
         _, _, post = gibbs_estimates(beta, losses)
         assert float(np.min(losses)) <= post <= float(np.max(losses))
 
     def test_retained_samples_certified_and_finite(self):
         from stablepac.bound import psi1_exponent
-        from stablepac.experiment import (
-            _cell_chain_seed,
-            build_reference_generator,
-            certify_cloud,
-        )
-        from stablepac.mcmc import ChainConfig, mh_sample
+        from stablepac.experiment import build_reference_generator, certify_cloud
         from stablepac.mixing import generator_data_constants
 
-        chain = mh_sample(
-            stability_truncated_log_prior(0.02, 0.995),
-            np.zeros(PARAM_DIM),
-            ChainConfig(steps=400, burn_in=100, thin=1, proposal_std=0.05,
-                        seed=_cell_chain_seed(0, 1, 30)),
-        )
+        cfg = ExperimentConfig(n_grid=(30,), n_f=300, chain=ChainSettings(burn_in=100))
         dc = generator_data_constants(build_reference_generator(), 1.27)
-        consts, gh, l_ell, s0_norm = certify_cloud(chain.samples, dc, 0.995)
+        consts, gh, l_ell, s0_norm = certify_cloud(_prior_cloud(cfg, 1), dc, 0.995)
         assert np.all(consts.tau < 0.995)
         lambda_ = math.sqrt(30)
         psi1 = psi1_exponent(lambda_, 30, l_ell, dc, gh)
@@ -408,8 +443,6 @@ class TestRunExperiment:
         assert np.array_equal(batch, ref)
 
     def test_cell_chain_seeds_distinct_across_base_seeds(self):
-        from stablepac.experiment import _cell_chain_seed
-
         # (base_seed=b, seed=s) used to share the chain of (b-1, s+1)
         assert _cell_chain_seed(1, 0, 100) != _cell_chain_seed(0, 1, 100)
         cells = [
@@ -449,20 +482,25 @@ class TestRunExperiment:
             _batch_empirical_losses(np.zeros((4, PARAM_DIM)), data.inputs, data.outputs, ns)
 
     def test_one_chain_per_seed(self, monkeypatch):
+        # Each seed opens one stream for its data and then one for its chain,
+        # seeded with the cell seed of the largest n.
         import stablepac.experiment as experiment
-        from stablepac.experiment import _cell_chain_seed
 
         seeds = []
-        real = experiment.mh_sample
+        real = experiment.seeded_rng
 
-        def counted(log_density, init, cfg):
-            seeds.append(cfg.seed)
-            return real(log_density, init, cfg)
+        def recorded(seed):
+            seeds.append(seed)
+            return real(seed)
 
-        monkeypatch.setattr(experiment, "mh_sample", counted)
+        monkeypatch.setattr(experiment, "seeded_rng", recorded)
         run_experiment(SMALL)
         n_max = SMALL.n_grid[-1]
-        assert seeds == [_cell_chain_seed(0, s, n_max) for s in range(SMALL.n_seeds)]
+        assert seeds == [
+            seed
+            for s in range(SMALL.n_seeds)
+            for seed in (s, _cell_chain_seed(0, s, n_max))
+        ]
 
     def test_one_certification_per_seed(self, monkeypatch):
         import stablepac.experiment as experiment
@@ -496,8 +534,6 @@ class TestRunExperiment:
             run_seed(SMALL, 0, generate_dataset(0, 19))
 
     def test_chain_seeds_differ_from_data_seeds(self):
-        from stablepac.experiment import _cell_chain_seed
-
         # A shared PCG64 stream would make the prior depend on the data.
         data_seeds = set(range(10))
         for b in (0, 1, 1000):
