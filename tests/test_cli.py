@@ -245,12 +245,13 @@ def test_nonpositive_number_is_usage_error(
         (["constants", "--model"], {"A": [[0.5, 0.1, 0.0], [0.1, 0.2, 0.0]]}, "square"),
         (["check-stability", "--model"], {"sigma_f": "gelu"}, "activation"),
         (["data-constants", "--model"], "{", "Expecting"),
-        (["experiment", "--out", "out", "--config"], None, "No such file"),
+        (["experiment", "--config"], None, "No such file"),
     ],
     ids=["missing", "no-B", "non-square", "gelu", "not-json", "missing-config"],
 )
-def test_bad_input_file_is_usage_error(argv, content, message, generator_path, tmp_path,
-                                       capsys):
+def test_bad_input_file_is_usage_error(
+    argv, content, message, generator_path, tmp_path, capsys
+):
     # content: None writes no file, a dict edits the reference generator's
     # model (a None value drops the key), a string is the file's text.
     path = tmp_path / "input.json"
@@ -260,8 +261,8 @@ def test_bad_input_file_is_usage_error(argv, content, message, generator_path, t
         path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
     elif content is not None:
         path.write_text(content)
-    argv = [str(tmp_path / a) if a == "out" else a for a in argv]
-    assert main(argv + [str(path)]) == 2
+    out = ["--out", str(tmp_path / "out")] if argv[0] == "experiment" else []
+    assert main(argv + [str(path)] + out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and message in err
     assert not (tmp_path / "out").exists()
