@@ -13,6 +13,16 @@ def eig_spectral_norm(m):
     return math.sqrt(max(np.max(np.linalg.eigvalsh(m.T @ m)), 0.0))
 
 
+def autocorrelation_time(x):
+    """Integrated autocorrelation time, summed up to the first lag whose
+    autocorrelation is not positive."""
+    x = x - x.mean()
+    spectrum = np.fft.rfft(x, 2 * x.size)
+    acf = np.fft.irfft(spectrum * np.conj(spectrum))[: x.size] / float(x @ x)
+    cut = int(np.argmax(acf <= 0.0))
+    return 1.0 + 2.0 * float(acf[1:cut].sum())
+
+
 def random_contractive_system(rng, n_s=None, n_v=None, n_y=None, tau_range=(0.2, 0.95)):
     """Random block certified by the contraction condition, with scaled A."""
     n_s = n_s or int(rng.integers(1, 4))

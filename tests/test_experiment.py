@@ -32,6 +32,8 @@ from stablepac.experiment import (
 )
 from stablepac.numerics import spectral_norm_2x2
 
+from helpers import autocorrelation_time
+
 
 
 def reference_batch_losses(thetas, inputs, labels):
@@ -300,16 +302,6 @@ class TestConfig:
         assert ExperimentConfig.from_dict(doc) == cfg
 
 
-def _autocorrelation_time(x):
-    """Integrated autocorrelation time, summed up to the first lag whose
-    autocorrelation is not positive."""
-    x = x - x.mean()
-    spectrum = np.fft.rfft(x, 2 * x.size)
-    acf = np.fft.irfft(spectrum * np.conj(spectrum))[: x.size] / float(x @ x)
-    cut = int(np.argmax(acf <= 0.0))
-    return 1.0 + 2.0 * float(acf[1:cut].sum())
-
-
 class TestStabilityTruncatedPrior:
     """``_prior_cloud`` samples the Gaussian prior truncated to tau < tau_max."""
 
@@ -323,7 +315,7 @@ class TestStabilityTruncatedPrior:
         # prior_sigma2; dropping the 1/2 of the log density would halve it.
         cfg = ExperimentConfig(n_grid=(1,), n_seeds=1, n_f=10_000)
         s = np.mean(_prior_cloud(cfg, 0) ** 2, axis=1)
-        ess = s.size / _autocorrelation_time(s)
+        ess = s.size / autocorrelation_time(s)
         assert ess >= 100
         stderr = math.sqrt(float(np.var(s)) / ess)
         assert abs(float(np.mean(s)) - cfg.prior_sigma2) < 4.0 * stderr
