@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import GainPair, StabilityConstants
-from .errors import InvalidConfidenceError, NotStableError
+from .errors import InvalidConfidenceError
 from .mixing import DataConstants
 from .numerics import log_mean_exp
 
@@ -88,8 +88,6 @@ def psi2_exponent(
     """
     if lambda_ <= 0 or n < 1:
         raise ValueError("lambda must be positive and n >= 1")
-    if np.any(c.tau >= 1.0):
-        raise NotStableError(f"tau = {c.tau} >= 1", value=float(np.max(c.tau)))
     inner = 2.0 * b_q * gh.h + s0_norm * c.l_gs / (1.0 - c.tau)
     return (2.0 * lambda_ * l_ell * c.c / n) * inner
 

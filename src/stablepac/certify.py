@@ -113,8 +113,9 @@ def series_compose(c1: StabilityConstants, c2: StabilityConstants) -> StabilityC
 
 
 def gain_pair(c: StabilityConstants) -> GainPair:
-    """Derived gains g and h of a certificate (tau < 1 required), elementwise."""
-    if np.any(c.tau >= 1.0):
-        raise NotStableError(f"tau = {c.tau} >= 1", value=float(np.max(c.tau)))
+    """Derived gains g and h of a certificate, elementwise.
+
+    StabilityConstants guarantees tau < 1, so both denominators are positive.
+    """
     core = c.l_gs * c.l_v / (1.0 - c.tau)
     return GainPair(g=core + c.l_gv, h=core / (1.0 - c.tau))

@@ -19,6 +19,7 @@ from .dynsys import Trajectory, load_model, save_trajectory, simulate
 from .errors import ConfigError, NotStableError, StablepacError
 from .experiment import (
     ExperimentConfig,
+    emit_curves,
     generate_dataset,
     run_experiment,
     run_seed,
@@ -104,9 +105,7 @@ def _cmd_data_constants(args) -> int:
     doc = dataclasses.asdict(dc)
     cap = saturation_bound(sys_)
     doc["saturation_bound"] = cap
-    doc["b_q_effective"] = dataclasses.asdict(
-        generator_data_constants(sys_, args.e_inf)
-    )["b_q"]
+    doc["b_q_effective"] = generator_data_constants(sys_, args.e_inf).b_q
     _print_json(doc)
     return 0
 
@@ -142,8 +141,6 @@ def _cmd_bound(args) -> int:
     (report,) = run_seed(cfg, args.seed, data)
     _print_json(dataclasses.asdict(report))
     if args.out is not None:
-        from .experiment import emit_curves
-
         emit_curves([report], args.out)
     return 0
 

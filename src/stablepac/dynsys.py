@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import ConfigError, NotStableError
+from .errors import ConfigError
 from .numerics import check_finite_matrix
 
 if TYPE_CHECKING:
@@ -42,29 +42,25 @@ _ACTIVATION_TABLE: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float]] =
 
 @dataclass(frozen=True)
 class Activation:
-    """Elementwise activation with its global Lipschitz constant."""
+    """Elementwise activation; its global Lipschitz constant comes from the table."""
 
     kind: str
-    lipschitz: float
 
     def __post_init__(self):
         if self.kind not in _ACTIVATION_TABLE:
             raise ValueError(f"unknown activation kind {self.kind!r}")
-        if self.lipschitz != _ACTIVATION_TABLE[self.kind][1]:
-            raise ValueError(
-                f"lipschitz constant {self.lipschitz} does not match table value "
-                f"for {self.kind!r}"
-            )
+
+    @property
+    def lipschitz(self) -> float:
+        return _ACTIVATION_TABLE[self.kind][1]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return _ACTIVATION_TABLE[self.kind][0](x)
 
 
 def activation(kind: str) -> Activation:
-    """Build an Activation with the table Lipschitz constant for ``kind``."""
-    if kind not in _ACTIVATION_TABLE:
-        raise ValueError(f"unknown activation kind {kind!r}")
-    return Activation(kind, _ACTIVATION_TABLE[kind][1])
+    """Activation of ``kind``; unknown kinds raise ValueError."""
+    return Activation(kind)
 
 
 @dataclass(frozen=True)
@@ -213,10 +209,6 @@ def burn_in_length(consts: "StabilityConstants", s0_bound: float, tol: float) ->
         raise ValueError("tol must be positive")
     if s0_bound < 0:
         raise ValueError("s0_bound must be nonnegative")
-    if consts.tau >= 1.0:
-        raise NotStableError(
-            f"contraction factor tau={consts.tau} >= 1", value=consts.tau
-        )
     factor = consts.c * (s0_bound + consts.c / (1.0 - consts.tau))
     if factor <= tol:
         return 0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certify import GainPair, StabilityConstants, gain_pair
 from .dynsys import RnnSystem, Trajectory, simulate
-from .errors import ConfigError, NotStableError
+from .errors import ConfigError
 from .mixing import DataConstants
 
 
@@ -109,7 +109,5 @@ def transient_gap_bound(
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if c.tau >= 1.0:
-        raise NotStableError(f"tau = {c.tau} >= 1", value=c.tau)
     h = gain_pair(c).h
     return (l_ell * c.c / n) * (2.0 * b_q * h + s0_norm * c.l_gs / (1.0 - c.tau))

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .certify import StabilityConstants, rnn_constants
+from .certify import StabilityConstants, gain_pair, rnn_constants
 from .dynsys import RnnSystem
-from .errors import NotStableError
 
 
 @dataclass(frozen=True)
@@ -36,22 +35,15 @@ class DataConstants:
 def data_constants(gen: StabilityConstants, e_inf: float) -> DataConstants:
     """Distribution constants of the generator's steady-state output process.
 
-        b_q       = 2 * e_inf * (l_gv + l_v*l_gs/(1-tau))
-        theta_bar = 2 * e_inf * l_v*l_gs/(1-tau)^2
+        b_q       = 2 * e_inf * g
+        theta_bar = 2 * e_inf * h
 
-    where l_v is the generator's input-to-state gain and l_gs, l_gv its
-    output Lipschitz constants.
+    where g and h are the generator's gain pair (see certify.gain_pair).
     """
     if e_inf <= 0:
         raise ValueError("e_inf must be positive")
-    if gen.tau >= 1.0:
-        raise NotStableError(f"tau = {gen.tau} >= 1", value=gen.tau)
-    core = gen.l_v * gen.l_gs / (1.0 - gen.tau)
-    return DataConstants(
-        b_q=2.0 * e_inf * (gen.l_gv + core),
-        theta_bar=2.0 * e_inf * core / (1.0 - gen.tau),
-        e_inf=e_inf,
-    )
+    gh = gain_pair(gen)
+    return DataConstants(b_q=2.0 * e_inf * gh.g, theta_bar=2.0 * e_inf * gh.h, e_inf=e_inf)
 
 
 def saturation_bound(sys: RnnSystem) -> float | None:

@@ -6,9 +6,11 @@ helpers or in the benchmark harness.  Unit tests of the function itself do
 not count: public API that only its own tests call is dead weight.  Exported
 classes are exempt, since they are the argument and result types of the
 functions checked here.  Exported error classes must be raised somewhere in
-the package: an exception that nothing raises is dead weight too.
+the package: an exception that nothing raises is dead weight too.  Every
+name a package module imports must be used in that module.
 """
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -58,3 +60,28 @@ def test_every_exported_error_is_raised():
         if obj is not StablepacError and not re.search(rf"\braise {name}\b", text):
             never_raised.append(name)
     assert not never_raised, f"exported but never raised in the package: {never_raised}"
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        names = []
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [(a.asname or a.name).split(".")[0] for a in node.names]
+                # blank the statement so its own names do not count as uses
+                for i in range(node.lineno - 1, node.end_lineno):
+                    lines[i] = "\n"
+        body = "".join(lines)
+        unused += [
+            f"{path.name}: {name}"
+            for name in names
+            if not re.search(rf"\b{re.escape(name)}\b", body)
+        ]
+    assert not unused, f"imported but never used: {unused}"

@@ -29,6 +29,37 @@ def random_constants(rng, tau_min=0.0):
     )
 
 
+_VALID = dict(c=1.0, tau=0.5, l_v=1.0, l_gs=1.0, l_gv=1.0)
+
+
+class TestStabilityConstants:
+    # The certificate type is the only guard on tau < 1: gain_pair, the bound
+    # exponents, burn_in_length and data_constants rely on it.
+    @pytest.mark.parametrize("form", ["scalar", "array"])
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("tau", 1.0),
+            ("tau", 1.5),
+            ("tau", -0.1),
+            ("tau", math.nan),
+            ("tau", math.inf),
+            ("c", 0.5),
+            ("c", math.inf),
+            ("l_v", -1e-12),
+            ("l_gs", math.inf),
+            ("l_gv", math.nan),
+        ],
+    )
+    def test_invalid_field_rejected(self, form, field, bad):
+        fields = dict(_VALID, **{field: bad})
+        if form == "array":
+            # the bad value sits among valid ones, as in certify_cloud's arrays
+            fields = {k: np.array([_VALID[k], v, _VALID[k]]) for k, v in fields.items()}
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            StabilityConstants(**fields)
+
+
 class TestRnnConstants:
     def test_reference_generator_against_eigen_oracle(self):
         gen = build_reference_generator()

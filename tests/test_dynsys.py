@@ -63,12 +63,6 @@ class TestActivation:
         assert activation("sigmoid").lipschitz == 0.25
         assert activation("identity").lipschitz == 1.0
 
-    def test_mismatched_constant_rejected(self):
-        from stablepac.dynsys import Activation
-
-        with pytest.raises(ValueError):
-            Activation("relu", 0.5)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             activation("softplus")

@@ -157,6 +157,20 @@ class TestDiscreteLyapunov:
         p = discrete_lyapunov(np.array([[0.5]]), np.array([[1.0]]))
         assert p[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("rho", [0.9999, 0.99999])
+    def test_spectral_radius_near_one(self, rho):
+        # 1/(1-rho^2) needs ~1e5..1e6 series terms; doubling needs 19 and 23 steps
+        p = discrete_lyapunov(np.array([[rho]]), np.array([[1.0]]))
+        assert p[0, 0] == pytest.approx(1.0 / (1.0 - rho * rho), rel=1e-9)
+
+    def test_stable_non_normal_with_large_solution(self):
+        # ||P|| ~ 2.5e13 exceeds the 1e12 divergence threshold, but every
+        # series term stays below it, so the series must still be summed
+        a = np.array([[0.99, 1e4], [0.0, 0.99]])
+        p = discrete_lyapunov(a, np.eye(2))
+        assert np.linalg.norm(p) > 1e13
+        assert np.linalg.norm(a.T @ p @ a - p + np.eye(2)) <= 1e-12 * np.linalg.norm(p)
+
     def test_unstable_rejected(self):
         with pytest.raises(InstabilityError):
             discrete_lyapunov(1.2 * np.eye(2), np.eye(2))
