@@ -54,7 +54,9 @@ PARAM_DIM = 14
 # Steady-state approximation tolerance used when generating data.
 _DATA_BURN_IN_TOL = 1e-9
 
-# Cap on the (steps, samples) buffer of tanh outputs in the cloud loss loop.
+# Cap on the elements of the cloud loss pass's buffers of steps, the
+# (steps, 3 * samples) pre-activations and the (steps, samples) squared
+# errors; a buffer holds at least one step.
 _LOSS_CHUNK_ELEMENTS = 1 << 14
 
 _RELU = activation("relu")
@@ -287,11 +289,15 @@ def _batch_empirical_losses(
     over the cloud: deterministic and independent of BLAS threading.  Agrees
     with per-sample empirical_loss.
 
-    The cloud advances as one (3, m) pre-activation array whose rows are the
-    next s0, the next s1 and the output, each element summed in the order
-    ``((k_s0*s0 + k_s1*s1) + k_x*x) + k_1``.  The tanh outputs of a chunk of
-    steps are kept, and their squared errors are added to the sums row by row
-    afterwards, in time order.
+    Only the state feeds back, so the per-step loop does only the affine map
+    and the ReLU.  Each step forms one flat 3m-vector whose blocks are the
+    next s0, the next s1 and the output pre-activation, each element summed
+    in the order ``((k_s0*s0 + k_s1*s1) + k_x*x) + k_1``, and applies the
+    ReLU to the first two blocks.  The state is kept as (s0, s1, s0, s1), so
+    its slices at offsets 0 and m line up with both products of every block
+    and no operand is broadcast.  The tanh and squared errors of a buffer of
+    steps then run as array operations, and the squares are added to the
+    running sums row by row in time order.
     """
     if (
         not ns
@@ -306,36 +312,44 @@ def _batch_empirical_losses(
     n_max = ns[-1]
     x = inputs[:n_max, 0]
     y = labels[:n_max, 0]
-    # Rows (next s0, next s1, output) of the coefficients of s0, s1, x and 1.
-    k_s0 = thetas[:, [0, 2, 8]].T.copy()
-    k_s1 = thetas[:, [1, 3, 9]].T.copy()
-    k_x = thetas[:, [4, 5, 10]].T.copy()
-    k_1 = thetas[:, [6, 7, 11]].T.copy()
-    state = thetas[:, 12:14].T.copy()
-    s0, s1 = state
-    pre = np.empty((3, m))
-    pre_s, pre_y = pre[:2], pre[2]
-    term = np.empty((3, m))
-    rows = max(1, _LOSS_CHUNK_ELEMENTS // max(m, 1))
-    yhat = np.empty((rows, m))
+    # Blocks (next s0, next s1, output) of the coefficients.  k_a multiplies
+    # the state slice (s0, s1, s0) and k_b the slice (s1, s0, s1); a sum of
+    # two terms is exact in either order.
+    th = thetas.T
+    k_a = np.concatenate([th[0], th[3], th[8]])
+    k_b = np.concatenate([th[1], th[2], th[9]])
+    k_x = np.concatenate([th[4], th[5], th[10]])
+    k_1 = np.concatenate([th[6], th[7], th[11]])
+    state = np.concatenate([th[12], th[13], th[12], th[13]])
+    state_a, state_b = state[: 3 * m], state[m:]
+    state_s, state_copy = state[: 2 * m], state[2 * m :]
+    rows = max(1, min(n_max, _LOSS_CHUNK_ELEMENTS // (4 * max(m, 1))))
+    pre = np.empty((rows, 3 * m))
+    steps = [(p, p[: 2 * m]) for p in pre]
+    term = np.empty(3 * m)
+    sq = np.empty((rows, m))
     acc = np.zeros(m)
     means = np.empty((len(ns), m))
     k = 0
     for start in range(0, n_max, rows):
-        x_chunk = x[start : start + rows]
-        chunk = yhat[: x_chunk.shape[0]]
-        for yhat_t, x_t in zip(chunk, x_chunk.tolist()):
-            np.multiply(k_s0, s0, out=pre)
-            np.multiply(k_s1, s1, out=term)
-            pre += term
+        x_chunk = x[start : start + rows].tolist()
+        for (p, p_s), x_t in zip(steps, x_chunk):
+            np.multiply(k_a, state_a, out=p)
+            np.multiply(k_b, state_b, out=term)
+            p += term
             np.multiply(k_x, x_t, out=term)
-            pre += term
-            pre += k_1
-            np.maximum(pre_s, 0.0, out=state)
-            np.tanh(pre_y, out=yhat_t)
-        chunk -= y[start : start + rows, None]
-        chunk *= chunk
-        for t, sq_t in enumerate(chunk, start + 1):
+            p += term
+            p += k_1
+            np.maximum(p_s, 0.0, out=state_s)
+            state_copy[...] = state_s
+        # The squared errors get a contiguous buffer of their own: numpy is
+        # slower on the strided output blocks of pre.
+        n_rows = len(x_chunk)
+        sq_chunk = sq[:n_rows]
+        np.tanh(pre[:n_rows, 2 * m :], out=sq_chunk)
+        sq_chunk -= y[start : start + n_rows, None]
+        sq_chunk *= sq_chunk
+        for t, sq_t in enumerate(sq_chunk, start + 1):
             acc += sq_t
             if t == ns[k]:
                 # The last snapshot is taken at the final step, n_max.
@@ -419,18 +433,33 @@ def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundRe
     return reports
 
 
+class ExperimentReports(list):
+    """``run_experiment``'s reports in cell order, with each seed's dataset.
+
+    ``datasets[seed]`` is the trajectory the seed's cells were evaluated on;
+    ``write_outputs`` writes it as that seed's trajectory file.
+    """
+
+    def __init__(self, reports: list[BoundReport], datasets: list[Trajectory]):
+        super().__init__(reports)
+        self.datasets = datasets
+
+
 def run_experiment(
     cfg: ExperimentConfig, progress: Callable[[str], None] | None = None
-) -> list[BoundReport]:
+) -> ExperimentReports:
     """Evaluate the bound over every (seed, n) cell in deterministic order.
 
     One data realisation per seed, sliced to prefixes for each n; a fresh
-    prior cloud is drawn per seed with a seed-specific chain seed.
+    prior cloud is drawn per seed with a seed-specific chain seed.  The
+    datasets are returned with the reports, so the result holds about
+    n_seeds * n_max * 16 bytes of data.
     """
     n_max = cfg.n_grid[-1]
-    reports = []
+    reports, datasets = [], []
     for seed in range(cfg.n_seeds):
         data = generate_dataset(seed, n_max, cfg.e_std, cfg.e_inf)
+        datasets.append(data)
         for report in run_seed(cfg, seed, data):
             reports.append(report)
             if progress is not None:
@@ -438,7 +467,7 @@ def run_experiment(
                     f"seed={seed} n={report.n} total={report.total:.4f} "
                     f"(loss={report.post_emp_loss:.4f} r_n={report.r_n:.4f})"
                 )
-    return reports
+    return ExperimentReports(reports, datasets)
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +532,16 @@ def emit_curves(reports: list[BoundReport], out_dir: str) -> tuple[str, str]:
 
 
 def write_outputs(
-    cfg: ExperimentConfig, reports: list[BoundReport], out_dir: str
+    cfg: ExperimentConfig, reports: ExperimentReports, out_dir: str
 ) -> None:
-    """Write the generator model, per-seed trajectories, and the report CSVs."""
+    """Write the generator model, per-seed trajectories, and the report CSVs.
+
+    ``reports`` is what ``run_experiment(cfg)`` returned; each seed's
+    trajectory file is written from the dataset it carries.
+    """
     os.makedirs(out_dir, exist_ok=True)
     save_model(build_reference_generator(), os.path.join(out_dir, "generator.json"))
-    n_max = cfg.n_grid[-1]
     for seed in range(cfg.n_seeds):
-        traj = generate_dataset(seed, n_max, cfg.e_std, cfg.e_inf)
-        save_trajectory(traj, os.path.join(out_dir, f"trajectory_seed{seed}.csv"))
+        path = os.path.join(out_dir, f"trajectory_seed{seed}.csv")
+        save_trajectory(reports.datasets[seed], path)
     emit_curves(reports, out_dir)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from stablepac import (
     build_reference_generator,
+    generator_data_constants,
     load_model,
     load_trajectory,
     rnn_constants,
@@ -98,6 +100,25 @@ class TestCheckStability:
 
 
 class TestDataConstants:
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_effective_b_q_matches_generator_data_constants(
+        self, tmp_path, capsys, capped
+    ):
+        # At e_inf = 2 the reference generator's b_q exceeds its sqrt(2) tanh
+        # cap; an identity output has no cap.
+        sys = build_reference_generator()
+        if not capped:
+            sys = dataclasses.replace(sys, sigma_g=activation("identity"))
+        path = _system_path(tmp_path, sys)
+        assert main(["data-constants", "--model", path, "--e-inf", "2.0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        expected = generator_data_constants(load_model(path), 2.0).b_q
+        assert doc["b_q_effective"] == expected
+        if capped:
+            assert doc["saturation_bound"] == expected < doc["b_q"]
+        else:
+            assert doc["saturation_bound"] is None and expected == doc["b_q"]
+
     def test_prints_constants(self, generator_path, capsys):
         assert main(
             ["data-constants", "--model", generator_path, "--e-inf", "1.27"]

@@ -19,10 +19,12 @@ from stablepac import (
     run_experiment,
     run_seed,
     save_model,
+    save_trajectory,
 )
 from stablepac.bound import psi2_exponent
 from stablepac.errors import ConfigError
 from stablepac.experiment import (
+    _LOSS_CHUNK_ELEMENTS,
     PARAM_DIM,
     ChainSettings,
     _cell_chain_seed,
@@ -421,10 +423,17 @@ class TestRunExperiment:
             ref = empirical_loss(LossSpec(kind="square"), sys, s0, data)
             assert batch[i] == pytest.approx(ref, rel=1e-12)
 
-    @pytest.mark.parametrize("m,n", [(300, 500), (4999, 40), (1, 3)])
+    @pytest.mark.parametrize(
+        "m,n",
+        [(300, 500), (4999, 40), (1, 3), (1300, 40), (_LOSS_CHUNK_ELEMENTS + 1, 4)],
+    )
     def test_batch_losses_match_step_loop(self, m, n):
-        # 300 samples over 500 steps span ten tanh buffers (54 steps each);
-        # 4999 samples leave 3 steps per buffer and a one-step remainder.
+        # A buffer holds 2**14 // (4 * m) steps, at least one and at most n:
+        # 300 samples over 500 steps span 39 buffers of 13 steps, the last
+        # of 6; 4999 samples take one step per buffer; one sample takes all
+        # 3 steps in one buffer; 1300 samples leave 3 steps per buffer and a
+        # one-step remainder; more samples than 2**14 take one step per
+        # buffer too.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(m)
@@ -448,21 +457,21 @@ class TestRunExperiment:
         assert all(_cell_chain_seed(0, s, n) == s * 1_000_003 + n for _, s, n in cells)
 
     def test_prefix_loss_rows_match_separate_passes(self):
-        # 300 samples give 2**14 // 300 = 54 steps per tanh buffer: n = 1,
-        # n on a buffer boundary (54, 108), n off it (77) and n_max.
+        # 300 samples give 2**14 // (4 * 300) = 13 steps per buffer: n = 1,
+        # n on a buffer boundary (13, 26), n off it (20) and n_max.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(31)
         data = generate_dataset(6, 500)
         thetas = rng.normal(0, 0.5, size=(300, PARAM_DIM))
-        ns = [1, 54, 77, 108, 500]
+        ns = [1, 13, 20, 26, 500]
         rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
         assert rows.shape == (len(ns), 300)
         for n, row in zip(ns, rows):
             (alone,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [n])
             assert np.array_equal(row, alone)
         assert np.array_equal(
-            rows[2], reference_batch_losses(thetas, data.inputs[:77], data.outputs[:77])
+            rows[2], reference_batch_losses(thetas, data.inputs[:20], data.outputs[:20])
         )
 
     @pytest.mark.parametrize("ns", [[], [0, 5], [5, 5], [9, 5], [5, 31]])
@@ -493,6 +502,29 @@ class TestRunExperiment:
             for s in range(SMALL.n_seeds)
             for seed in (s, _cell_chain_seed(0, s, n_max))
         ]
+
+    def test_one_dataset_per_seed(self, monkeypatch, tmp_path):
+        # write_outputs writes each seed's trajectory from the dataset
+        # run_experiment evaluated, without generating it again.
+        import stablepac.experiment as experiment
+
+        calls = []
+        real = experiment.generate_dataset
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "generate_dataset", counted)
+        out = tmp_path / "out"
+        write_outputs(SMALL, run_experiment(SMALL), str(out))
+        n_max = SMALL.n_grid[-1]
+        assert len(calls) == SMALL.n_seeds
+        for seed in range(SMALL.n_seeds):
+            ref = tmp_path / f"ref{seed}.csv"
+            save_trajectory(real(seed, n_max, SMALL.e_std, SMALL.e_inf), str(ref))
+            written = out / f"trajectory_seed{seed}.csv"
+            assert written.read_bytes() == ref.read_bytes()
 
     def test_one_certification_per_seed(self, monkeypatch):
         import stablepac.experiment as experiment
