@@ -43,20 +43,26 @@ def check_finite_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _power_iterate(gram: np.ndarray, v: np.ndarray) -> float:
-    """Largest eigenvalue estimate of a symmetric PSD matrix from one start vector."""
-    nrm = float(np.linalg.norm(v))
+    """Largest eigenvalue estimate of a symmetric PSD matrix from one start vector.
+
+    One Gram product per iteration: ``w = gram @ v`` of the Rayleigh quotient
+    is the next iteration's unnormalised iterate.  ``v`` and ``w`` are this
+    call's own buffers, so the caller's start vector is never written.
+    """
+    nrm = math.sqrt(v.dot(v))
     if nrm == 0.0:
         return 0.0
     v = v / nrm
+    w = gram @ v
     lam = 0.0
     for _ in range(_POWER_MAX_ITER):
-        w = gram @ v
-        wn = float(np.linalg.norm(w))
+        wn = math.sqrt(w.dot(w))
         if wn == 0.0:
             # v lies in the kernel; this start contributes nothing.
             return 0.0
-        v = w / wn
-        lam_new = float(v @ (gram @ v))
+        np.divide(w, wn, out=v)
+        np.matmul(gram, v, out=w)
+        lam_new = float(v.dot(w))
         if abs(lam_new - lam) <= _POWER_TOL * lam_new:
             return lam_new
         lam = lam_new

@@ -9,11 +9,67 @@ from stablepac import (
     InstabilityError,
     discrete_lyapunov,
     log_mean_exp,
+    numerics,
     seeded_rng,
     spectral_norm,
     truncated_gaussian,
 )
-from stablepac.numerics import spectral_norm_2x2
+from stablepac.experiment import build_reference_generator
+from stablepac.numerics import _power_iterate, spectral_norm_2x2
+
+
+def reference_spectral_norm(m):
+    """The two-product power iteration that ``_power_iterate`` replaced, kept verbatim."""
+
+    def power_iterate(gram, v):
+        nrm = float(np.linalg.norm(v))
+        if nrm == 0.0:
+            return 0.0
+        v = v / nrm
+        lam = 0.0
+        for _ in range(numerics._POWER_MAX_ITER):
+            w = gram @ v
+            wn = float(np.linalg.norm(w))
+            if wn == 0.0:
+                return 0.0
+            v = w / wn
+            lam_new = float(v @ (gram @ v))
+            if abs(lam_new - lam) <= numerics._POWER_TOL * lam_new:
+                return lam_new
+            lam = lam_new
+        return lam
+
+    m = np.asarray(m, dtype=float)
+    if m.size == 0:
+        return 0.0
+    gram = m.T @ m
+    n = gram.shape[0]
+    v_ones = np.ones(n)
+    v_harmonic = 1.0 / np.arange(1.0, n + 1.0)
+    lam = max(power_iterate(gram, v_ones), power_iterate(gram, v_harmonic))
+    return math.sqrt(max(lam, 0.0))
+
+
+def bit_identity_cases():
+    """Matrices on which the one-product loop must return the reference's bits."""
+    gen = build_reference_generator()
+    cases = [gen.a, gen.b, gen.c, gen.d]
+    rng = np.random.default_rng(20261018)
+    # 2x2 blocks at the MH chain's scale (prior std sqrt(0.02) ~ 0.14)
+    cases += [rng.normal(0.0, math.sqrt(0.02), size=(2, 2)) for _ in range(500)]
+    for scale in 10.0 ** np.arange(-8, 3):
+        for _ in range(40):
+            rows, cols = (int(k) for k in rng.integers(1, 9, size=2))
+            cases.append(scale * rng.normal(0.0, 1.0, size=(rows, cols)))
+    cases += [
+        np.zeros((3, 2)),
+        np.eye(3),
+        np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0, 2.0]),
+        np.array([[1.0, -1.0]]),  # all-ones start in the kernel: the wn == 0 exit
+        np.diag([1.0, 1.0 - 1e-9]),
+        np.array([[0.99, 1e4], [0.0, 0.99]]),
+    ]
+    return cases
 
 
 class TestSpectralNorm:
@@ -60,6 +116,29 @@ class TestSpectralNorm:
             spectral_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             spectral_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+class TestOneProductPowerIteration:
+    def test_bit_identical_to_reference(self):
+        for m in bit_identity_cases():
+            assert spectral_norm(m) == reference_spectral_norm(m), m
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_bit_identical_at_iteration_cap(self, cap, monkeypatch):
+        # the cap is read at call time by both loops
+        monkeypatch.setattr(numerics, "_POWER_MAX_ITER", cap)
+        for m in bit_identity_cases():
+            assert spectral_norm(m) == reference_spectral_norm(m), m
+
+    def test_caller_arrays_not_written(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(0.0, 1.0, size=(3, 3))
+        gram = m.T @ m
+        for start in (np.ones(3), 1.0 / np.arange(1.0, 4.0)):
+            gram_before, start_before = gram.copy(), start.copy()
+            _power_iterate(gram, start)
+            assert np.array_equal(gram, gram_before)
+            assert np.array_equal(start, start_before)
 
 
 class TestSpectralNorm2x2:
