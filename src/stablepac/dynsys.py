@@ -30,13 +30,26 @@ if TYPE_CHECKING:
 # simulate's outputs and save_trajectory's row lists.
 _CHUNK_ROWS = 4096
 
-# kind -> (elementwise map, global Lipschitz constant)
-_ACTIVATION_TABLE: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float]] = {
-    "relu": (lambda x: np.maximum(x, 0.0), 1.0),
-    "tanh": (np.tanh, 1.0),
+# A read-only 0-d zero for the ReLU: numpy converts a Python 0.0 operand
+# anew on every call, which doubles the cost of a ufunc call on a small array.
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
+def _sigmoid(x, out=None):
     # 0.5*(1+tanh(x/2)) is the logistic function, stable for large |x|
-    "sigmoid": (lambda x: 0.5 * (1.0 + np.tanh(0.5 * x)), 0.25),
-    "identity": (lambda x: x, 1.0),
+    t = np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    return np.multiply(np.add(t, 1.0, out=out), 0.5, out=out)
+
+
+# kind -> (elementwise map, global Lipschitz constant).  Each map takes an
+# optional ``out`` array, as a ufunc does, so a step loop can write into its
+# own buffers.
+_ACTIVATION_TABLE: dict[str, tuple[Callable[..., np.ndarray], float]] = {
+    "relu": (lambda x, out=None: np.maximum(x, _ZERO, out=out), 1.0),
+    "tanh": (np.tanh, 1.0),
+    "sigmoid": (_sigmoid, 0.25),
+    "identity": (lambda x, out=None: np.positive(x, out=out), 1.0),
 }
 
 
@@ -165,8 +178,16 @@ def simulate(
     states = np.empty((n + 1, sys.n_s))
     np.matmul(sys.b, x3, out=states[1:, :, None])
     states[0] = s
+    # Each step sums (A s(t) + B v(t)) + b_s in a buffer of its own, and the
+    # activation, looked up once, writes the result into row t+1.
+    sigma_f = _ACTIVATION_TABLE[sys.sigma_f.kind][0]
+    a, b_s = sys.a, sys.b_s
+    buf = np.empty(sys.n_s)
     for s_t, next_row in zip(states, states[1:]):
-        next_row[...] = sys.sigma_f(sys.a @ s_t + next_row + sys.b_s)
+        np.matmul(a, s_t, out=buf)
+        buf += next_row
+        buf += b_s
+        sigma_f(buf, out=next_row)
     states = states[:n]
     outputs = np.empty((n, sys.n_y))
     for start in range(0, n, _CHUNK_ROWS):
@@ -284,22 +305,19 @@ def save_trajectory(traj: Trajectory, path: str) -> None:
 
     The bytes are those of ``csv.writer``: no field needs quoting (finite
     float reprs contain no comma, quote or line break) and rows end in
-    ``\\r\\n``.  Rows are formatted in chunks to bound the memory of the
-    intermediate lists.
+    ``\\r\\n``.  One row template, filled from each chunk's columns as
+    lists, formats every row; chunks bound the memory of those lists.
     """
     m, p = traj.inputs.shape[1], traj.outputs.shape[1]
     header = ["t"] + [f"x_{i}" for i in range(m)] + [f"y_{i}" for i in range(p)]
+    row = ("{}" + ",{!r}" * (m + p) + "\r\n").format
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, traj.length, _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            rows = np.hstack((traj.inputs[start:stop], traj.outputs[start:stop]))
-            fh.write(
-                "".join(
-                    f"{t},{','.join(map(repr, row))}\r\n"
-                    for t, row in enumerate(rows.tolist(), start)
-                )
-            )
+            stop = min(start + _CHUNK_ROWS, traj.length)
+            columns = traj.inputs[start:stop].T.tolist()
+            columns += traj.outputs[start:stop].T.tolist()
+            fh.write("".join(map(row, range(start, stop), *columns)))
 
 
 def load_trajectory(path: str) -> Trajectory:

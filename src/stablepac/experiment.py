@@ -33,6 +33,7 @@ from .bound import (
 )
 from .certify import GainPair, StabilityConstants, gain_pair, rnn_constants
 from .dynsys import (
+    _ZERO,
     RnnSystem,
     Trajectory,
     activation,
@@ -290,14 +291,17 @@ def _batch_empirical_losses(
     with per-sample empirical_loss.
 
     Only the state feeds back, so the per-step loop does only the affine map
-    and the ReLU.  Each step forms one flat 3m-vector whose blocks are the
-    next s0, the next s1 and the output pre-activation, each element summed
-    in the order ``((k_s0*s0 + k_s1*s1) + k_x*x) + k_1``, and applies the
-    ReLU to the first two blocks.  The state is kept as (s0, s1, s0, s1), so
-    its slices at offsets 0 and m line up with both products of every block
-    and no operand is broadcast.  The tanh and squared errors of a buffer of
-    steps then run as array operations, and the squares are added to the
-    running sums row by row in time order.
+    and the ReLU.  Each step has one flat 3m-vector whose blocks are the
+    next s0, the next s1 and the output pre-activation.  The input products
+    k_x*x of a buffer of steps are formed per buffer, in one array
+    operation; each step adds the state terms and then k_1 to its vector,
+    so every element is summed in the order
+    ``((k_s0*s0 + k_s1*s1) + k_x*x) + k_1`` (one IEEE addition commutes),
+    and applies the ReLU to the first two blocks.  The state is kept as
+    (s0, s1, s0, s1), so its slices at offsets 0 and m line up with both
+    products of every block and no operand is broadcast.  The tanh and
+    squared errors of a buffer of steps then run as array operations, and
+    the squares are added to the running sums row by row in time order.
     """
     if (
         not ns
@@ -327,29 +331,30 @@ def _batch_empirical_losses(
     pre = np.empty((rows, 3 * m))
     steps = [(p, p[: 2 * m]) for p in pre]
     term = np.empty(3 * m)
+    term_b = np.empty(3 * m)
     sq = np.empty((rows, m))
+    sq_rows = list(sq)
     acc = np.zeros(m)
     means = np.empty((len(ns), m))
     k = 0
     for start in range(0, n_max, rows):
-        x_chunk = x[start : start + rows].tolist()
-        for (p, p_s), x_t in zip(steps, x_chunk):
-            np.multiply(k_a, state_a, out=p)
-            np.multiply(k_b, state_b, out=term)
-            p += term
-            np.multiply(k_x, x_t, out=term)
+        n_rows = min(rows, n_max - start)
+        np.multiply(x[start : start + n_rows, None], k_x, out=pre[:n_rows])
+        for p, p_s in steps[:n_rows]:
+            np.multiply(k_a, state_a, out=term)
+            np.multiply(k_b, state_b, out=term_b)
+            term += term_b
             p += term
             p += k_1
-            np.maximum(p_s, 0.0, out=state_s)
+            np.maximum(p_s, _ZERO, out=state_s)
             state_copy[...] = state_s
         # The squared errors get a contiguous buffer of their own: numpy is
         # slower on the strided output blocks of pre.
-        n_rows = len(x_chunk)
         sq_chunk = sq[:n_rows]
         np.tanh(pre[:n_rows, 2 * m :], out=sq_chunk)
         sq_chunk -= y[start : start + n_rows, None]
         sq_chunk *= sq_chunk
-        for t, sq_t in enumerate(sq_chunk, start + 1):
+        for t, sq_t in enumerate(sq_rows[:n_rows], start + 1):
             acc += sq_t
             if t == ns[k]:
                 # The last snapshot is taken at the final step, n_max.

@@ -24,6 +24,7 @@ from stablepac import (
     truncated_gaussian,
 )
 from stablepac.certify import StabilityConstants
+from stablepac.dynsys import _ACTIVATION_TABLE, _CHUNK_ROWS
 from helpers import random_contractive_system
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
@@ -71,6 +72,37 @@ class TestActivation:
         sig = activation("sigmoid")
         x = np.linspace(-30, 30, 101)
         assert np.allclose(sig(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ACTIVATIONS)
+    def test_out_argument_gives_equal_results(self, kind):
+        fn = _ACTIVATION_TABLE[kind][0]
+        rng = np.random.default_rng(60)
+        x = np.concatenate(
+            [[-0.0, 0.0, 5e-324, -5e-324, 40.0, -40.0], rng.normal(0, 3, size=200)]
+        )
+        x_before = x.copy()
+        plain = fn(x)
+        out = np.full_like(x, np.nan)
+        returned = fn(x, out=out)
+        assert returned is out
+        assert np.array_equal(out, plain)
+        assert np.array_equal(np.signbit(out), np.signbit(plain))
+        assert np.array_equal(x, x_before)
+
+    def test_maps_keep_their_formulas_bit_for_bit(self):
+        x = np.concatenate(
+            [[-0.0, 0.0, 5e-324, -40.0], np.random.default_rng(61).normal(0, 3, size=200)]
+        )
+        expected = {
+            "relu": np.maximum(x, 0.0),
+            "tanh": np.tanh(x),
+            "sigmoid": 0.5 * (1.0 + np.tanh(0.5 * x)),
+            "identity": x,
+        }
+        for kind, want in expected.items():
+            got = activation(kind)(x)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestSimulate:
@@ -161,6 +193,40 @@ class TestSimulate:
                     ref_states, ref_outputs = reference_simulate(sys, s0, inputs)
                     assert np.array_equal(states, ref_states)
                     assert np.array_equal(outputs, ref_outputs)
+
+    @pytest.mark.parametrize("kind", ACTIVATIONS)
+    def test_long_run_across_output_chunks_matches_step_loop(self, kind):
+        # Two full output chunks and a 3-row remainder, with the same kind
+        # for the state and the output map.
+        rng = np.random.default_rng(40 + ACTIVATIONS.index(kind))
+        base = random_contractive_system(rng, n_s=3, n_v=2, n_y=2)
+        sys = RnnSystem(
+            a=base.a, b=base.b, b_s=base.b_s, c=base.c, d=base.d, b_y=base.b_y,
+            sigma_f=activation(kind), sigma_g=activation(kind),
+        )
+        s0 = rng.normal(size=3)
+        inputs = rng.uniform(-2, 2, size=(2 * _CHUNK_ROWS + 3, 2))
+        states, outputs = simulate(sys, s0, inputs)
+        ref_states, ref_outputs = reference_simulate(sys, s0, inputs)
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(outputs, ref_outputs)
+
+    @pytest.mark.parametrize("kind", ACTIVATIONS)
+    def test_caller_arrays_not_written(self, kind):
+        rng = np.random.default_rng(50)
+        base = random_contractive_system(rng, n_s=2, n_v=2, n_y=1)
+        sys = RnnSystem(
+            a=base.a, b=base.b, b_s=base.b_s, c=base.c, d=base.d, b_y=base.b_y,
+            sigma_f=activation(kind), sigma_g=activation(kind),
+        )
+        s0 = rng.normal(size=2)
+        inputs = rng.uniform(-2, 2, size=(50, 2))
+        s0_before, inputs_before = s0.copy(), inputs.copy()
+        states, _ = simulate(sys, s0, inputs)
+        assert np.array_equal(s0, s0_before)
+        assert np.array_equal(inputs, inputs_before)
+        # Every recorded state is the system's own, not the caller's s0.
+        assert not np.shares_memory(states, s0)
 
     def test_series_matches_lockstep_loop(self):
         rng = np.random.default_rng(12)

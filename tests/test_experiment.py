@@ -425,7 +425,14 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "m,n",
-        [(300, 500), (4999, 40), (1, 3), (1300, 40), (_LOSS_CHUNK_ELEMENTS + 1, 4)],
+        [
+            (300, 500),
+            (4999, 40),
+            (1, 3),
+            (1300, 40),
+            (_LOSS_CHUNK_ELEMENTS + 1, 4),
+            (1, 9000),
+        ],
     )
     def test_batch_losses_match_step_loop(self, m, n):
         # A buffer holds 2**14 // (4 * m) steps, at least one and at most n:
@@ -433,7 +440,9 @@ class TestRunExperiment:
         # of 6; 4999 samples take one step per buffer; one sample takes all
         # 3 steps in one buffer; 1300 samples leave 3 steps per buffer and a
         # one-step remainder; more samples than 2**14 take one step per
-        # buffer too.
+        # buffer too; one sample over 9000 steps spans three buffers of up
+        # to 4096 steps, where a sum over a buffer's steps in one reduction
+        # would be pairwise, not in time order.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(m)
@@ -473,6 +482,21 @@ class TestRunExperiment:
         assert np.array_equal(
             rows[2], reference_batch_losses(thetas, data.inputs[:20], data.outputs[:20])
         )
+
+    def test_one_sample_prefix_rows_sum_in_time_order(self):
+        # One sample gives 4096-step buffers: n = 1, 5 and 17 inside the
+        # first, n on its last step and on the next buffer's first, and n_max
+        # in the third.  Each row must equal the step loop over its prefix.
+        from stablepac.experiment import _batch_empirical_losses
+
+        rng = np.random.default_rng(32)
+        data = generate_dataset(7, 9000)
+        thetas = rng.normal(0, 0.5, size=(1, PARAM_DIM))
+        ns = [1, 5, 17, 4096, 4097, 9000]
+        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        for n, row in zip(ns, rows):
+            ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
+            assert np.array_equal(row, ref), n
 
     @pytest.mark.parametrize("ns", [[], [0, 5], [5, 5], [9, 5], [5, 31]])
     def test_bad_prefix_lengths_rejected(self, ns):
