@@ -49,7 +49,6 @@ from .experiment import (
     ExperimentConfig,
     build_reference_generator,
     generate_dataset,
-    predictor_from_theta,
     run_experiment,
     run_seed,
 )

@@ -25,7 +25,7 @@ from .experiment import (
     run_seed,
     write_outputs,
 )
-from .mixing import data_constants, saturation_bound
+from .mixing import data_constants, generator_data_constants, saturation_bound
 from .numerics import seeded_rng, truncated_gaussian
 
 
@@ -101,13 +101,9 @@ def _cmd_check_stability(args) -> int:
 
 def _cmd_data_constants(args) -> int:
     sys_ = load_model(args.model)
-    dc = data_constants(rnn_constants(sys_), args.e_inf)
-    doc = dataclasses.asdict(dc)
-    cap = saturation_bound(sys_)
-    doc["saturation_bound"] = cap
-    # The cap replaces b_q only where it is smaller, as in
-    # generator_data_constants.
-    doc["b_q_effective"] = dc.b_q if cap is None else min(dc.b_q, cap)
+    doc = dataclasses.asdict(data_constants(rnn_constants(sys_), args.e_inf))
+    doc["saturation_bound"] = saturation_bound(sys_)
+    doc["b_q_effective"] = generator_data_constants(sys_, args.e_inf).b_q
     _print_json(doc)
     return 0
 

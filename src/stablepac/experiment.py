@@ -47,10 +47,22 @@ from .loss import LossSpec, loss_lipschitz
 from .mixing import DataConstants, generator_data_constants
 from .numerics import seeded_rng, spectral_norm, spectral_norm_2x2, truncated_gaussian
 
-# Parameter vector layout of the benchmark predictor (two states, scalar
-# input and output, ReLU/tanh): A row-major (4), B (2), b_s (2), C (2),
-# D (1), b_y (1), s0 (2).
-PARAM_DIM = 14
+# Blocks of the benchmark predictor's parameter vector in order, each row-major:
+# RnnSystem's weights under their field names, then the initial state s0.
+_PARAM_BLOCKS = {"a": (2, 2), "b": (2, 1), "b_s": (2,), "c": (1, 2), "d": (1, 1),
+                 "b_y": (1,), "s0": (2,)}
+
+
+def _block_slices(shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, slice], int]:
+    """Consecutive slices of named blocks in table order, and their total size."""
+    slices, stop = {}, 0
+    for name, shape in shapes.items():
+        slices[name] = slice(stop, stop + math.prod(shape))
+        stop = slices[name].stop
+    return slices, stop
+
+
+_PARAM_SLICES, PARAM_DIM = _block_slices(_PARAM_BLOCKS)
 
 # Steady-state approximation tolerance used when generating data.
 _DATA_BURN_IN_TOL = 1e-9
@@ -106,24 +118,6 @@ def generate_dataset(
     _, outputs = simulate(gen, np.zeros(gen.n_s), noise)
     window = outputs[burn:]
     return Trajectory(inputs=window[:, 1:2], outputs=window[:, 0:1])
-
-
-def predictor_from_theta(theta: np.ndarray) -> tuple[RnnSystem, np.ndarray]:
-    """Unflatten a 14-vector into the benchmark predictor and its initial state."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (PARAM_DIM,):
-        raise ValueError(f"parameter vector must have shape ({PARAM_DIM},)")
-    sys = RnnSystem(
-        a=theta[0:4].reshape(2, 2),
-        b=theta[4:6].reshape(2, 1),
-        b_s=theta[6:8],
-        c=theta[8:10].reshape(1, 2),
-        d=theta[10:11].reshape(1, 1),
-        b_y=theta[11:12],
-        sigma_f=_RELU,
-        sigma_g=_TANH,
-    )
-    return sys, theta[12:14]
 
 
 def _require_int(name: str, value) -> None:
@@ -261,6 +255,7 @@ def _prior_cloud(cfg: ExperimentConfig, seed: int) -> np.ndarray:
     """
     chain = cfg.chain
     rng = seeded_rng(_cell_chain_seed(chain.base_seed, seed, cfg.n_grid[-1]))
+    a_cols, a_shape = _PARAM_SLICES["a"], _PARAM_BLOCKS["a"]
     theta = np.zeros(PARAM_DIM)
     log_p = 0.0
     cloud = np.empty((cfg.n_f, PARAM_DIM))
@@ -268,7 +263,7 @@ def _prior_cloud(cfg: ExperimentConfig, seed: int) -> np.ndarray:
     for step in range(1, chain.burn_in + cfg.n_f * chain.thin + 1):
         prop = theta + chain.proposal_std * rng.normal(size=PARAM_DIM)
         u = rng.uniform()
-        if spectral_norm(prop[0:4].reshape(2, 2)) < cfg.tau_max:
+        if spectral_norm(prop[a_cols].reshape(a_shape)) < cfg.tau_max:
             log_q = -0.5 * float(prop @ prop) / cfg.prior_sigma2
             if log_q >= log_p or (u > 0.0 and math.log(u) < log_q - log_p):
                 theta, log_p = prop, log_q
@@ -276,6 +271,12 @@ def _prior_cloud(cfg: ExperimentConfig, seed: int) -> np.ndarray:
             cloud[kept] = theta
             kept += 1
     return cloud
+
+
+def _cloud_blocks(thetas: np.ndarray) -> dict[str, np.ndarray]:
+    """Every block of a (samples, PARAM_DIM) cloud, one row per weight in
+    row-major order: the rows of "a" are A[0, 0], A[0, 1], A[1, 0], A[1, 1]."""
+    return {name: thetas[:, cols].T for name, cols in _PARAM_SLICES.items()}
 
 
 def _batch_empirical_losses(
@@ -319,12 +320,13 @@ def _batch_empirical_losses(
     # Blocks (next s0, next s1, output) of the coefficients.  k_a multiplies
     # the state slice (s0, s1, s0) and k_b the slice (s1, s0, s1); a sum of
     # two terms is exact in either order.
-    th = thetas.T
-    k_a = np.concatenate([th[0], th[3], th[8]])
-    k_b = np.concatenate([th[1], th[2], th[9]])
-    k_x = np.concatenate([th[4], th[5], th[10]])
-    k_1 = np.concatenate([th[6], th[7], th[11]])
-    state = np.concatenate([th[12], th[13], th[12], th[13]])
+    w = _cloud_blocks(thetas)
+    a, c, s0 = w["a"], w["c"], w["s0"]
+    k_a = np.concatenate([a[0], a[3], c[0]])
+    k_b = np.concatenate([a[1], a[2], c[1]])
+    k_x = np.concatenate([*w["b"], *w["d"]])
+    k_1 = np.concatenate([*w["b_s"], *w["b_y"]])
+    state = np.concatenate([*s0, *s0])
     state_a, state_b = state[: 3 * m], state[m:]
     state_s, state_copy = state[: 2 * m], state[2 * m :]
     rows = max(1, min(n_max, _LOSS_CHUNK_ELEMENTS // (4 * max(m, 1))))
@@ -374,7 +376,8 @@ def certify_cloud(
     so their spectral norms are Euclidean norms and an absolute value;
     ||A||_2 has a closed form.  Every sample must satisfy tau < tau_max.
     """
-    a = thetas[:, 0:4].T
+    w = _cloud_blocks(thetas)
+    a, b, c, s0 = w["a"], w["b"], w["c"], w["s0"]
     tau = _RELU.lipschitz * spectral_norm_2x2(a[0], a[1], a[2], a[3])
     bad = np.flatnonzero(tau >= tau_max)
     if bad.size:
@@ -386,13 +389,13 @@ def certify_cloud(
     consts = StabilityConstants(
         c=1.0,
         tau=tau,
-        l_v=_RELU.lipschitz * np.hypot(thetas[:, 4], thetas[:, 5]),
-        l_gs=_TANH.lipschitz * np.hypot(thetas[:, 8], thetas[:, 9]),
-        l_gv=_TANH.lipschitz * np.abs(thetas[:, 10]),
+        l_v=_RELU.lipschitz * np.hypot(b[0], b[1]),
+        l_gs=_TANH.lipschitz * np.hypot(c[0], c[1]),
+        l_gv=_TANH.lipschitz * np.abs(w["d"][0]),
     )
     gh = gain_pair(consts)
     l_ell = loss_lipschitz(_SQUARE_LOSS, dc, gh)
-    return consts, gh, l_ell, np.hypot(thetas[:, 12], thetas[:, 13])
+    return consts, gh, l_ell, np.hypot(s0[0], s0[1])
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundReport]:

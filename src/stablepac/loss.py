@@ -63,6 +63,14 @@ def loss_lipschitz(spec: LossSpec, data: DataConstants, gh: GainPair) -> float:
     return spec.classes * (2.0 * data.b_q * gh.g + math.log(spec.classes) + 2.0)
 
 
+def _mean_loss(spec: LossSpec, outputs: np.ndarray, preds: np.ndarray) -> float:
+    # One running sum in time order, so both losses agree bit for bit on a window.
+    acc = 0.0
+    for y, yhat in zip(outputs, preds):
+        acc += loss_value(spec, y, yhat)
+    return acc / len(outputs)
+
+
 def empirical_loss(
     spec: LossSpec, pred_sys: RnnSystem, s0: np.ndarray, data: Trajectory
 ) -> float:
@@ -70,10 +78,7 @@ def empirical_loss(
     if data.inputs.shape[1] != pred_sys.n_v:
         raise ValueError("predictor input dimension does not match trajectory")
     _, preds = simulate(pred_sys, s0, data.inputs)
-    acc = 0.0
-    for t in range(data.length):
-        acc += loss_value(spec, data.outputs[t], preds[t])
-    return acc / data.length
+    return _mean_loss(spec, data.outputs, preds)
 
 
 def infinite_horizon_loss(
@@ -90,11 +95,7 @@ def infinite_horizon_loss(
     if data_with_prefix.inputs.shape[1] != pred_sys.n_v:
         raise ValueError("predictor input dimension does not match trajectory")
     _, preds = simulate(pred_sys, np.zeros(pred_sys.n_s), data_with_prefix.inputs)
-    acc = 0.0
-    n = data_with_prefix.length - burn_in
-    for t in range(burn_in, data_with_prefix.length):
-        acc += loss_value(spec, data_with_prefix.outputs[t], preds[t])
-    return acc / n
+    return _mean_loss(spec, data_with_prefix.outputs[burn_in:], preds[burn_in:])
 
 
 def transient_gap_bound(

@@ -5,12 +5,23 @@ import math
 import numpy as np
 
 from stablepac import RnnSystem, activation
+from stablepac.experiment import _PARAM_BLOCKS, _PARAM_SLICES
 
 
 def eig_spectral_norm(m):
     """Independent oracle: largest singular value from an eigen-solve of m.T m."""
     m = np.asarray(m, dtype=float)
     return math.sqrt(max(np.max(np.linalg.eigvalsh(m.T @ m)), 0.0))
+
+
+def benchmark_predictor(theta):
+    """The benchmark's ReLU/tanh predictor and initial state from a parameter vector."""
+    blocks = {
+        name: theta[_PARAM_SLICES[name]].reshape(shape)
+        for name, shape in _PARAM_BLOCKS.items()
+    }
+    s0 = blocks.pop("s0")
+    return RnnSystem(**blocks, sigma_f=activation("relu"), sigma_g=activation("tanh")), s0
 
 
 def autocorrelation_time(x):

@@ -1,9 +1,11 @@
 """Every exported function must have a user outside its own module.
 
 A function in ``stablepac.__all__`` counts as used when its name appears in
-another module of the package, in the acceptance gate, in the shared test
-helpers or in the benchmark harness.  Unit tests of the function itself do
-not count: public API that only its own tests call is dead weight.  Exported
+another module of the package, in the acceptance gate or in the shared test
+helpers.  Unit tests of the function itself do not count: public API that
+only its own tests call is dead weight.  Nor does the benchmark harness: its
+trace table names functions to time, and a stale entry there would keep a
+deleted function's export alive.  Exported
 classes are exempt, since they are the argument and result types of the
 functions checked here.  Exported error classes must be raised somewhere in
 the package: an exception that nothing raises is dead weight too.  Every
@@ -29,7 +31,6 @@ def _user_files():
     yield from PACKAGE.glob("*.py")
     yield ROOT / "tests" / "test_acceptance.py"
     yield ROOT / "tests" / "helpers.py"
-    yield from (ROOT / "perfbench").rglob("*.py")
 
 
 def test_every_exported_function_has_a_user():

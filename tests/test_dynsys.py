@@ -14,7 +14,6 @@ from stablepac import (
     infinite_horizon_loss,
     load_model,
     load_trajectory,
-    predictor_from_theta,
     rnn_constants,
     save_model,
     save_trajectory,
@@ -25,7 +24,7 @@ from stablepac import (
 )
 from stablepac.certify import StabilityConstants
 from stablepac.dynsys import _ACTIVATION_TABLE, _CHUNK_ROWS
-from helpers import random_contractive_system
+from helpers import benchmark_predictor, random_contractive_system
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 
@@ -345,7 +344,7 @@ class TestSteadyState:
 
     def test_burn_in_too_long_rejected(self):
         # the steady-state loss window must keep at least one step
-        pred, _ = predictor_from_theta(np.zeros(14))
+        pred, _ = benchmark_predictor(np.zeros(14))
         data = Trajectory(inputs=np.zeros((5, 1)), outputs=np.zeros((5, 1)))
         square = LossSpec(kind="square")
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -14,7 +15,6 @@ from stablepac import (
     data_constants,
     generate_dataset,
     load_model,
-    predictor_from_theta,
     rnn_constants,
     run_experiment,
     run_seed,
@@ -34,7 +34,7 @@ from stablepac.experiment import (
 )
 from stablepac.numerics import spectral_norm_2x2
 
-from helpers import autocorrelation_time
+from helpers import autocorrelation_time, benchmark_predictor
 
 
 
@@ -153,13 +153,13 @@ class TestParameterVector:
         rng = np.random.default_rng(2)
         for _ in range(100):
             theta = rng.normal(0, 0.2, size=PARAM_DIM)
-            sys, s0 = predictor_from_theta(theta)
+            sys, s0 = benchmark_predictor(theta)
             flat = [sys.a, sys.b, sys.b_s, sys.c, sys.d, sys.b_y, s0]
             assert np.array_equal(np.concatenate([m.ravel() for m in flat]), theta)
 
     def test_layout(self):
         theta = np.arange(14.0)
-        sys, s0 = predictor_from_theta(theta)
+        sys, s0 = benchmark_predictor(theta)
         assert np.array_equal(sys.a, [[0.0, 1.0], [2.0, 3.0]])
         assert np.array_equal(sys.b, [[4.0], [5.0]])
         assert np.array_equal(sys.b_s, [6.0, 7.0])
@@ -168,9 +168,39 @@ class TestParameterVector:
         assert np.array_equal(sys.b_y, [11.0])
         assert np.array_equal(s0, [12.0, 13.0])
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            predictor_from_theta(np.zeros(13))
+    def test_experiment_reads_blocks_only_through_the_table(self):
+        # A hand-written index into a parameter vector would fix a second
+        # copy of the layout; every block is read through _PARAM_SLICES.
+        def int_literal(node):
+            try:
+                return isinstance(ast.literal_eval(node), int)
+            except ValueError:
+                return False
+
+        def literal_index(node):
+            if isinstance(node, ast.Tuple):
+                return any(literal_index(elt) for elt in node.elts)
+            if isinstance(node, ast.Slice):
+                bounds = (node.lower, node.upper, node.step)
+                return any(b is not None and int_literal(b) for b in bounds)
+            return int_literal(node)
+
+        path = Path(__file__).resolve().parent.parent / "src" / "stablepac" / "experiment.py"
+        source = path.read_text(encoding="utf-8")
+        sites = []
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Subscript):
+                continue
+            vector = node.value
+            if isinstance(vector, ast.Attribute) and vector.attr == "T":
+                vector = vector.value
+            if (
+                isinstance(vector, ast.Name)
+                and vector.id in {"theta", "thetas", "th", "prop"}
+                and literal_index(node.slice)
+            ):
+                sites.append(f"{node.lineno}: {ast.get_source_segment(source, node)}")
+        assert not sites, f"parameter vector indexed by hand: {sorted(sites)}"
 
 
 class TestConfig:
@@ -419,7 +449,7 @@ class TestRunExperiment:
         thetas = rng.normal(0, 0.14, size=(20, PARAM_DIM))
         (batch,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [30])
         for i in range(20):
-            sys, s0 = predictor_from_theta(thetas[i])
+            sys, s0 = benchmark_predictor(thetas[i])
             ref = empirical_loss(LossSpec(kind="square"), sys, s0, data)
             assert batch[i] == pytest.approx(ref, rel=1e-12)
 
@@ -645,7 +675,7 @@ class TestCloudCertificate:
             for n in (5, 50)
         }
         for i, theta in enumerate(thetas):
-            sys, s0 = predictor_from_theta(theta)
+            sys, s0 = benchmark_predictor(theta)
             ref = rnn_constants(sys)
             for name in ("l_v", "l_gs", "l_gv"):
                 assert getattr(arr, name)[i] == pytest.approx(getattr(ref, name), rel=1e-12)

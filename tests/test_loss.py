@@ -16,13 +16,12 @@ from stablepac import (
     infinite_horizon_loss,
     loss_lipschitz,
     loss_value,
-    predictor_from_theta,
     rnn_constants,
     simulate,
     transient_gap_bound,
 )
 
-from helpers import zero_bias_contractive_predictor
+from helpers import benchmark_predictor, zero_bias_contractive_predictor
 
 SQUARE = LossSpec(kind="square")
 
@@ -97,7 +96,7 @@ class TestEmpiricalLoss:
     def test_determinism_on_benchmark_sample(self):
         data = generate_dataset(0, 30)
         rng = np.random.default_rng(17)
-        sys, s0 = predictor_from_theta(rng.normal(0, 0.14, size=14))
+        sys, s0 = benchmark_predictor(rng.normal(0, 0.14, size=14))
         a = empirical_loss(SQUARE, sys, s0, data)
         b = empirical_loss(SQUARE, sys, s0, data)
         assert a == b
@@ -106,7 +105,7 @@ class TestEmpiricalLoss:
         # time order matters: shifting the trajectory changes the value
         data = generate_dataset(3, 40)
         rng = np.random.default_rng(18)
-        sys, s0 = predictor_from_theta(rng.normal(0, 0.14, size=14))
+        sys, s0 = benchmark_predictor(rng.normal(0, 0.14, size=14))
         shifted = Trajectory(
             inputs=np.roll(data.inputs, 7, axis=0),
             outputs=np.roll(data.outputs, 7, axis=0),
@@ -125,7 +124,7 @@ class TestInfiniteHorizonLoss:
     def test_zero_burn_in_equals_empirical_from_origin(self):
         data = generate_dataset(5, 50)
         rng = np.random.default_rng(19)
-        sys, _ = predictor_from_theta(rng.normal(0, 0.14, size=14))
+        sys, _ = benchmark_predictor(rng.normal(0, 0.14, size=14))
         assert infinite_horizon_loss(SQUARE, sys, data, 0) == empirical_loss(
             SQUARE, sys, np.zeros(2), data
         )
@@ -133,7 +132,7 @@ class TestInfiniteHorizonLoss:
     def test_steady_state_start_closes_the_gap(self):
         data = generate_dataset(6, 120)
         rng = np.random.default_rng(20)
-        sys, _ = predictor_from_theta(rng.normal(0, 0.14, size=14))
+        sys, _ = benchmark_predictor(rng.normal(0, 0.14, size=14))
         burn = 60
         window = Trajectory(inputs=data.inputs[burn:], outputs=data.outputs[burn:])
         states, _ = simulate(sys, np.zeros(2), data.inputs)
