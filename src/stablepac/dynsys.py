@@ -13,6 +13,7 @@ burn-in prefix whose length is derived from the contraction certificate.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -179,12 +180,21 @@ def simulate(
     np.matmul(sys.b, x3, out=states[1:, :, None])
     states[0] = s
     # Each step sums (A s(t) + B v(t)) + b_s in a buffer of its own, and the
-    # activation, looked up once, writes the result into row t+1.
+    # activation, looked up once, writes the result into row t+1.  A s(t) is
+    # ``a.dot``, one BLAS call with less dispatch than ``np.matmul``, on a C-
+    # or F-contiguous A as stored, where the two round alike.  dot copies
+    # any other layout first, which rounds differently, so a strided A keeps
+    # matmul.  (A one-element A is a scalar to dot, whose product keeps a
+    # -0.0; B v is never -0.0, so the sum with it is the same.)
     sigma_f = _ACTIVATION_TABLE[sys.sigma_f.kind][0]
     a, b_s = sys.a, sys.b_s
+    if a.flags.c_contiguous or a.flags.f_contiguous:
+        a_times = a.dot
+    else:
+        a_times = functools.partial(np.matmul, a)
     buf = np.empty(sys.n_s)
     for s_t, next_row in zip(states, states[1:]):
-        np.matmul(a, s_t, out=buf)
+        a_times(s_t, buf)
         buf += next_row
         buf += b_s
         sigma_f(buf, out=next_row)
@@ -305,19 +315,22 @@ def save_trajectory(traj: Trajectory, path: str) -> None:
 
     The bytes are those of ``csv.writer``: no field needs quoting (finite
     float reprs contain no comma, quote or line break) and rows end in
-    ``\\r\\n``.  One row template, filled from each chunk's columns as
-    lists, formats every row; chunks bound the memory of those lists.
+    ``\\r\\n``.  Each chunk's columns are lists of floats, whose ``repr``
+    is the floats' own reprs joined by ", " (none contains a comma), so one
+    split per column gives its fields from C; rows are the fields joined by
+    commas.  Chunks bound the memory of those lists.
     """
     m, p = traj.inputs.shape[1], traj.outputs.shape[1]
     header = ["t"] + [f"x_{i}" for i in range(m)] + [f"y_{i}" for i in range(p)]
-    row = ("{}" + ",{!r}" * (m + p) + "\r\n").format
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, traj.length, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, traj.length)
             columns = traj.inputs[start:stop].T.tolist()
             columns += traj.outputs[start:stop].T.tolist()
-            fh.write("".join(map(row, range(start, stop), *columns)))
+            fields = [repr(col)[1:-1].split(", ") for col in columns]
+            rows = map(",".join, zip(map(str, range(start, stop)), *fields))
+            fh.write("\r\n".join(rows) + "\r\n")
 
 
 def load_trajectory(path: str) -> Trajectory:

@@ -301,8 +301,16 @@ def _batch_empirical_losses(
     and applies the ReLU to the first two blocks.  The state is kept as
     (s0, s1, s0, s1), so its slices at offsets 0 and m line up with both
     products of every block and no operand is broadcast.  The tanh and
-    squared errors of a buffer of steps then run as array operations, and
-    the squares are added to the running sums row by row in time order.
+    squared errors of a buffer of steps then run as array operations.
+
+    The squares are added to the running sums in time order, with one
+    reduction over axis 0 per stretch of steps between snapshots: the block
+    reduced is the running sum followed by the stretch's rows, and numpy
+    adds the rows of a C-ordered block one after another.  A single column
+    would be summed pairwise instead, so the sums buffer has at least two
+    columns.  A stretch of one step is one in-place addition: the same sum
+    without copying the running sum in.  Every stretch is one step when a
+    buffer holds one step, as it does for more than 2048 samples.
     """
     if (
         not ns
@@ -334,17 +342,20 @@ def _batch_empirical_losses(
     steps = [(p, p[: 2 * m]) for p in pre]
     term = np.empty(3 * m)
     term_b = np.empty(3 * m)
-    sq = np.empty((rows, m))
-    sq_rows = list(sq)
-    acc = np.zeros(m)
+    # Row j >= 1 of sums holds the squared errors of the buffer's j-th step;
+    # a stretch's first row receives the running sum before its reduction.
+    sums = np.zeros((rows + 1, max(m, 2)))
+    sums_rows = list(sums)
+    squares = sums[1:, :m]
+    acc = np.zeros(sums.shape[1])
     means = np.empty((len(ns), m))
     k = 0
     for start in range(0, n_max, rows):
         n_rows = min(rows, n_max - start)
-        np.multiply(x[start : start + n_rows, None], k_x, out=pre[:n_rows])
+        np.multiply(x[start : start + n_rows, None], k_x, pre[:n_rows])
         for p, p_s in steps[:n_rows]:
-            np.multiply(k_a, state_a, out=term)
-            np.multiply(k_b, state_b, out=term_b)
+            np.multiply(k_a, state_a, term)
+            np.multiply(k_b, state_b, term_b)
             term += term_b
             p += term
             p += k_1
@@ -352,16 +363,24 @@ def _batch_empirical_losses(
             state_copy[...] = state_s
         # The squared errors get a contiguous buffer of their own: numpy is
         # slower on the strided output blocks of pre.
-        sq_chunk = sq[:n_rows]
-        np.tanh(pre[:n_rows, 2 * m :], out=sq_chunk)
+        sq_chunk = squares[:n_rows]
+        np.tanh(pre[:n_rows, 2 * m :], sq_chunk)
         sq_chunk -= y[start : start + n_rows, None]
         sq_chunk *= sq_chunk
-        for t, sq_t in enumerate(sq_rows[:n_rows], start + 1):
-            acc += sq_t
-            if t == ns[k]:
-                # The last snapshot is taken at the final step, n_max.
-                np.divide(acc, t, out=means[k])
+        # Stretches end at each snapshot in the buffer and at its last step;
+        # the last snapshot is taken at the final step, n_max.
+        first = 0
+        while first < n_rows:
+            last = min(ns[k], start + n_rows) - start
+            if last - first == 1:
+                acc += sums_rows[last]
+            else:
+                sums_rows[first][...] = acc
+                np.add.reduce(sums[first : last + 1], 0, None, acc)
+            if start + last == ns[k]:
+                np.divide(acc[:m], ns[k], means[k])
                 k += 1
+            first = last
     return means
 
 
@@ -421,6 +440,13 @@ def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundRe
             psi2_exponent(lambda_, n, l_ell, consts, dc.b_q, gh, s0_norm),
         )
         beta = gibbs_weights(losses, lambda_)
+        underflows = int(np.count_nonzero(beta == 0.0))
+        if underflows:
+            raise ConfigError(
+                f"lambda={lambda_!r} is too large at n={n} on seed {seed}: "
+                f"exp(-lambda*loss) underflows to 0 for {underflows} of "
+                f"{losses.size} prior samples"
+            )
         z_hat, kl, post_emp_loss = gibbs_estimates(beta, losses)
         r_n = pac_bound(lambda_, cfg.delta, kl, ph)
         reports.append(
@@ -464,6 +490,16 @@ def run_experiment(
     n_seeds * n_max * 16 bytes of data.
     """
     n_max = cfg.n_grid[-1]
+    # A chain seeded like a data seed would draw the prior from that seed's
+    # data stream; with base seed 0 that is seed 0's chain when n_max < n_seeds.
+    for seed in range(cfg.n_seeds):
+        chain_seed = _cell_chain_seed(cfg.chain.base_seed, seed, n_max)
+        if chain_seed < cfg.n_seeds:
+            raise ConfigError(
+                f"the prior chain of seed {seed} would reuse the stream of data "
+                f"seed {chain_seed}; with n_seeds={cfg.n_seeds}, use a largest n "
+                f"of at least n_seeds or a chain.base_seed above 0"
+            )
     reports, datasets = [], []
     for seed in range(cfg.n_seeds):
         data = generate_dataset(seed, n_max, cfg.e_std, cfg.e_inf)

@@ -199,6 +199,17 @@ class TestBoundCommand:
         assert capsys.readouterr().err.startswith("error: n_grid")
 
 
+    def test_underflowing_weights_exit_2(self, tmp_path, capsys):
+        cfg = {"n_f": 50, "chain": {"burn_in": 20}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(
+            ["bound", "--config", str(cfg_path), "--n", "20", "--lambda", "1e5"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lambda=100000.0 is too large at n=20 on seed 0")
+        assert "Traceback" not in err
+
     def test_bad_lambda_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--n", "5", "--lambda", "abc"])

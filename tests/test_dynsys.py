@@ -42,6 +42,21 @@ def reference_simulate(sys, s0, inputs):
     return states, outputs
 
 
+def assert_same_bits(got, want):
+    """Equal shapes and equal bytes: unlike ==, tells -0.0 from +0.0."""
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def with_kinds(base, kind_f, kind_g, **arrays):
+    """``base`` with the given activation kinds and any weights replaced."""
+    weights = {f: getattr(base, f) for f in ("a", "b", "b_s", "c", "d", "b_y")}
+    weights.update(arrays)
+    return RnnSystem(
+        **weights, sigma_f=activation(kind_f), sigma_g=activation(kind_g)
+    )
+
+
 def reference_save_trajectory(traj, path):
     """One csv.writer row per step: the bytes save_trajectory must reproduce."""
     m, p = traj.inputs.shape[1], traj.outputs.shape[1]
@@ -153,7 +168,7 @@ class TestSimulate:
         for t in range(5):
             ref[t] = np.tanh(c @ s + d @ e[t] + by)
             s = np.maximum(a @ s + b @ e[t] + bs, 0.0)
-        assert np.array_equal(ref, out)
+        assert_same_bits(out, ref)
 
         # plain scalar arithmetic agrees to the last ulp
         s0 = s1 = 0.0
@@ -170,8 +185,8 @@ class TestSimulate:
         e = truncated_gaussian(seeded_rng(4), 1.0, 1.27, 20_000).reshape(10_000, 2)
         states, outputs = simulate(gen, np.zeros(2), e)
         ref_states, ref_outputs = reference_simulate(gen, np.zeros(2), e)
-        assert np.array_equal(states, ref_states)
-        assert np.array_equal(outputs, ref_outputs)
+        assert_same_bits(states, ref_states)
+        assert_same_bits(outputs, ref_outputs)
 
     @pytest.mark.parametrize("kind_f", ACTIVATIONS)
     @pytest.mark.parametrize("kind_g", ACTIVATIONS)
@@ -181,17 +196,13 @@ class TestSimulate:
             for n_v in range(1, 5):
                 for n_y in range(1, 5):
                     base = random_contractive_system(rng, n_s=n_s, n_v=n_v, n_y=n_y)
-                    sys = RnnSystem(
-                        a=base.a, b=base.b, b_s=base.b_s, c=base.c, d=base.d,
-                        b_y=base.b_y, sigma_f=activation(kind_f),
-                        sigma_g=activation(kind_g),
-                    )
+                    sys = with_kinds(base, kind_f, kind_g)
                     s0 = rng.normal(size=n_s)
                     inputs = rng.uniform(-2, 2, size=(40, n_v))
                     states, outputs = simulate(sys, s0, inputs)
                     ref_states, ref_outputs = reference_simulate(sys, s0, inputs)
-                    assert np.array_equal(states, ref_states)
-                    assert np.array_equal(outputs, ref_outputs)
+                    assert_same_bits(states, ref_states)
+                    assert_same_bits(outputs, ref_outputs)
 
     @pytest.mark.parametrize("kind", ACTIVATIONS)
     def test_long_run_across_output_chunks_matches_step_loop(self, kind):
@@ -199,25 +210,64 @@ class TestSimulate:
         # for the state and the output map.
         rng = np.random.default_rng(40 + ACTIVATIONS.index(kind))
         base = random_contractive_system(rng, n_s=3, n_v=2, n_y=2)
-        sys = RnnSystem(
-            a=base.a, b=base.b, b_s=base.b_s, c=base.c, d=base.d, b_y=base.b_y,
-            sigma_f=activation(kind), sigma_g=activation(kind),
-        )
+        sys = with_kinds(base, kind, kind)
         s0 = rng.normal(size=3)
         inputs = rng.uniform(-2, 2, size=(2 * _CHUNK_ROWS + 3, 2))
         states, outputs = simulate(sys, s0, inputs)
         ref_states, ref_outputs = reference_simulate(sys, s0, inputs)
-        assert np.array_equal(states, ref_states)
-        assert np.array_equal(outputs, ref_outputs)
+        assert_same_bits(states, ref_states)
+        assert_same_bits(outputs, ref_outputs)
+
+    @pytest.mark.parametrize("kind", ACTIVATIONS)
+    @pytest.mark.parametrize("layout,n_s", [("F", 2), ("F", 3), ("strided", 3)])
+    def test_a_stepped_as_stored(self, kind, layout, n_s):
+        # An F-ordered A, and a strided view that is neither C- nor
+        # F-contiguous: a C-ordered copy of either rounds differently in
+        # about half of such runs.
+        rng = np.random.default_rng(60 + n_s)
+        for _ in range(20):
+            base = random_contractive_system(rng, n_s=n_s, n_v=2, n_y=2)
+            if layout == "F":
+                a = np.asfortranarray(base.a)
+            else:
+                a = rng.normal(size=(2 * n_s, 2 * n_s))[::2, ::2]
+                a[...] = base.a
+            sys = with_kinds(base, kind, kind, a=a)
+            assert sys.a.flags.f_contiguous == (layout == "F")
+            assert not sys.a.flags.c_contiguous
+            s0 = rng.normal(size=n_s)
+            inputs = rng.uniform(-2, 2, size=(200, 2))
+            states, outputs = simulate(sys, s0, inputs)
+            ref_states, ref_outputs = reference_simulate(sys, s0, inputs)
+            assert_same_bits(states, ref_states)
+            assert_same_bits(outputs, ref_outputs)
+
+    @pytest.mark.parametrize("kind", ACTIVATIONS)
+    @pytest.mark.parametrize("n_s", [1, 2, 3])
+    def test_signed_zero_preactivations_match_step_loop(self, kind, n_s):
+        # Zero biases of both signs, zero inputs and a state of signed
+        # zeros: with sigma(0) = 0, every pre-activation is exactly +0.0 or
+        # -0.0, and the sign of each zero must come out as the step loop's.
+        rng = np.random.default_rng(80 + n_s)
+        signed_zeros = np.array([-0.0, 0.0, -0.0])[:n_s]
+        for _ in range(10):
+            base = random_contractive_system(rng, n_s=n_s, n_v=1, n_y=2)
+            sys = with_kinds(
+                base, kind, kind, b_s=signed_zeros, b_y=np.array([-0.0, 0.0])
+            )
+            inputs = np.zeros((5, 1))
+            states, outputs = simulate(sys, signed_zeros, inputs)
+            ref_states, ref_outputs = reference_simulate(sys, signed_zeros, inputs)
+            assert_same_bits(states, ref_states)
+            assert_same_bits(outputs, ref_outputs)
+            if kind != "sigmoid":
+                assert np.all(states == 0.0) and np.all(outputs == 0.0)
 
     @pytest.mark.parametrize("kind", ACTIVATIONS)
     def test_caller_arrays_not_written(self, kind):
         rng = np.random.default_rng(50)
         base = random_contractive_system(rng, n_s=2, n_v=2, n_y=1)
-        sys = RnnSystem(
-            a=base.a, b=base.b, b_s=base.b_s, c=base.c, d=base.d, b_y=base.b_y,
-            sigma_f=activation(kind), sigma_g=activation(kind),
-        )
+        sys = with_kinds(base, kind, kind)
         s0 = rng.normal(size=2)
         inputs = rng.uniform(-2, 2, size=(50, 2))
         s0_before, inputs_before = s0.copy(), inputs.copy()
@@ -237,8 +287,9 @@ class TestSimulate:
             stacked, mid, out = simulate_series(sys1, sys2, s01, s02, inputs)
             st1, ref_mid = reference_simulate(sys1, s01, inputs)
             st2, ref_out = reference_simulate(sys2, s02, ref_mid)
-            assert np.array_equal(stacked, np.hstack([st1, st2]))
-            assert np.array_equal(mid, ref_mid) and np.array_equal(out, ref_out)
+            assert_same_bits(stacked, np.hstack([st1, st2]))
+            assert_same_bits(mid, ref_mid)
+            assert_same_bits(out, ref_out)
 
     def test_series_dimension_mismatch_rejected(self):
         gen = build_reference_generator()
@@ -440,3 +491,13 @@ class TestModelFiles:
         assert np.array_equal(loaded.inputs, traj.inputs)
         assert np.array_equal(loaded.outputs, traj.outputs)
         assert np.signbit(loaded.inputs[0, 0])
+
+    @pytest.mark.parametrize("n", [1, _CHUNK_ROWS + 1])
+    def test_trajectory_file_with_one_row_chunk(self, tmp_path, n):
+        # A trajectory of one row, and a last chunk of one row.
+        rng = np.random.default_rng(11)
+        traj = Trajectory(inputs=rng.normal(size=(n, 2)), outputs=rng.normal(size=(n, 1)))
+        path, ref_path = tmp_path / "traj.csv", tmp_path / "ref.csv"
+        save_trajectory(traj, str(path))
+        reference_save_trajectory(traj, str(ref_path))
+        assert path.read_bytes() == ref_path.read_bytes()

@@ -528,6 +528,27 @@ class TestRunExperiment:
             ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
             assert np.array_equal(row, ref), n
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_few_sample_prefix_rows_match_step_loop_bytes(self, m):
+        # A buffer holds 2**14 // (4 * m) steps: 4096, 2048 and 1365.  The
+        # snapshots fall on the first two steps, inside the first buffer, on
+        # the last and the first step at both buffer boundaries (one-step
+        # stretches among them) and inside the third buffer.  numpy sums a
+        # one-column block pairwise, so these sample counts are where a
+        # reduction over a stretch could leave time order.
+        from stablepac.experiment import _batch_empirical_losses
+
+        rows = _LOSS_CHUNK_ELEMENTS // (4 * m)
+        ns = [1, 2, 7, rows, rows + 1, rows + 2, 2 * rows, 2 * rows + 1, 2 * rows + 50]
+        rng = np.random.default_rng(40 + m)
+        data = generate_dataset(8, ns[-1])
+        thetas = rng.normal(0, 0.5, size=(m, PARAM_DIM))
+        got = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        assert got.shape == (len(ns), m)
+        for n, row in zip(ns, got):
+            ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
+            assert row.tobytes() == ref.tobytes(), n
+
     @pytest.mark.parametrize("ns", [[], [0, 5], [5, 5], [9, 5], [5, 31]])
     def test_bad_prefix_lengths_rejected(self, ns):
         from stablepac.experiment import _batch_empirical_losses
@@ -535,6 +556,52 @@ class TestRunExperiment:
         data = generate_dataset(6, 30)
         with pytest.raises(ValueError, match="prefix lengths"):
             _batch_empirical_losses(np.zeros((4, PARAM_DIM)), data.inputs, data.outputs, ns)
+
+    def test_weight_underflow_is_config_error(self):
+        # lambda = 1e4 underflows exp(-lambda * loss) for every loss above
+        # about 0.075: a typed error naming lambda, n, the seed and the count,
+        # raised before the Gibbs estimates.
+        from stablepac.experiment import _batch_empirical_losses
+
+        cfg = ExperimentConfig(
+            n_grid=(20,), n_seeds=1, n_f=40, lambda_rule=1e4,
+            chain=ChainSettings(burn_in=20),
+        )
+        data = generate_dataset(0, 20)
+        (losses,) = _batch_empirical_losses(
+            _prior_cloud(cfg, 0), data.inputs, data.outputs, [20]
+        )
+        count = int(np.count_nonzero(np.exp(-1e4 * losses) == 0.0))
+        assert 0 < count <= 40
+        message = (
+            f"lambda=10000.0 is too large at n=20 on seed 0: exp(-lambda*loss) "
+            f"underflows to 0 for {count} of 40 prior samples"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_seed(cfg, 0, data)
+
+    def test_chain_seed_equal_to_a_data_seed_rejected_before_sampling(
+        self, monkeypatch
+    ):
+        # Base seed 0 gives seed 0 the chain seed n_max; below n_seeds that
+        # is a data seed's stream.
+        import stablepac.experiment as experiment
+
+        seeds = []
+        real = experiment.seeded_rng
+        monkeypatch.setattr(
+            experiment, "seeded_rng", lambda seed: seeds.append(seed) or real(seed)
+        )
+        cfg = ExperimentConfig(n_grid=(2,), n_seeds=3, n_f=10, chain=ChainSettings(burn_in=5))
+        with pytest.raises(ConfigError, match="seed 0 would reuse the stream of data seed 2"):
+            run_experiment(cfg)
+        assert seeds == []
+        # n_max = n_seeds and a nonzero base seed both keep the streams apart.
+        for other in (
+            dataclasses.replace(cfg, n_grid=(3,)),
+            dataclasses.replace(cfg, chain=ChainSettings(burn_in=5, base_seed=1)),
+        ):
+            assert len(run_experiment(other)) == 3
 
     def test_one_chain_per_seed(self, monkeypatch):
         # Each seed opens one stream for its data and then one for its chain,
