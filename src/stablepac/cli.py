@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -146,6 +147,7 @@ def _cmd_bound(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     progress = print if args.verbose else None
+    os.makedirs(args.out, exist_ok=True)
     reports = run_experiment(cfg, progress=progress)
     write_outputs(cfg, reports, args.out)
     print(f"wrote reports for {len(reports)} cells to {args.out}")
@@ -218,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StablepacError as exc:
+    except (StablepacError, OSError) as exc:
+        # Unreadable inputs are ConfigErrors: an OSError comes from an output.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

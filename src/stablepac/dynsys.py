@@ -13,7 +13,6 @@ burn-in prefix whose length is derived from the contraction certificate.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -110,7 +109,7 @@ class RnnSystem:
             raise ValueError("b / b_s dimensions inconsistent with a")
         if c.shape != (n_y, n_s) or d.shape != (n_y, n_v) or b_y.shape != (n_y,):
             raise ValueError("c / d / b_y dimensions inconsistent")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", np.ascontiguousarray(a))
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "b_s", b_s)
         object.__setattr__(self, "c", c)
@@ -181,20 +180,15 @@ def simulate(
     states[0] = s
     # Each step sums (A s(t) + B v(t)) + b_s in a buffer of its own, and the
     # activation, looked up once, writes the result into row t+1.  A s(t) is
-    # ``a.dot``, one BLAS call with less dispatch than ``np.matmul``, on a C-
-    # or F-contiguous A as stored, where the two round alike.  dot copies
-    # any other layout first, which rounds differently, so a strided A keeps
-    # matmul.  (A one-element A is a scalar to dot, whose product keeps a
-    # -0.0; B v is never -0.0, so the sum with it is the same.)
+    # ``a.dot``, one BLAS call with less dispatch than ``np.matmul``, on the
+    # C-ordered A that RnnSystem stores, where the two round alike.  (A
+    # one-element A is a scalar to dot, whose product keeps a -0.0; B v is
+    # never -0.0, so the sum with it is the same.)
     sigma_f = _ACTIVATION_TABLE[sys.sigma_f.kind][0]
-    a, b_s = sys.a, sys.b_s
-    if a.flags.c_contiguous or a.flags.f_contiguous:
-        a_times = a.dot
-    else:
-        a_times = functools.partial(np.matmul, a)
+    a_dot, b_s = sys.a.dot, sys.b_s
     buf = np.empty(sys.n_s)
     for s_t, next_row in zip(states, states[1:]):
-        a_times(s_t, buf)
+        a_dot(s_t, buf)
         buf += next_row
         buf += b_s
         sigma_f(buf, out=next_row)
@@ -310,6 +304,10 @@ def load_model(path: str) -> RnnSystem:
         raise ConfigError(f"model file {path!r}: {exc}") from exc
 
 
+def _trajectory_header(m: int, p: int) -> list[str]:
+    return ["t"] + [f"x_{i}" for i in range(m)] + [f"y_{i}" for i in range(p)]
+
+
 def save_trajectory(traj: Trajectory, path: str) -> None:
     """Write a trajectory as CSV with header t, x_0.., y_0.. (round-trip exact).
 
@@ -320,8 +318,7 @@ def save_trajectory(traj: Trajectory, path: str) -> None:
     split per column gives its fields from C; rows are the fields joined by
     commas.  Chunks bound the memory of those lists.
     """
-    m, p = traj.inputs.shape[1], traj.outputs.shape[1]
-    header = ["t"] + [f"x_{i}" for i in range(m)] + [f"y_{i}" for i in range(p)]
+    header = _trajectory_header(traj.inputs.shape[1], traj.outputs.shape[1])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, traj.length, _CHUNK_ROWS):
@@ -334,10 +331,19 @@ def save_trajectory(traj: Trajectory, path: str) -> None:
 
 
 def load_trajectory(path: str) -> Trajectory:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    """Read a save_trajectory CSV; an unreadable or malformed file raises ConfigError."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
         m = sum(1 for h in header if h.startswith("x_"))
-        rows = [[float(v) for v in row[1:]] for row in reader]
-    data = np.array(rows)
-    return Trajectory(inputs=data[:, :m], outputs=data[:, m:])
+        p = len(header) - 1 - m
+        if min(m, p) < 1 or header != _trajectory_header(m, p):
+            raise ValueError(f"header {header} is not t, x_0.., y_0..")
+        if any(len(row) != m + p + 1 for row in rows):
+            raise ValueError(f"every row needs {m + p + 1} fields")
+        data = np.array([[float(v) for v in row[1:]] for row in rows]).reshape(-1, m + p)
+        return Trajectory(inputs=data[:, :m], outputs=data[:, m:])
+    except OSError as exc:
+        raise ConfigError(f"cannot read trajectory file {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"trajectory file {path!r}: {exc}") from exc

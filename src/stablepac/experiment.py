@@ -303,14 +303,13 @@ def _batch_empirical_losses(
     products of every block and no operand is broadcast.  The tanh and
     squared errors of a buffer of steps then run as array operations.
 
-    The squares are added to the running sums in time order, with one
-    reduction over axis 0 per stretch of steps between snapshots: the block
-    reduced is the running sum followed by the stretch's rows, and numpy
-    adds the rows of a C-ordered block one after another.  A single column
-    would be summed pairwise instead, so the sums buffer has at least two
-    columns.  A stretch of one step is one in-place addition: the same sum
-    without copying the running sum in.  Every stretch is one step when a
-    buffer holds one step, as it does for more than 2048 samples.
+    Buffers end on a grid of ``rows`` steps and at every n of ``ns``, so a
+    snapshot is always a buffer's last step.  A buffer's squares join the
+    running sums in time order by one reduction over axis 0 of the running
+    sum followed by its rows: numpy adds the rows of a C-ordered block one
+    after another, but a single column pairwise, hence at least two columns.
+    A one-step buffer (every buffer, for more than 2048 samples) is one
+    in-place addition: the same sum without copying the running sum in.
     """
     if (
         not ns
@@ -343,16 +342,16 @@ def _batch_empirical_losses(
     term = np.empty(3 * m)
     term_b = np.empty(3 * m)
     # Row j >= 1 of sums holds the squared errors of the buffer's j-th step;
-    # a stretch's first row receives the running sum before its reduction.
+    # row 0 receives the running sum before the buffer's reduction.
     sums = np.zeros((rows + 1, max(m, 2)))
-    sums_rows = list(sums)
     squares = sums[1:, :m]
     acc = np.zeros(sums.shape[1])
     means = np.empty((len(ns), m))
     k = 0
-    for start in range(0, n_max, rows):
-        n_rows = min(rows, n_max - start)
-        np.multiply(x[start : start + n_rows, None], k_x, pre[:n_rows])
+    stops = sorted({*range(rows, n_max, rows), *ns})
+    for start, stop in zip([0, *stops], stops):
+        n_rows = stop - start
+        np.multiply(x[start:stop, None], k_x, pre[:n_rows])
         for p, p_s in steps[:n_rows]:
             np.multiply(k_a, state_a, term)
             np.multiply(k_b, state_b, term_b)
@@ -365,22 +364,16 @@ def _batch_empirical_losses(
         # slower on the strided output blocks of pre.
         sq_chunk = squares[:n_rows]
         np.tanh(pre[:n_rows, 2 * m :], sq_chunk)
-        sq_chunk -= y[start : start + n_rows, None]
+        sq_chunk -= y[start:stop, None]
         sq_chunk *= sq_chunk
-        # Stretches end at each snapshot in the buffer and at its last step;
-        # the last snapshot is taken at the final step, n_max.
-        first = 0
-        while first < n_rows:
-            last = min(ns[k], start + n_rows) - start
-            if last - first == 1:
-                acc += sums_rows[last]
-            else:
-                sums_rows[first][...] = acc
-                np.add.reduce(sums[first : last + 1], 0, None, acc)
-            if start + last == ns[k]:
-                np.divide(acc[:m], ns[k], means[k])
-                k += 1
-            first = last
+        if n_rows == 1:
+            acc += sums[1]
+        else:
+            sums[0] = acc
+            np.add.reduce(sums[: n_rows + 1], 0, None, acc)
+        if stop == ns[k]:
+            np.divide(acc[:m], stop, means[k])
+            k += 1
     return means
 
 
@@ -554,24 +547,21 @@ def emit_curves(reports: list[BoundReport], out_dir: str) -> tuple[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "bound_reports.csv")
     summary_path = os.path.join(out_dir, "summary.csv")
-    try:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(REPORT_COLUMNS) + "\n")
-            for r in sorted(reports, key=lambda r: (r.seed, r.n)):
-                reals = (r.lambda_, r.delta, r.kl, r.psi_hat, r.r_n,
-                         r.post_emp_loss, r.total, r.z_hat)
-                row = [str(r.n), str(r.seed), *map(_fmt, reals), str(r.n_samples)]
-                fh.write(",".join(row) + "\n")
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-            for n in sorted({r.n for r in reports}):
-                totals = np.array(sorted(r.total for r in reports if r.n == n))
-                posts = np.array(sorted(r.post_emp_loss for r in reports if r.n == n))
-                stats = (np.median(totals), totals[0], totals[-1],
-                         np.median(posts), posts[0], posts[-1], VACUITY_LEVEL)
-                fh.write(",".join([str(n), *map(_fmt, stats)]) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed writing bound curves under {out_dir!r}: {exc}") from exc
+    with open(report_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(REPORT_COLUMNS) + "\n")
+        for r in sorted(reports, key=lambda r: (r.seed, r.n)):
+            reals = (r.lambda_, r.delta, r.kl, r.psi_hat, r.r_n,
+                     r.post_emp_loss, r.total, r.z_hat)
+            row = [str(r.n), str(r.seed), *map(_fmt, reals), str(r.n_samples)]
+            fh.write(",".join(row) + "\n")
+    with open(summary_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
+        for n in sorted({r.n for r in reports}):
+            totals = np.array(sorted(r.total for r in reports if r.n == n))
+            posts = np.array(sorted(r.post_emp_loss for r in reports if r.n == n))
+            stats = (np.median(totals), totals[0], totals[-1],
+                     np.median(posts), posts[0], posts[-1], VACUITY_LEVEL)
+            fh.write(",".join([str(n), *map(_fmt, stats)]) + "\n")
     return report_path, summary_path
 
 

@@ -351,3 +351,40 @@ class TestExperimentCommand:
         ) == 2
         assert capsys.readouterr().err.startswith("error: n_seeds must be an integer")
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command,out",
+    [
+        ("simulate", "missing/t.csv"),
+        ("generate-data", "missing/t.csv"),
+        ("simulate", "file/t.csv"),
+        ("generate-data", "file/t.csv"),
+        ("bound", "file/x"),
+        ("experiment", "file/x"),
+    ],
+)
+def test_unwritable_output_is_error_exit(
+    command, out, generator_path, tmp_path, monkeypatch, capsys
+):
+    # "missing" is no directory and "file" is a regular file.  experiment
+    # makes its output directory before any sampling.
+    import stablepac.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("experiment ran before its output directory failed")
+
+    monkeypatch.setattr(stablepac.cli, "run_experiment", no_run)
+    (tmp_path / "file").write_text("")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [10], "n_seeds": 1, "n_f": 20}))
+    args = {
+        "simulate": ["--model", generator_path, "--n", "5"],
+        "generate-data": ["--n", "5"],
+        "bound": ["--config", str(cfg_path), "--n", "10"],
+        "experiment": ["--config", str(cfg_path)],
+    }[command]
+    path = str(tmp_path / out)
+    assert main([command, *args, "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err

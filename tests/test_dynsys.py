@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stablepac import (
+    ConfigError,
     LossSpec,
     RnnSystem,
     Trajectory,
@@ -222,8 +223,8 @@ class TestSimulate:
     @pytest.mark.parametrize("layout,n_s", [("F", 2), ("F", 3), ("strided", 3)])
     def test_a_stepped_as_stored(self, kind, layout, n_s):
         # An F-ordered A, and a strided view that is neither C- nor
-        # F-contiguous: a C-ordered copy of either rounds differently in
-        # about half of such runs.
+        # F-contiguous: the system stores a C-ordered copy, and simulate
+        # steps with it as the step loop does.
         rng = np.random.default_rng(60 + n_s)
         for _ in range(20):
             base = random_contractive_system(rng, n_s=n_s, n_v=2, n_y=2)
@@ -232,9 +233,10 @@ class TestSimulate:
             else:
                 a = rng.normal(size=(2 * n_s, 2 * n_s))[::2, ::2]
                 a[...] = base.a
+            assert not a.flags.c_contiguous
             sys = with_kinds(base, kind, kind, a=a)
-            assert sys.a.flags.f_contiguous == (layout == "F")
-            assert not sys.a.flags.c_contiguous
+            assert sys.a.flags.c_contiguous
+            assert np.array_equal(sys.a, a)
             s0 = rng.normal(size=n_s)
             inputs = rng.uniform(-2, 2, size=(200, 2))
             states, outputs = simulate(sys, s0, inputs)
@@ -461,6 +463,26 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (None, "cannot read"),
+            ("t,x_0,y_0\r\n", "nonempty"),
+            ("t,x_0,y_0\r\n0,1.0\r\n", "3 fields"),
+            ("t,x_0\r\n0,1.0\r\n", "header"),
+            ("t,y_0,x_0\r\n0,1.0,2.0\r\n", "header"),
+            ("t,x_0,y_0\r\n0,1.0,abc\r\n", "abc"),
+        ],
+        ids=["missing", "header-only", "short-row", "no-outputs", "order", "not-float"],
+    )
+    def test_bad_trajectory_file_is_config_error(self, tmp_path, text, message):
+        path = tmp_path / "traj.csv"
+        if text is not None:
+            path.write_bytes(text.encode())
+        with pytest.raises(ConfigError, match=message) as info:
+            load_trajectory(str(path))
+        assert str(path) in str(info.value)
 
     def test_trajectory_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)

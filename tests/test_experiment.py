@@ -528,18 +528,21 @@ class TestRunExperiment:
             ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
             assert np.array_equal(row, ref), n
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 2049])
     def test_few_sample_prefix_rows_match_step_loop_bytes(self, m):
-        # A buffer holds 2**14 // (4 * m) steps: 4096, 2048 and 1365.  The
+        # A buffer holds 2**14 // (4 * m) steps: 4096, 2048, 1365 and 1.  The
         # snapshots fall on the first two steps, inside the first buffer, on
         # the last and the first step at both buffer boundaries (one-step
-        # stretches among them) and inside the third buffer.  numpy sums a
-        # one-column block pairwise, so these sample counts are where a
-        # reduction over a stretch could leave time order.
+        # buffers among them) and inside the third buffer.  numpy sums a
+        # one-column block pairwise, so the first three sample counts are
+        # where a reduction over a buffer could leave time order; with one
+        # step per buffer, every buffer's sum is an in-place addition.
         from stablepac.experiment import _batch_empirical_losses
 
         rows = _LOSS_CHUNK_ELEMENTS // (4 * m)
-        ns = [1, 2, 7, rows, rows + 1, rows + 2, 2 * rows, 2 * rows + 1, 2 * rows + 50]
+        ns = sorted(
+            {1, 2, 7, rows, rows + 1, rows + 2, 2 * rows, 2 * rows + 1, 2 * rows + 50}
+        )
         rng = np.random.default_rng(40 + m)
         data = generate_dataset(8, ns[-1])
         thetas = rng.normal(0, 0.5, size=(m, PARAM_DIM))
