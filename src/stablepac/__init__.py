@@ -9,7 +9,7 @@ from .bound import (
     BoundReport,
     SampleRecord,
     gibbs_estimates,
-    gibbs_weights,
+    gibbs_log_estimates,
     pac_bound,
     pooled_psi,
     psi1_exponent,

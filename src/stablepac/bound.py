@@ -5,8 +5,8 @@ exponentiation) and pooled with a stabilised log-mean-exp, so the bound stays
 finite even when individual exponents reach 1e4.  The exponent formulas work
 elementwise, so one call covers a whole cloud of per-sample constants.
 Posterior quantities (KL divergence and posterior-expected empirical loss)
-come from importance reweighting of the prior cloud with Gibbs weights, which
-avoids sampling the posterior altogether.
+come from importance reweighting of the prior cloud with Gibbs log-weights,
+which avoids sampling the posterior altogether.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .certify import GainPair, StabilityConstants
 from .errors import InvalidConfidenceError
 from .mixing import DataConstants
-from .numerics import log_mean_exp
+from .numerics import log_mean_exp, shifted_exp
 
 
 @dataclass(frozen=True)
@@ -106,45 +106,48 @@ def psi_hat(samples: list[SampleRecord]) -> float:
     )
 
 
-def gibbs_weights(losses: np.ndarray, lambda_n: float) -> np.ndarray:
-    """Importance weights beta_i = exp(-lambda_n * loss_i) of the Gibbs posterior."""
-    if lambda_n <= 0:
-        raise ValueError("lambda_n must be positive")
-    losses = np.asarray(losses, dtype=float)
-    if not np.all(np.isfinite(losses)):
-        raise ValueError("losses must be finite")
-    return np.exp(-lambda_n * losses)
-
-
-def gibbs_estimates(
-    beta: np.ndarray, losses: np.ndarray
+def gibbs_log_estimates(
+    log_beta: np.ndarray, losses: np.ndarray
 ) -> tuple[float, float, float]:
-    """Importance estimates (z_hat, kl, post_emp_loss) from prior-cloud weights.
+    """Importance estimates (z_hat, kl, post_emp_loss) from prior-cloud log-weights.
 
-        z_hat         = 1 / mean(beta)
-        kl            = ln(z_hat) + z_hat * mean(beta*ln(beta))
-        post_emp_loss = mean(beta*loss) / mean(beta)
+    With m = max(log_beta) and w = exp(log_beta - m), whose largest entry is 1:
+
+        z_hat         = 1 / mean(exp(log_beta))     (inf where that overflows)
+        kl            = sum(w*(log_beta - m))/sum(w) - ln(mean(w))
+        post_emp_loss = sum(w*loss)/sum(w)
 
     Monte-Carlo noise can push the KL estimate slightly negative at finite
     sample counts; it is clamped at zero with a warning.
     """
-    beta = np.asarray(beta, dtype=float)
+    log_beta = np.asarray(log_beta, dtype=float)
     losses = np.asarray(losses, dtype=float)
-    if beta.shape != losses.shape or beta.ndim != 1 or beta.size == 0:
-        raise ValueError("beta and losses must be nonempty 1-d arrays of equal length")
-    if np.any(beta <= 0.0):
-        raise ValueError("all weights must be strictly positive")
-    mean_beta = float(np.mean(beta))
-    z_hat = 1.0 / mean_beta
-    kl = math.log(z_hat) + z_hat * float(np.mean(beta * np.log(beta)))
+    if log_beta.shape != losses.shape:
+        raise ValueError("weights and losses must be arrays of equal shape")
+    shift, w = shifted_exp(log_beta)
+    sum_w = float(np.sum(w))
+    log_mean_w = math.log(sum_w / w.size)
+    kl = float(np.sum(w * (log_beta - shift))) / sum_w - log_mean_w
     if kl < 0.0:
         warnings.warn(
             f"KL estimate {kl:.3e} is negative (Monte-Carlo noise); clamping to 0",
             stacklevel=2,
         )
         kl = 0.0
-    post_emp_loss = float(np.mean(beta * losses)) / mean_beta
+    try:
+        z_hat = math.exp(-(shift + log_mean_w))
+    except OverflowError:
+        z_hat = math.inf
+    post_emp_loss = float(np.sum(w * losses)) / sum_w
     return z_hat, kl, post_emp_loss
+
+
+def gibbs_estimates(beta: np.ndarray, losses: np.ndarray) -> tuple[float, float, float]:
+    """gibbs_log_estimates from strictly positive raw weights ``beta``."""
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta <= 0.0):
+        raise ValueError("all weights must be strictly positive")
+    return gibbs_log_estimates(np.log(beta), losses)
 
 
 def pac_bound(lambda_: float, delta: float, kl: float, psi_hat_val: float) -> float:

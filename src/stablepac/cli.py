@@ -136,6 +136,8 @@ def _cmd_bound(args) -> int:
     if args.delta is not None:
         overrides["delta"] = args.delta
     cfg = dataclasses.replace(cfg, n_grid=(args.n,), **overrides)
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
     data = generate_dataset(args.seed, args.n, cfg.e_std, cfg.e_inf)
     (report,) = run_seed(cfg, args.seed, data)
     _print_json(dataclasses.asdict(report))

@@ -24,8 +24,7 @@ import numpy as np
 
 from .bound import (
     BoundReport,
-    gibbs_estimates,
-    gibbs_weights,
+    gibbs_log_estimates,
     pac_bound,
     pooled_psi,
     psi1_exponent,
@@ -416,7 +415,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundRe
     One prior cloud serves every n: the prior depends on neither the data nor
     n, so each per-n bound stays valid.  The cloud's chain seed is the cell
     seed of the largest n.  The cloud is certified and simulated once; only
-    the moment exponents and the Gibbs reweighting depend on n.
+    the moment exponents and the Gibbs reweighting depend on n.  The
+    reweighting takes the log-weights -lambda*loss, so every lambda evaluates.
     """
     n_max = cfg.n_grid[-1]
     if data.length < n_max:
@@ -432,15 +432,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundRe
             psi1_exponent(lambda_, n, l_ell, dc, gh),
             psi2_exponent(lambda_, n, l_ell, consts, dc.b_q, gh, s0_norm),
         )
-        beta = gibbs_weights(losses, lambda_)
-        underflows = int(np.count_nonzero(beta == 0.0))
-        if underflows:
-            raise ConfigError(
-                f"lambda={lambda_!r} is too large at n={n} on seed {seed}: "
-                f"exp(-lambda*loss) underflows to 0 for {underflows} of "
-                f"{losses.size} prior samples"
-            )
-        z_hat, kl, post_emp_loss = gibbs_estimates(beta, losses)
+        z_hat, kl, post_emp_loss = gibbs_log_estimates(-lambda_ * losses, losses)
         r_n = pac_bound(lambda_, cfg.delta, kl, ph)
         reports.append(
             BoundReport(

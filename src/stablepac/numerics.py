@@ -1,8 +1,8 @@
 """Deterministic numerical primitives shared by the whole package.
 
 Everything here is reproducible by construction: power iteration starts from
-fixed vectors, sums are accumulated in ascending index order, and random
-sources are seeded PCG64 generators.
+fixed vectors, means of exponentials are one numpy reduction over weights
+max-shifted into (0, 1], and random sources are seeded PCG64 generators.
 """
 
 from __future__ import annotations
@@ -97,25 +97,19 @@ def spectral_norm_2x2(a00, a01, a10, a11):
     return 0.5 * (np.hypot(a00 + a11, a10 - a01) + np.hypot(a00 - a11, a01 + a10))
 
 
-def log_mean_exp(values: Sequence[float]) -> float:
-    """ln((1/n) * sum(exp(v_i))) with max-shift stabilisation.
-
-    Accumulation runs in ascending index order so the result is bit-identical
-    no matter how the caller produced the list.  The loop reads Python
-    floats, which round as numpy float64 scalars do but cost less per
-    operation; it stays an explicit ``+=`` loop because ``sum()`` of floats
-    compensates its rounding from Python 3.12 on.
-    """
+def shifted_exp(values: Sequence[float]) -> tuple[float, np.ndarray]:
+    """``(m, exp(v - m))``, m = max(v): weights in (0, 1], so no mean of them is 0."""
     vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("log_mean_exp needs a nonempty 1-d list of values")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("log_mean_exp values must be finite")
+    if vals.ndim != 1 or vals.size == 0 or not np.all(np.isfinite(vals)):
+        raise ValueError("values must be a nonempty 1-d array of finite numbers")
     shift = float(np.max(vals))
-    acc = 0.0
-    for v in vals.tolist():
-        acc += math.exp(v - shift)
-    return shift + math.log(acc / vals.size)
+    return shift, np.exp(vals - shift)
+
+
+def log_mean_exp(values: Sequence[float]) -> float:
+    """ln((1/n) * sum(exp(v_i))) as ``m + ln(mean(exp(v - m)))``, m = max(v)."""
+    shift, w = shifted_exp(values)
+    return shift + math.log(float(np.mean(w)))
 
 
 def truncated_gaussian(

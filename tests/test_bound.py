@@ -11,7 +11,7 @@ from stablepac import (
     StabilityConstants,
     gain_pair,
     gibbs_estimates,
-    gibbs_weights,
+    gibbs_log_estimates,
     pac_bound,
     pooled_psi,
     psi1_exponent,
@@ -126,22 +126,6 @@ class TestPsiHat:
         assert psi_hat(recs) == pooled_psi(e1, e2)
 
 
-class TestGibbsWeights:
-    def test_zero_losses(self):
-        assert np.all(gibbs_weights(np.zeros(4), 3.0) == 1.0)
-
-    def test_hand_values(self):
-        beta = gibbs_weights(np.array([0.0, 0.5]), 2.0)
-        assert beta[0] == 1.0
-        assert beta[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-    def test_doubling_lambda_squares_weights(self):
-        losses = np.array([0.1, 0.7, 1.3])
-        b1 = gibbs_weights(losses, 2.0)
-        b2 = gibbs_weights(losses, 4.0)
-        assert np.allclose(b2, b1**2, rtol=1e-12)
-
-
 class TestGibbsEstimates:
     def test_uniform_weights_exact(self):
         losses = np.array([0.3, 0.9, 0.6])
@@ -172,11 +156,11 @@ class TestGibbsEstimates:
         # floating-point dust can push the estimator below zero
         beta = np.array(
             [
-                1.0000000000000007,
-                0.9999999999999987,
-                0.9999999999999996,
-                0.9999999999999981,
-                0.9999999999999987,
+                1.0000000000000004,
+                1.0000000000000013,
+                1.0,
+                1.0000000000000002,
+                1.0000000000000016,
             ]
         )
         with pytest.warns(UserWarning, match="clamping"):
@@ -186,6 +170,62 @@ class TestGibbsEstimates:
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError):
             gibbs_estimates(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+class TestGibbsLogEstimates:
+    def _cloud(self):
+        rng = np.random.default_rng(21)
+        return rng.uniform(0.05, 0.9, size=200)
+
+    def test_matches_raw_weight_formulas(self):
+        # lambda small enough that no exp(-lambda * loss) underflows
+        losses = self._cloud()
+        for lambda_ in (0.5, 10.0, 300.0):
+            beta = np.exp(-lambda_ * losses)
+            assert np.all(beta > 0.0)
+            mean_beta = math.fsum(beta) / beta.size
+            z_ref = 1.0 / mean_beta
+            kl_ref = math.log(z_ref) + z_ref * math.fsum(beta * np.log(beta)) / beta.size
+            post_ref = math.fsum(beta * losses) / beta.size / mean_beta
+            z, kl, post = gibbs_log_estimates(-lambda_ * losses, losses)
+            assert z == pytest.approx(z_ref, rel=1e-12)
+            assert kl == pytest.approx(kl_ref, rel=1e-12)
+            assert post == pytest.approx(post_ref, rel=1e-12)
+
+    def test_constant_shift_of_log_weights(self):
+        losses = self._cloud()
+        log_beta = -30.0 * losses
+        z, kl, post = gibbs_log_estimates(log_beta, losses)
+        for c in (-700.0, -3.0, 0.5, 40.0):
+            zc, klc, postc = gibbs_log_estimates(log_beta + c, losses)
+            assert klc == pytest.approx(kl, abs=1e-12)
+            assert postc == pytest.approx(post, abs=1e-12)
+            assert zc == pytest.approx(z * math.exp(-c), rel=1e-12)
+
+    def test_underflowing_weights_evaluate(self):
+        # every raw weight exp(-1e5 * loss) is 0.0; the estimates still hold
+        losses = np.array([0.3, 0.3, 0.5, 0.9])
+        assert np.all(np.exp(-1e5 * losses) == 0.0)
+        z, kl, post = gibbs_log_estimates(-1e5 * losses, losses)
+        assert z == math.inf
+        assert kl == pytest.approx(math.log(2.0), rel=1e-12)
+        assert post == 0.3
+
+    def test_z_hat_overflow_only_where_exponent_overflows(self):
+        losses = np.zeros(3)
+        assert gibbs_log_estimates(np.full(3, -700.0), losses)[0] == pytest.approx(
+            math.exp(700.0), rel=1e-12
+        )
+        assert gibbs_log_estimates(np.full(3, -710.0), losses)[0] == math.inf
+
+    @pytest.mark.parametrize(
+        "log_beta,losses",
+        [([], []), ([0.0, 1.0], [0.0]), ([0.0, math.nan], [0.0, 1.0]),
+         ([[0.0]], [[0.0]])],
+    )
+    def test_bad_input_rejected(self, log_beta, losses):
+        with pytest.raises(ValueError):
+            gibbs_log_estimates(np.array(log_beta), np.array(losses))
 
 
 class TestPacBound:

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from stablepac import (
+    ExperimentConfig,
     build_reference_generator,
+    generate_dataset,
     generator_data_constants,
     load_model,
     load_trajectory,
@@ -199,16 +202,27 @@ class TestBoundCommand:
         assert capsys.readouterr().err.startswith("error: n_grid")
 
 
-    def test_underflowing_weights_exit_2(self, tmp_path, capsys):
+    def test_underflowing_weights_exit_0(self, tmp_path, capsys):
+        from stablepac.experiment import _batch_empirical_losses, _prior_cloud
+
         cfg = {"n_f": 50, "chain": {"burn_in": 20}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(
             ["bound", "--config", str(cfg_path), "--n", "20", "--lambda", "1e5"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: lambda=100000.0 is too large at n=20 on seed 0")
-        assert "Traceback" not in err
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # the cell's own cloud: exp(-1e5 * loss) underflows to 0 on all of it
+        cell = ExperimentConfig.from_dict({**cfg, "n_grid": [20], "lambda_rule": 1e5})
+        data = generate_dataset(0, 20, cell.e_std, cell.e_inf)
+        (losses,) = _batch_empirical_losses(
+            _prior_cloud(cell, 0), data.inputs, data.outputs, [20]
+        )
+        assert np.all(np.exp(-1e5 * losses) == 0.0)
+        assert doc["kl"] >= 0.0
+        assert float(np.min(losses)) <= doc["post_emp_loss"] <= float(np.max(losses))
+        assert math.isfinite(doc["r_n"]) and math.isfinite(doc["total"])
+        assert doc["z_hat"] > 0.0 and not math.isnan(doc["z_hat"])
 
     def test_bad_lambda_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -367,14 +381,15 @@ class TestExperimentCommand:
 def test_unwritable_output_is_error_exit(
     command, out, generator_path, tmp_path, monkeypatch, capsys
 ):
-    # "missing" is no directory and "file" is a regular file.  experiment
-    # makes its output directory before any sampling.
+    # "missing" is no directory and "file" is a regular file.  bound and
+    # experiment make their output directory before any sampling.
     import stablepac.cli
 
     def no_run(*args, **kwargs):
-        raise AssertionError("experiment ran before its output directory failed")
+        raise AssertionError("sampling ran before the output directory failed")
 
     monkeypatch.setattr(stablepac.cli, "run_experiment", no_run)
+    monkeypatch.setattr(stablepac.cli, "run_seed", no_run)
     (tmp_path / "file").write_text("")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_grid": [10], "n_seeds": 1, "n_f": 20}))

@@ -200,9 +200,25 @@ class TestLogMeanExp:
                 log_mean_exp(v) + c, abs=1e-12 * max(1.0, abs(c))
             )
 
+    def test_matches_ascending_loop_reference(self):
+        # the reduction reorders the sum; a loop in index order is the reference
+        rng = np.random.default_rng(8)
+        for size in (1, 7, 300, 5000):
+            v = rng.normal(0, 30, size=size) + float(rng.normal(0, 1e3))
+            shift = float(np.max(v))
+            acc = 0.0
+            for x in v.tolist():
+                acc += math.exp(x - shift)
+            ref = shift + math.log(acc / size)
+            assert log_mean_exp(v) == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             log_mean_exp([])
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            log_mean_exp([0.0, math.inf])
 
 
 class TestTruncatedGaussian:
