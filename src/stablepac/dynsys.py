@@ -179,7 +179,8 @@ def simulate(
     np.matmul(sys.b, x3, out=states[1:, :, None])
     states[0] = s
     # Each step sums (A s(t) + B v(t)) + b_s in a buffer of its own, and the
-    # activation, looked up once, writes the result into row t+1.  A s(t) is
+    # activation, looked up once, writes the result into row t+1, which the
+    # next step takes as s(t) without making a second row view.  A s(t) is
     # ``a.dot``, one BLAS call with less dispatch than ``np.matmul``, on the
     # C-ordered A that RnnSystem stores, where the two round alike.  (A
     # one-element A is a scalar to dot, whose product keeps a -0.0; B v is
@@ -187,11 +188,13 @@ def simulate(
     sigma_f = _ACTIVATION_TABLE[sys.sigma_f.kind][0]
     a_dot, b_s = sys.a.dot, sys.b_s
     buf = np.empty(sys.n_s)
-    for s_t, next_row in zip(states, states[1:]):
+    s_t = states[0]
+    for next_row in states[1:]:
         a_dot(s_t, buf)
         buf += next_row
         buf += b_s
         sigma_f(buf, out=next_row)
+        s_t = next_row
     states = states[:n]
     outputs = np.empty((n, sys.n_y))
     for start in range(0, n, _CHUNK_ROWS):

@@ -298,9 +298,11 @@ def _batch_empirical_losses(
     so every element is summed in the order
     ``((k_s0*s0 + k_s1*s1) + k_x*x) + k_1`` (one IEEE addition commutes),
     and applies the ReLU to the first two blocks.  The state is kept as
-    (s0, s1, s0, s1), so its slices at offsets 0 and m line up with both
-    products of every block and no operand is broadcast.  The tanh and
-    squared errors of a buffer of steps then run as array operations.
+    (s0, s1, s0, s1, s0, s1), so its halves line up with both products of
+    every block: one multiply by (k_a | k_b) forms both, and no operand is
+    broadcast.  The ReLU writes the first two blocks and one copy fills the
+    other four.  The tanh and squared errors of a buffer of steps then run
+    as array operations.
 
     Buffers end on a grid of ``rows`` steps and at every n of ``ns``, so a
     snapshot is always a buffer's last step.  A buffer's squares join the
@@ -323,23 +325,23 @@ def _batch_empirical_losses(
     n_max = ns[-1]
     x = inputs[:n_max, 0]
     y = labels[:n_max, 0]
-    # Blocks (next s0, next s1, output) of the coefficients.  k_a multiplies
-    # the state slice (s0, s1, s0) and k_b the slice (s1, s0, s1); a sum of
-    # two terms is exact in either order.
+    # Blocks (next s0, next s1, output) of the coefficients.  The first half
+    # of k_ab multiplies the state's first half (s0, s1, s0) and the second
+    # half its second (s1, s0, s1); a sum of two terms is exact in either
+    # order.
     w = _cloud_blocks(thetas)
     a, c, s0 = w["a"], w["c"], w["s0"]
-    k_a = np.concatenate([a[0], a[3], c[0]])
-    k_b = np.concatenate([a[1], a[2], c[1]])
+    k_ab = np.concatenate([a[0], a[3], c[0], a[1], a[2], c[1]])
     k_x = np.concatenate([*w["b"], *w["d"]])
     k_1 = np.concatenate([*w["b_s"], *w["b_y"]])
-    state = np.concatenate([*s0, *s0])
-    state_a, state_b = state[: 3 * m], state[m:]
-    state_s, state_copy = state[: 2 * m], state[2 * m :]
+    state = np.concatenate([*s0, *s0, *s0])
+    state_s, state_copies = state[: 2 * m], state[2 * m :].reshape(2, 2 * m)
     rows = max(1, min(n_max, _LOSS_CHUNK_ELEMENTS // (4 * max(m, 1))))
     pre = np.empty((rows, 3 * m))
     steps = [(p, p[: 2 * m]) for p in pre]
-    term = np.empty(3 * m)
-    term_b = np.empty(3 * m)
+    prod = np.empty(6 * m)
+    prod_a, prod_b = prod[: 3 * m], prod[3 * m :]
+    multiply, add, maximum = np.multiply, np.add, np.maximum
     # Row j >= 1 of sums holds the squared errors of the buffer's j-th step;
     # row 0 receives the running sum before the buffer's reduction.
     sums = np.zeros((rows + 1, max(m, 2)))
@@ -352,13 +354,12 @@ def _batch_empirical_losses(
         n_rows = stop - start
         np.multiply(x[start:stop, None], k_x, pre[:n_rows])
         for p, p_s in steps[:n_rows]:
-            np.multiply(k_a, state_a, term)
-            np.multiply(k_b, state_b, term_b)
-            term += term_b
-            p += term
+            multiply(k_ab, state, prod)
+            add(prod_a, prod_b, prod_a)
+            p += prod_a
             p += k_1
-            np.maximum(p_s, _ZERO, out=state_s)
-            state_copy[...] = state_s
+            maximum(p_s, _ZERO, out=state_s)
+            state_copies[...] = state_s
         # The squared errors get a contiguous buffer of their own: numpy is
         # slower on the strided output blocks of pre.
         sq_chunk = squares[:n_rows]

@@ -37,7 +37,7 @@ def check_finite_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -48,21 +48,24 @@ def _power_iterate(gram: np.ndarray, v: np.ndarray) -> float:
     One Gram product per iteration: ``w = gram @ v`` of the Rayleigh quotient
     is the next iteration's unnormalised iterate.  ``v`` and ``w`` are this
     call's own buffers, so the caller's start vector is never written.
+    ``gram.dot(v, w)`` runs the gemv of ``np.matmul(gram, v, out=w)`` with
+    less dispatch.
     """
     nrm = math.sqrt(v.dot(v))
     if nrm == 0.0:
         return 0.0
     v = v / nrm
     w = gram @ v
+    gram_dot, v_dot, w_dot, divide = gram.dot, v.dot, w.dot, np.divide
     lam = 0.0
     for _ in range(_POWER_MAX_ITER):
-        wn = math.sqrt(w.dot(w))
+        wn = math.sqrt(w_dot(w))
         if wn == 0.0:
             # v lies in the kernel; this start contributes nothing.
             return 0.0
-        np.divide(w, wn, out=v)
-        np.matmul(gram, v, out=w)
-        lam_new = float(v.dot(w))
+        divide(w, wn, v)
+        gram_dot(v, w)
+        lam_new = float(v_dot(w))
         if abs(lam_new - lam) <= _POWER_TOL * lam_new:
             return lam_new
         lam = lam_new
@@ -117,8 +120,9 @@ def truncated_gaussian(
 ) -> np.ndarray:
     """n i.i.d. draws from N(0, std^2) conditioned on |value| <= bound.
 
-    Plain rejection sampling in fixed-size chunks; deterministic for a given
-    generator state.
+    Plain rejection sampling in blocks of at most 2^14 draws; deterministic
+    for a given generator state.  The values are the stream's first n
+    accepted draws, whatever the block size.
     """
     if std <= 0 or bound <= 0:
         raise ValueError("std and bound must be positive")
@@ -132,7 +136,7 @@ def truncated_gaussian(
     filled = 0
     # Oversample by the inverse acceptance probability to keep chunk count low.
     accept_p = math.erf(bound / (std * math.sqrt(2.0)))
-    chunk = max(64, int(1.2 * n / accept_p) + 1)
+    chunk = min(1 << 14, max(64, int(1.2 * n / accept_p) + 1))
     while filled < n:
         draws = rng.normal(0.0, std, size=chunk)
         kept = draws[np.abs(draws) <= bound]

@@ -456,6 +456,7 @@ class TestRunExperiment:
         [
             (300, 500),
             (4999, 40),
+            (5000, 40),
             (1, 3),
             (1300, 40),
             (_LOSS_CHUNK_ELEMENTS + 1, 4),
@@ -465,12 +466,13 @@ class TestRunExperiment:
     def test_batch_losses_match_step_loop(self, m, n):
         # A buffer holds 2**14 // (4 * m) steps, at least one and at most n:
         # 300 samples over 500 steps span 39 buffers of 13 steps, the last
-        # of 6; 4999 samples take one step per buffer; one sample takes all
-        # 3 steps in one buffer; 1300 samples leave 3 steps per buffer and a
-        # one-step remainder; more samples than 2**14 take one step per
-        # buffer too; one sample over 9000 steps spans three buffers of up
-        # to 4096 steps, where a sum over a buffer's steps in one reduction
-        # would be pairwise, not in time order.
+        # of 6; 4999 samples take one step per buffer, and so do the 5000 of
+        # the reference cloud; one sample takes all 3 steps in one buffer;
+        # 1300 samples leave 3 steps per buffer and a one-step remainder;
+        # more samples than 2**14 take one step per buffer too; one sample
+        # over 9000 steps spans three buffers of up to 4096 steps, where a
+        # sum over a buffer's steps in one reduction would be pairwise, not
+        # in time order.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(m)
@@ -478,7 +480,7 @@ class TestRunExperiment:
         thetas = rng.normal(0, 0.5, size=(m, PARAM_DIM))
         (batch,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [n])
         ref = reference_batch_losses(thetas, data.inputs, data.outputs)
-        assert np.array_equal(batch, ref)
+        assert batch.tobytes() == ref.tobytes()
 
     def test_cell_chain_seeds_distinct_across_base_seeds(self):
         # (base_seed=b, seed=s) used to share the chain of (b-1, s+1)
@@ -506,10 +508,9 @@ class TestRunExperiment:
         assert rows.shape == (len(ns), 300)
         for n, row in zip(ns, rows):
             (alone,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [n])
-            assert np.array_equal(row, alone)
-        assert np.array_equal(
-            rows[2], reference_batch_losses(thetas, data.inputs[:20], data.outputs[:20])
-        )
+            assert row.tobytes() == alone.tobytes()
+        ref = reference_batch_losses(thetas, data.inputs[:20], data.outputs[:20])
+        assert rows[2].tobytes() == ref.tobytes()
 
     def test_one_sample_prefix_rows_sum_in_time_order(self):
         # One sample gives 4096-step buffers: n = 1, 5 and 17 inside the
@@ -524,7 +525,7 @@ class TestRunExperiment:
         rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
         for n, row in zip(ns, rows):
             ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
-            assert np.array_equal(row, ref), n
+            assert row.tobytes() == ref.tobytes(), n
 
     @pytest.mark.parametrize("m", [1, 2, 3, 2049])
     def test_few_sample_prefix_rows_match_step_loop_bytes(self, m):

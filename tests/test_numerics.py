@@ -69,7 +69,19 @@ def bit_identity_cases():
         np.diag([1.0, 1.0 - 1e-9]),
         np.array([[0.99, 1e4], [0.0, 0.99]]),
     ]
+    # Chain-scale rotations r * R(t) @ diag(1, 1 - eps) @ R(u): with
+    # sigma_1 ~ sigma_2 the iteration takes the most steps, up to the cap
+    # for eps near 1e-4; eps = 0 is an exact scaled rotation.
+    for eps in [0.0, 0.0, *10.0 ** rng.uniform(-4, -1, size=20)]:
+        t, u = rng.uniform(0.0, 2 * math.pi, size=2)
+        cases.append(
+            rng.uniform(0.05, 0.99) * rotation(t) @ np.diag([1.0, 1.0 - eps]) @ rotation(u)
+        )
     return cases
+
+
+def rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
 
 
 class TestSpectralNorm:
@@ -241,6 +253,42 @@ class TestTruncatedGaussian:
     def test_degenerate_truncation_rejected(self):
         with pytest.raises(DegenerateTruncationError):
             truncated_gaussian(seeded_rng(0), 1.0, 1e-7, 10)
+
+    @pytest.mark.parametrize("std,bound,n", [(1.0, 1.27, 100_000), (1.0, 0.01, 3000)])
+    def test_blocks_keep_the_one_chunk_values(self, std, bound, n):
+        # The one-chunk loop that block-wise drawing replaced, kept verbatim.
+        # Both keep the stream's first n accepted draws, over several blocks:
+        # 1.2 * n / P(|e| <= bound) is about 1.5e5 and 4.5e5 draws here.
+        def one_chunk(rng, std, bound, n):
+            out = np.empty(n)
+            filled = 0
+            accept_p = math.erf(bound / (std * math.sqrt(2.0)))
+            chunk = max(64, int(1.2 * n / accept_p) + 1)
+            while filled < n:
+                draws = rng.normal(0.0, std, size=chunk)
+                kept = draws[np.abs(draws) <= bound]
+                take = min(kept.size, n - filled)
+                out[filled : filled + take] = kept[:take]
+                filled += take
+            return out
+
+        got = truncated_gaussian(seeded_rng(9), std, bound, n)
+        assert got.tobytes() == one_chunk(seeded_rng(9), std, bound, n).tobytes()
+
+    def test_draws_at_most_one_block_at_a_time(self):
+        # A bound far inside the noise accepts about 8e-6 of the draws; one
+        # chunk of 1.2 * n / 8e-6 draws would hold 3e6 values for n = 20.
+        sizes = []
+        normal = np.random.Generator.normal
+
+        class Recording(np.random.Generator):
+            def normal(self, *args, size=None, **kwargs):
+                sizes.append(size)
+                return normal(self, *args, size=size, **kwargs)
+
+        out = truncated_gaussian(Recording(np.random.PCG64(3)), 1.0, 1e-5, 20)
+        assert out.shape == (20,) and np.all(np.abs(out) <= 1e-5)
+        assert max(sizes) == 1 << 14
 
 
 class TestDiscreteLyapunov:
