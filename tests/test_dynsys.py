@@ -23,8 +23,10 @@ from stablepac import (
     simulate_series,
     truncated_gaussian,
 )
+from stablepac import dynsys
 from stablepac.certify import StabilityConstants
-from stablepac.dynsys import _ACTIVATION_TABLE, _CHUNK_ROWS
+from stablepac.dynsys import _ACTIVATION_TABLE, _CHUNK_ROWS, _WARM_UP_STEPS
+from stablepac.experiment import _DATA_BURN_IN_TOL
 from helpers import benchmark_predictor, random_contractive_system
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
@@ -70,6 +72,54 @@ def reference_save_trajectory(traj, path):
             row += [repr(float(v)) for v in traj.inputs[t]]
             row += [repr(float(v)) for v in traj.outputs[t]]
             writer.writerow(row)
+
+
+# Lengths around simulate's segments: none, one step, one segment and one
+# row short of / just over it, two segments, and four with a short last one.
+SEGMENT_LENGTHS = (0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS,
+                   3 * _CHUNK_ROWS + 5)
+
+
+def rotation(theta, radius=1.0):
+    return radius * np.array(
+        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    )
+
+
+def never_forgetting_system(name):
+    """A system whose state no short warm-up recovers to the last bit."""
+    a, kind = {
+        "rotation": (rotation(0.3), "identity"),
+        "identity": (np.eye(2), "identity"),
+        "rho=0.999": (rotation(0.3, 0.999), "tanh"),
+    }[name]
+    return RnnSystem(
+        a=a, b=np.array([[0.1], [0.2]]), b_s=np.array([0.01, -0.02]), c=np.eye(2),
+        d=np.array([[0.3], [-0.1]]), b_y=np.zeros(2),
+        sigma_f=activation(kind), sigma_g=activation(kind),
+    )
+
+
+def contractive_with_kind(rng, kind, **shape):
+    """A random certified system whose state and output maps are ``kind``: A is
+    rescaled so that the state map's Lipschitz constant times ||A|| is kept."""
+    base = random_contractive_system(rng, **shape)
+    scale = base.sigma_f.lipschitz / activation(kind).lipschitz
+    return with_kinds(base, kind, kind, a=scale * base.a)
+
+
+@pytest.fixture
+def lockstep_calls(monkeypatch):
+    """(segments, steps) of every lockstep run that simulate makes, in order."""
+    calls = []
+    real = dynsys._lockstep
+
+    def counting(sys, prev, rows):
+        calls.append((prev.shape[0], rows.shape[1]))
+        real(sys, prev, rows)
+
+    monkeypatch.setattr(dynsys, "_lockstep", counting)
+    return calls
 
 
 class TestActivation:
@@ -207,17 +257,21 @@ class TestSimulate:
 
     @pytest.mark.parametrize("kind", ACTIVATIONS)
     def test_long_run_across_output_chunks_matches_step_loop(self, kind):
-        # Two full output chunks and a 3-row remainder, with the same kind
-        # for the state and the output map.
+        # Every length around the output chunks and simulate's segments, with
+        # the same kind for the state and the output map.
         rng = np.random.default_rng(40 + ACTIVATIONS.index(kind))
-        base = random_contractive_system(rng, n_s=3, n_v=2, n_y=2)
-        sys = with_kinds(base, kind, kind)
-        s0 = rng.normal(size=3)
-        inputs = rng.uniform(-2, 2, size=(2 * _CHUNK_ROWS + 3, 2))
-        states, outputs = simulate(sys, s0, inputs)
-        ref_states, ref_outputs = reference_simulate(sys, s0, inputs)
-        assert_same_bits(states, ref_states)
-        assert_same_bits(outputs, ref_outputs)
+        for n_s in (1, 2, 3):
+            sys = contractive_with_kind(rng, kind, n_s=n_s, n_v=2, n_y=2)
+            s0 = rng.normal(size=n_s)
+            inputs = rng.uniform(-2, 2, size=(max(SEGMENT_LENGTHS), 2))
+            # The recursion is causal: every length's reference is a prefix
+            # of the longest one.
+            ref_states, ref_outputs = reference_simulate(sys, s0, inputs)
+            for n in SEGMENT_LENGTHS:
+                states, outputs = simulate(sys, s0, inputs[:n])
+                assert states.shape == (n, n_s) and outputs.shape == (n, 2)
+                assert_same_bits(states, ref_states[:n])
+                assert_same_bits(outputs, ref_outputs[:n])
 
     @pytest.mark.parametrize("kind", ACTIVATIONS)
     @pytest.mark.parametrize("layout,n_s", [("F", 2), ("F", 3), ("strided", 3)])
@@ -267,17 +321,23 @@ class TestSimulate:
 
     @pytest.mark.parametrize("kind", ACTIVATIONS)
     def test_caller_arrays_not_written(self, kind):
+        # One segment, then four, and four of a rotation, which reruns every
+        # later segment over B v rows formed again.
         rng = np.random.default_rng(50)
-        base = random_contractive_system(rng, n_s=2, n_v=2, n_y=1)
-        sys = with_kinds(base, kind, kind)
-        s0 = rng.normal(size=2)
-        inputs = rng.uniform(-2, 2, size=(50, 2))
-        s0_before, inputs_before = s0.copy(), inputs.copy()
-        states, _ = simulate(sys, s0, inputs)
-        assert np.array_equal(s0, s0_before)
-        assert np.array_equal(inputs, inputs_before)
-        # Every recorded state is the system's own, not the caller's s0.
-        assert not np.shares_memory(states, s0)
+        contractive = contractive_with_kind(rng, kind, n_s=2, n_v=2, n_y=1)
+        long = 3 * _CHUNK_ROWS + 5
+        cases = [(contractive, 50), (contractive, long), (never_forgetting_system("rotation"), long)]
+        for sys, n in cases:
+            s0 = rng.normal(size=2)
+            inputs = rng.uniform(-2, 2, size=(n, sys.n_v))
+            s0_before, inputs_before = s0.copy(), inputs.copy()
+            states, outputs = simulate(sys, s0, inputs)
+            assert_same_bits(s0, s0_before)
+            assert_same_bits(inputs, inputs_before)
+            # Every recorded state is the system's own, not the caller's s0.
+            assert not np.shares_memory(states, s0)
+            assert not np.shares_memory(states, inputs)
+            assert not np.shares_memory(outputs, inputs)
 
     def test_series_matches_lockstep_loop(self):
         rng = np.random.default_rng(12)
@@ -321,6 +381,59 @@ class TestSimulate:
             inputs = rng.uniform(-1, 1, size=(50, sys.n_v))
             _, outputs = simulate(sys, rng.normal(size=sys.n_s), inputs)
             assert np.all(np.abs(outputs) < 1.0)
+
+
+class TestSegments:
+    """simulate steps long inputs in segments; every byte must be the step loop's."""
+
+    @pytest.mark.parametrize("kind", ACTIVATIONS)
+    def test_signed_zeros_across_boundaries_match_step_loop(self, kind):
+        # Zero biases of both signs, a start of signed zeros, and inputs that
+        # stop after 100 steps: the states decay through subnormals to exact
+        # zeros long before the first boundary, so every warm-up meets zeros,
+        # whose signs must come out as the step loop's.
+        rng = np.random.default_rng(130 + ACTIVATIONS.index(kind))
+        for _ in range(5):
+            base = contractive_with_kind(rng, kind, n_s=3, n_v=1, n_y=2, tau_range=(0.2, 0.5))
+            sys = with_kinds(
+                base, kind, kind, b_s=np.array([-0.0, 0.0, -0.0]), b_y=np.array([-0.0, 0.0])
+            )
+            inputs = np.zeros((3 * _CHUNK_ROWS + 5, 1))
+            inputs[:100] = rng.uniform(-1, 1, size=(100, 1))
+            s0 = np.array([-0.0, 0.0, -0.0])
+            states, outputs = simulate(sys, s0, inputs)
+            ref_states, ref_outputs = reference_simulate(sys, s0, inputs)
+            assert_same_bits(states, ref_states)
+            assert_same_bits(outputs, ref_outputs)
+
+    @pytest.mark.parametrize("name", ["rotation", "identity", "rho=0.999"])
+    def test_never_forgetting_systems_rerun_single_segments(self, name, lockstep_calls):
+        sys = never_forgetting_system(name)
+        rng = np.random.default_rng(150)
+        s0 = rng.normal(size=2)
+        inputs = rng.uniform(-1, 1, size=(3 * _CHUNK_ROWS + 5, 1))
+        states, outputs = simulate(sys, s0, inputs)
+        ref_states, ref_outputs = reference_simulate(sys, s0, inputs)
+        assert_same_bits(states, ref_states)
+        assert_same_bits(outputs, ref_outputs)
+        # One warm-up run, one lockstep pass over the four segments, then
+        # each of the three later segments rerun alone, and no more.
+        (warm_k, warm_steps), (k, m), *reruns = lockstep_calls
+        assert (warm_k, warm_steps, k) == (3, _WARM_UP_STEPS, 4)
+        assert reruns == [(1, m)] * 2 + [(1, len(inputs) - 3 * m)]
+
+    def test_reference_generator_needs_no_rerun_at_long_series_length(self, lockstep_calls):
+        # The data of a 100 000-step cell: the warm-ups start every segment
+        # exactly where the one before it ends, so no segment is rerun.
+        gen = build_reference_generator()
+        n = 100_000 + burn_in_length(rnn_constants(gen), 0.0, _DATA_BURN_IN_TOL)
+        noise = truncated_gaussian(seeded_rng(0), 1.0, 1.27, 2 * n).reshape(n, 2)
+        states, outputs = simulate(gen, np.zeros(2), noise)
+        ref_states, ref_outputs = reference_simulate(gen, np.zeros(2), noise)
+        assert_same_bits(states, ref_states)
+        assert_same_bits(outputs, ref_outputs)
+        k = -(-n // _CHUNK_ROWS)
+        assert lockstep_calls == [(k - 1, _WARM_UP_STEPS), (k, -(-n // k))]
 
 
 class TestBurnInLength:
