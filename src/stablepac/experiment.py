@@ -237,23 +237,26 @@ class ExperimentConfig:
             raise ConfigError(f"invalid config: {exc}") from exc
 
 
-def _cell_chain_seed(base_seed: int, seed: int, n: int) -> int:
-    # Distinct deterministic seed per (base seed, data seed, n) while the data
-    # seed and n stay below the multiplier; base seed 0 gives
-    # seed * 1_000_003 + n.  A seed's cloud is drawn with n = n_max, the seed
-    # of its largest cell when every cell drew its own cloud.
-    return (base_seed * 1_000_003 + seed) * 1_000_003 + n
+def _chain_rng(base_seed: int, seed: int) -> np.random.Generator:
+    # Keyed by (base seed, data seed) only.  The spawn key makes the entropy
+    # words [seed, 0, 0, 0, base_seed]; a data seed k < 2**128 has at most
+    # four, so no data seed's seeded_rng(k) shares them.  SeedSequence([base_seed,
+    # seed]) would not do: [3, 0] gives data seed 3's stream.
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(base_seed,)))
+    )
 
 
 def _prior_cloud(cfg: ExperimentConfig, seed: int) -> np.ndarray:
     """One seed's prior cloud, ``cfg.n_f`` rows of 14 parameters.
 
     Random-walk Metropolis-Hastings from theta = 0 on the N(0, prior_sigma2)
-    prior truncated to tau = ||A||_2 < tau_max, seeded with the cell seed of
-    the largest n; keeps the states after steps burn_in + k * thin.
+    prior truncated to tau = ||A||_2 < tau_max; keeps the states after steps
+    burn_in + k * thin.  The chain draws from ``_chain_rng``, so the cloud
+    does not depend on the n grid.
     """
     chain = cfg.chain
-    rng = seeded_rng(_cell_chain_seed(chain.base_seed, seed, cfg.n_grid[-1]))
+    rng = _chain_rng(chain.base_seed, seed)
     a_cols, a_shape = _PARAM_SLICES["a"], _PARAM_BLOCKS["a"]
     theta = np.zeros(PARAM_DIM)
     log_p = 0.0
@@ -414,10 +417,10 @@ def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundRe
     """Evaluate the bound at every n of the grid on prefixes of one seed's data.
 
     One prior cloud serves every n: the prior depends on neither the data nor
-    n, so each per-n bound stays valid.  The cloud's chain seed is the cell
-    seed of the largest n.  The cloud is certified and simulated once; only
-    the moment exponents and the Gibbs reweighting depend on n.  The
-    reweighting takes the log-weights -lambda*loss, so every lambda evaluates.
+    n, so each per-n bound stays valid and equals the report of a one-n grid.
+    The cloud is certified and simulated once; only the moment exponents and
+    the Gibbs reweighting depend on n.  The reweighting takes the log-weights
+    -lambda*loss, so every lambda evaluates.
     """
     n_max = cfg.n_grid[-1]
     if data.length < n_max:
@@ -470,22 +473,11 @@ def run_experiment(
 ) -> ExperimentReports:
     """Evaluate the bound over every (seed, n) cell in deterministic order.
 
-    One data realisation per seed, sliced to prefixes for each n; a fresh
-    prior cloud is drawn per seed with a seed-specific chain seed.  The
-    datasets are returned with the reports, so the result holds about
-    n_seeds * n_max * 16 bytes of data.
+    One data realisation per seed, sliced to prefixes for each n, and one
+    prior cloud per seed.  The datasets are returned with the reports, so the
+    result holds about n_seeds * n_max * 16 bytes of data.
     """
     n_max = cfg.n_grid[-1]
-    # A chain seeded like a data seed would draw the prior from that seed's
-    # data stream; with base seed 0 that is seed 0's chain when n_max < n_seeds.
-    for seed in range(cfg.n_seeds):
-        chain_seed = _cell_chain_seed(cfg.chain.base_seed, seed, n_max)
-        if chain_seed < cfg.n_seeds:
-            raise ConfigError(
-                f"the prior chain of seed {seed} would reuse the stream of data "
-                f"seed {chain_seed}; with n_seeds={cfg.n_seeds}, use a largest n "
-                f"of at least n_seeds or a chain.base_seed above 0"
-            )
     reports, datasets = [], []
     for seed in range(cfg.n_seeds):
         data = generate_dataset(seed, n_max, cfg.e_std, cfg.e_inf)

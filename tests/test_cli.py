@@ -197,6 +197,27 @@ class TestBoundCommand:
         rows = (out_dir / "bound_reports.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith("10,0,")
 
+    def test_matches_the_experiment_row(self, tmp_path, capsys):
+        # A seed's prior cloud does not depend on the grid, so one cell run
+        # alone equals that cell of the whole experiment, field for field.
+        from stablepac.experiment import REPORT_COLUMNS
+
+        cfg = {"n_grid": [5, 50, 120], "n_seeds": 2, "n_f": 60, "chain": {"burn_in": 20}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["bound", "--config", str(cfg_path), "--seed", "1", "--n", "50"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        lines = (out_dir / "bound_reports.csv").read_text().splitlines()
+        assert lines[0].split(",") == REPORT_COLUMNS
+        (row,) = [r.split(",") for r in lines[1:] if r.startswith("50,1,")]
+        keys = ["n", "seed", "lambda_", "delta", "kl", "psi_hat", "r_n",
+                "post_emp_loss", "total", "z_hat", "n_samples"]
+        assert sorted(doc) == sorted(keys)
+        for key, text in zip(keys, row):
+            assert doc[key] == (int(text) if key in ("n", "seed", "n_samples") else float(text))
+
     def test_nonpositive_n_fails_before_sampling(self, capsys):
         assert main(["bound", "--n", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: n_grid")

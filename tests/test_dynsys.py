@@ -100,12 +100,13 @@ def never_forgetting_system(name):
     )
 
 
-def contractive_with_kind(rng, kind, **shape):
-    """A random certified system whose state and output maps are ``kind``: A is
-    rescaled so that the state map's Lipschitz constant times ||A|| is kept."""
+def contractive_with_kind(rng, kind, kind_g=None, **shape):
+    """A random certified system whose state map is ``kind`` and output map
+    ``kind_g`` (default ``kind``): A is rescaled so that the state map's
+    Lipschitz constant times ||A|| is kept."""
     base = random_contractive_system(rng, **shape)
     scale = base.sigma_f.lipschitz / activation(kind).lipschitz
-    return with_kinds(base, kind, kind, a=scale * base.a)
+    return with_kinds(base, kind, kind_g or kind, a=scale * base.a)
 
 
 @pytest.fixture
@@ -246,8 +247,10 @@ class TestSimulate:
         for n_s in range(1, 5):
             for n_v in range(1, 5):
                 for n_y in range(1, 5):
-                    base = random_contractive_system(rng, n_s=n_s, n_v=n_v, n_y=n_y)
-                    sys = with_kinds(base, kind_f, kind_g)
+                    sys = contractive_with_kind(
+                        rng, kind_f, kind_g, n_s=n_s, n_v=n_v, n_y=n_y
+                    )
+                    assert rnn_constants(sys).tau < 1.0
                     s0 = rng.normal(size=n_s)
                     inputs = rng.uniform(-2, 2, size=(40, n_v))
                     states, outputs = simulate(sys, s0, inputs)
@@ -281,7 +284,7 @@ class TestSimulate:
         # steps with it as the step loop does.
         rng = np.random.default_rng(60 + n_s)
         for _ in range(20):
-            base = random_contractive_system(rng, n_s=n_s, n_v=2, n_y=2)
+            base = contractive_with_kind(rng, kind, n_s=n_s, n_v=2, n_y=2)
             if layout == "F":
                 a = np.asfortranarray(base.a)
             else:
@@ -289,6 +292,7 @@ class TestSimulate:
                 a[...] = base.a
             assert not a.flags.c_contiguous
             sys = with_kinds(base, kind, kind, a=a)
+            assert rnn_constants(sys).tau < 1.0
             assert sys.a.flags.c_contiguous
             assert np.array_equal(sys.a, a)
             s0 = rng.normal(size=n_s)

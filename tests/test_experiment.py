@@ -27,12 +27,12 @@ from stablepac.experiment import (
     _LOSS_CHUNK_ELEMENTS,
     PARAM_DIM,
     ChainSettings,
-    _cell_chain_seed,
+    _chain_rng,
     _prior_cloud,
     emit_curves,
     write_outputs,
 )
-from stablepac.numerics import spectral_norm_2x2
+from stablepac.numerics import seeded_rng, spectral_norm_2x2
 
 from helpers import autocorrelation_time, benchmark_predictor
 
@@ -57,19 +57,15 @@ def reference_batch_losses(thetas, inputs, labels):
 
 
 
-def reference_run_cell(cfg, seed, n, data, chain_n=None):
-    """One (seed, n) cell from its own chain and a separate loss pass over the prefix.
-
-    With chain_n left at n this is the per-cell evaluation that drew one
-    cloud per cell; a seed's shared cloud is the one drawn for chain_n = n_max.
-    """
+def reference_run_cell(cfg, seed, n, data):
+    """One (seed, n) cell from its own chain and a separate loss pass over the prefix."""
     from stablepac.bound import (
         BoundReport, gibbs_log_estimates, pac_bound, pooled_psi, psi1_exponent,
     )
     from stablepac.experiment import certify_cloud
     from stablepac.mixing import generator_data_constants
 
-    thetas = _prior_cloud(dataclasses.replace(cfg, n_grid=(chain_n or n,)), seed)
+    thetas = _prior_cloud(dataclasses.replace(cfg, n_grid=(n,)), seed)
     lambda_ = cfg.lambda_for(n)
     dc = generator_data_constants(build_reference_generator(), cfg.e_inf)
     consts, gh, l_ell, s0_norm = certify_cloud(thetas, dc, cfg.tau_max)
@@ -482,19 +478,6 @@ class TestRunExperiment:
         ref = reference_batch_losses(thetas, data.inputs, data.outputs)
         assert batch.tobytes() == ref.tobytes()
 
-    def test_cell_chain_seeds_distinct_across_base_seeds(self):
-        # (base_seed=b, seed=s) used to share the chain of (b-1, s+1)
-        assert _cell_chain_seed(1, 0, 100) != _cell_chain_seed(0, 1, 100)
-        cells = [
-            (b, s, n)
-            for b in (0, 1, 2, 1000, 2000)
-            for s in range(10)
-            for n in (5, 9, 20, 50, 100, 1000, 10_000, 100_000)
-        ]
-        assert len({_cell_chain_seed(*c) for c in cells}) == len(cells)
-        # base seed 0 keeps the reference experiment's seeds
-        assert all(_cell_chain_seed(0, s, n) == s * 1_000_003 + n for _, s, n in cells)
-
     def test_prefix_loss_rows_match_separate_passes(self):
         # 300 samples give 2**14 // (4 * 300) = 13 steps per buffer: n = 1,
         # n on a buffer boundary (13, 26), n off it (20) and n_max.
@@ -579,53 +562,41 @@ class TestRunExperiment:
         assert math.isfinite(r.r_n) and math.isfinite(r.total)
         assert r.z_hat > 0.0 and not math.isnan(r.z_hat)
 
-    def test_chain_seed_equal_to_a_data_seed_rejected_before_sampling(
-        self, monkeypatch
-    ):
-        # Base seed 0 gives seed 0 the chain seed n_max; below n_seeds that
-        # is a data seed's stream.
-        import stablepac.experiment as experiment
-
-        seeds = []
-        real = experiment.seeded_rng
-        monkeypatch.setattr(
-            experiment, "seeded_rng", lambda seed: seeds.append(seed) or real(seed)
+    def test_grid_smaller_than_seed_count_runs(self):
+        # n_max = 2 < n_seeds = 3 used to be refused: base seed 0 gave seed 0
+        # the chain seed n_max, the stream of data seed 2.
+        reports = run_experiment(
+            ExperimentConfig(n_grid=(2,), n_seeds=3, n_f=10, chain=ChainSettings(burn_in=5))
         )
-        cfg = ExperimentConfig(n_grid=(2,), n_seeds=3, n_f=10, chain=ChainSettings(burn_in=5))
-        with pytest.raises(ConfigError, match="seed 0 would reuse the stream of data seed 2"):
-            run_experiment(cfg)
-        assert seeds == []
-        # n_max = n_seeds and a nonzero base seed both keep the streams apart.
-        for other in (
-            dataclasses.replace(cfg, n_grid=(3,)),
-            dataclasses.replace(cfg, chain=ChainSettings(burn_in=5, base_seed=1)),
-        ):
-            assert len(run_experiment(other)) == 3
+        assert [(r.seed, r.n) for r in reports] == [(0, 2), (1, 2), (2, 2)]
 
     def test_one_chain_per_seed(self, monkeypatch):
-        # Each seed opens one stream for its data and then one for its chain,
-        # seeded with the cell seed of the largest n.
+        # Each seed opens one data stream, seeded_rng(seed), and then one
+        # chain stream, keyed by (base seed, seed) and not by the grid.
         import stablepac.experiment as experiment
 
-        seeds = []
-        real = experiment.seeded_rng
+        opened = []
+        real_data, real_chain = experiment.seeded_rng, experiment._chain_rng
 
-        def recorded(seed):
-            seeds.append(seed)
-            return real(seed)
+        def data_rng(seed):
+            opened.append(("data", seed))
+            return real_data(seed)
 
-        monkeypatch.setattr(experiment, "seeded_rng", recorded)
-        run_experiment(SMALL)
-        n_max = SMALL.n_grid[-1]
-        assert seeds == [
-            seed
-            for s in range(SMALL.n_seeds)
-            for seed in (s, _cell_chain_seed(0, s, n_max))
+        def chain_rng(base_seed, seed):
+            opened.append(("chain", base_seed, seed))
+            return real_chain(base_seed, seed)
+
+        monkeypatch.setattr(experiment, "seeded_rng", data_rng)
+        monkeypatch.setattr(experiment, "_chain_rng", chain_rng)
+        cfg = dataclasses.replace(SMALL, chain=ChainSettings(burn_in=50, base_seed=4))
+        run_experiment(cfg)
+        assert opened == [
+            key for s in range(SMALL.n_seeds) for key in (("data", s), ("chain", 4, s))
         ]
 
     def test_one_dataset_per_seed(self, monkeypatch, tmp_path):
-        # write_outputs writes each seed's trajectory from the dataset
-        # run_experiment evaluated, without generating it again.
+        # Each seed's data is generated once, at n_max, and write_outputs
+        # writes that dataset as the seed's trajectory.
         import stablepac.experiment as experiment
 
         calls = []
@@ -639,7 +610,7 @@ class TestRunExperiment:
         out = tmp_path / "out"
         write_outputs(SMALL, run_experiment(SMALL), str(out))
         n_max = SMALL.n_grid[-1]
-        assert len(calls) == SMALL.n_seeds
+        assert calls == [(s, n_max, SMALL.e_std, SMALL.e_inf) for s in range(SMALL.n_seeds)]
         for seed in range(SMALL.n_seeds):
             ref = tmp_path / f"ref{seed}.csv"
             save_trajectory(real(seed, n_max, SMALL.e_std, SMALL.e_inf), str(ref))
@@ -661,28 +632,53 @@ class TestRunExperiment:
         assert clouds == [SMALL.n_f] * SMALL.n_seeds
 
     def test_reports_match_per_cell_reference(self, reports):
-        # Each seed's n_max cell is the per-cell evaluation unchanged; the
-        # smaller n reuse that cell's cloud on a data prefix.
+        # Every cell equals the per-cell evaluation with its own chain: the
+        # seed's chain does not depend on the grid.
         n_max = SMALL.n_grid[-1]
         for seed in range(SMALL.n_seeds):
             data = generate_dataset(seed, n_max)
             mine = [r for r in reports if r.seed == seed]
-            assert mine[-1] == reference_run_cell(SMALL, seed, n_max, data)
-            assert mine == [
-                reference_run_cell(SMALL, seed, n, data, chain_n=n_max)
-                for n in SMALL.n_grid
-            ]
+            assert mine == [reference_run_cell(SMALL, seed, n, data) for n in SMALL.n_grid]
 
     def test_run_seed_needs_n_max_rows(self):
         with pytest.raises(ValueError, match="need at least 20"):
             run_seed(SMALL, 0, generate_dataset(0, 19))
 
+    @staticmethod
+    def _stream(rng):
+        s = rng.bit_generator.state["state"]
+        return s["state"], s["inc"]
+
+    def test_cell_chain_seeds_distinct_across_base_seeds(self):
+        # Every (base seed, seed) pair gets its own chain stream; (1, 0) and
+        # (0, 1) are the pair the old additive seed arithmetic let collide.
+        assert self._stream(_chain_rng(1, 0)) != self._stream(_chain_rng(0, 1))
+        chains = [
+            self._stream(_chain_rng(b, s)) for b in (0, 1, 2, 3, 1000, 2000) for s in range(100)
+        ]
+        assert len(set(chains)) == len(chains)
+
     def test_chain_seeds_differ_from_data_seeds(self):
-        # A shared PCG64 stream would make the prior depend on the data.
-        data_seeds = set(range(10))
-        for b in (0, 1, 1000):
-            for n_max in (20, 100, 1000, 100_000):
-                assert all(_cell_chain_seed(b, s, n_max) not in data_seeds for s in range(10))
+        # A chain sharing a data seed's PCG64 stream would make the prior
+        # depend on the data.  (base seed 3, seed 0) is the pair whose
+        # SeedSequence([3, 0]) would be data seed 3's stream.
+        assert self._stream(_chain_rng(3, 0)) != self._stream(seeded_rng(3))
+        data = {self._stream(seeded_rng(k)) for k in range(10_000)}
+        chains = [
+            self._stream(_chain_rng(b, s)) for b in (0, 1, 2, 3, 1000, 2000) for s in range(100)
+        ]
+        assert data.isdisjoint(chains)
+
+    def test_single_n_grid_gives_the_full_grid_report(self):
+        # The prior cloud depends on neither the data nor n, so a one-n grid
+        # reports exactly the full grid's cell: the reference grid, seeds 0-1.
+        cfg = ExperimentConfig(n_seeds=2, n_f=300)
+        for seed in range(cfg.n_seeds):
+            data = generate_dataset(seed, cfg.n_grid[-1])
+            full = run_seed(cfg, seed, data)
+            for n, report in zip(cfg.n_grid, full):
+                one = dataclasses.replace(cfg, n_grid=(n,))
+                assert run_seed(one, seed, generate_dataset(seed, n)) == [report]
 
     def test_doubling_n_halves_transient_exponents_exactly(self, reports):
         rng = np.random.default_rng(9)
