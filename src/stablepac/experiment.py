@@ -8,8 +8,10 @@ evaluated at every n of the grid from a fresh prior sample cloud per seed.
 The prior is the zero-mean Gaussian truncated to the stability region
 ||A||_2 < tau_max; ``_prior_cloud`` samples it with one random-walk
 Metropolis-Hastings chain per seed, started at theta = 0.  The cloud is
-certified once and simulated as whole arrays, one entry per sample, and one
-simulation pass gives its losses on every data prefix.
+certified once, one entry per sample, and simulated as whole arrays, one
+entry per distinct state: a rejected proposal repeats the chain's state, and
+each run of identical consecutive rows is simulated once.  One simulation
+pass gives the losses on every data prefix.
 """
 
 from __future__ import annotations
@@ -380,6 +382,25 @@ def _batch_empirical_losses(
     return means
 
 
+def _cloud_losses(
+    thetas: np.ndarray, inputs: np.ndarray, labels: np.ndarray, ns: Sequence[int]
+) -> np.ndarray:
+    """``_batch_empirical_losses`` of the cloud, each distinct state simulated once.
+
+    A Metropolis-Hastings chain keeps its state on every rejected proposal,
+    so runs of consecutive rows are identical.  Rows are compared as uint64
+    words (so -0.0 and 0.0 differ), only the first row of each run is
+    simulated, and its losses fill the run's columns.  The loss pass is
+    elementwise over samples, so every column equals the full cloud's bit
+    for bit.
+    """
+    bits = thetas.view(np.uint64)
+    starts = np.ones(thetas.shape[0], dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=starts[1:])
+    rows = _batch_empirical_losses(thetas[starts], inputs, labels, ns)
+    return rows.take(np.cumsum(starts) - 1, axis=1)
+
+
 def certify_cloud(
     thetas: np.ndarray, dc: DataConstants, tau_max: float
 ) -> tuple[StabilityConstants, GainPair, np.ndarray, np.ndarray]:
@@ -418,8 +439,10 @@ def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundRe
 
     One prior cloud serves every n: the prior depends on neither the data nor
     n, so each per-n bound stays valid and equals the report of a one-n grid.
-    The cloud is certified and simulated once; only the moment exponents and
-    the Gibbs reweighting depend on n.  The reweighting takes the log-weights
+    The cloud is certified once and simulated once, each distinct state of
+    the chain once (``_cloud_losses``), so every sample keeps the loss of a
+    full-cloud pass bit for bit; only the moment exponents and the Gibbs
+    reweighting depend on n.  The reweighting takes the log-weights
     -lambda*loss, so every lambda evaluates.
     """
     n_max = cfg.n_grid[-1]
@@ -428,7 +451,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundRe
     thetas = _prior_cloud(cfg, seed)
     dc = generator_data_constants(build_reference_generator(), cfg.e_inf)
     consts, gh, l_ell, s0_norm = certify_cloud(thetas, dc, cfg.tau_max)
-    loss_rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, cfg.n_grid)
+    loss_rows = _cloud_losses(thetas, data.inputs, data.outputs, cfg.n_grid)
     reports = []
     for n, losses in zip(cfg.n_grid, loss_rows):
         lambda_ = cfg.lambda_for(n)

@@ -19,6 +19,11 @@ from .errors import DegenerateTruncationError, InstabilityError
 _POWER_TOL = 1e-12
 _POWER_MAX_ITER = 10_000
 
+# spectral_norm iterates unscaled only on matrices whose largest entry lies
+# strictly inside this band: the norm lies between that entry and sqrt(size)
+# times it, so w . w ~ norm^4 stays well inside the normal floats (2^+-1022).
+_SAFE_PEAK_LO, _SAFE_PEAK_HI = 2.0**-200, 2.0**200
+
 # Lyapunov series: stop when the increment norm drops below this, give up
 # after this many doublings (2^40 terms).  Squaring a^(2^k) compounds rounding
 # error like 2^k * eps; far beyond 2^40 the computed powers of a marginally
@@ -72,22 +77,46 @@ def _power_iterate(gram: np.ndarray, v: np.ndarray) -> float:
     return lam
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value via power iteration on ``m.T @ m``.
-
-    Deterministic: iterates from the all-ones vector, plus a second fixed
-    start (1, 1/2, 1/3, ...) that cannot be orthogonal to the dominant
-    eigenvector at the same time as the first, and takes the larger estimate.
-    """
-    m = check_finite_matrix(m)
-    if m.size == 0:
-        return 0.0
+def _gram_norm(m: np.ndarray) -> float:
+    """Two-start power iteration on ``m.T @ m`` of a finite, nonempty matrix."""
     gram = m.T @ m
     n = gram.shape[0]
     v_ones = np.ones(n)
     v_harmonic = 1.0 / np.arange(1.0, n + 1.0)
     lam = max(_power_iterate(gram, v_ones), _power_iterate(gram, v_harmonic))
     return math.sqrt(max(lam, 0.0))
+
+
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value via power iteration on ``m.T @ m``.
+
+    Deterministic: iterates from the all-ones vector, plus a second fixed
+    start (1, 1/2, 1/3, ...) that cannot be orthogonal to the dominant
+    eigenvector at the same time as the first, and takes the larger estimate.
+    The iteration squares the scale twice, in the Gram matrix and in
+    ``w . w``, so a matrix whose largest entry lies outside 2^+-200 is
+    iterated after scaling by an exact power of two, and the result scaled
+    back; a norm above the largest float is ``inf``.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"matrix must be 2-dimensional, got shape {m.shape}")
+    if m.size == 0:
+        return 0.0
+    # One reduction both rejects NaN and infinities and gives the scale.
+    peak = np.maximum.reduce(np.abs(m), None)
+    if _SAFE_PEAK_LO < peak < _SAFE_PEAK_HI:
+        return _gram_norm(m)
+    if not math.isfinite(peak):
+        raise ValueError("matrix contains non-finite entries")
+    if peak == 0.0:
+        return 0.0
+    exp = math.frexp(peak)[1]
+    scaled = _gram_norm(np.ldexp(m, -exp))
+    try:
+        return math.ldexp(scaled, exp)
+    except OverflowError:
+        return math.inf
 
 
 def spectral_norm_2x2(a00, a01, a10, a11):

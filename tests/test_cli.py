@@ -17,6 +17,7 @@ from stablepac import (
 )
 from stablepac.cli import main
 from stablepac.dynsys import RnnSystem, activation
+from stablepac.errors import NotStableError
 from helpers import random_contractive_system
 
 
@@ -91,6 +92,26 @@ class TestCheckStability:
         assert main(["check-stability", "--model", _system_path(tmp_path, sys)]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False and doc["tau"] == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("scale", [1e78, 1e155, 1e300])
+    def test_huge_a_is_not_certified(self, tmp_path, capsys, scale):
+        # An overflowing power iteration certifies [[1e78]] with tau 0.0 and
+        # gives [[1e155]] a NaN tau.
+        sys = RnnSystem(
+            a=np.array([[scale]]),
+            b=np.ones((1, 1)),
+            b_s=np.zeros(1),
+            c=np.ones((1, 1)),
+            d=np.ones((1, 1)),
+            b_y=np.zeros(1),
+            sigma_f=activation("relu"),
+            sigma_g=activation("tanh"),
+        )
+        path = _system_path(tmp_path, sys)
+        with pytest.raises(NotStableError):
+            rnn_constants(load_model(path))
+        assert main(["check-stability", "--model", path]) == 1
+        assert json.loads(capsys.readouterr().out) == {"ok": False, "tau": scale}
 
     def test_tau_agrees_with_rnn_constants(self, tmp_path, capsys):
         rng = np.random.default_rng(14)

@@ -631,6 +631,90 @@ class TestRunExperiment:
         run_experiment(SMALL)
         assert clouds == [SMALL.n_f] * SMALL.n_seeds
 
+    def test_one_loss_pass_per_distinct_state(self, monkeypatch):
+        # The chain keeps its state on every rejected proposal; each run of
+        # identical consecutive rows is simulated once, while the whole
+        # cloud is certified (test_one_certification_per_seed).
+        import stablepac.experiment as experiment
+
+        simulated = []
+        real = experiment._batch_empirical_losses
+
+        def counted(thetas, *args):
+            simulated.append(thetas.shape[0])
+            return real(thetas, *args)
+
+        monkeypatch.setattr(experiment, "_batch_empirical_losses", counted)
+        run_experiment(SMALL)
+        distinct = []
+        for seed in range(SMALL.n_seeds):
+            cloud = _prior_cloud(SMALL, seed)
+            distinct.append(
+                1 + sum(a.tobytes() != b.tobytes() for a, b in zip(cloud[1:], cloud[:-1]))
+            )
+        assert simulated == distinct
+        assert max(distinct) < SMALL.n_f
+
+    @pytest.mark.parametrize("base_seed", [0, 3000])
+    def test_distinct_state_losses_match_full_cloud(self, base_seed):
+        # About half of a 300-row chain cloud repeats the row before it.  Its
+        # 164 and 142 distinct rows take 2**14 // (4 * m) = 24 and 28 steps
+        # per buffer where the full cloud takes 13, so the two passes end
+        # their buffers on different steps; every loss must still be the
+        # full cloud's bytes.
+        from stablepac.experiment import _batch_empirical_losses, _cloud_losses
+
+        cfg = ExperimentConfig(n_grid=(9000,), n_f=300, chain=ChainSettings(base_seed=base_seed))
+        cloud = _prior_cloud(cfg, 1)
+        assert len({row.tobytes() for row in cloud}) < cfg.n_f
+        data = generate_dataset(1, 9000)
+        ns = [1, 13, 20, 27, 500, 4097, 9000]
+        got = _cloud_losses(cloud, data.inputs, data.outputs, ns)
+        full = _batch_empirical_losses(cloud, data.inputs, data.outputs, ns)
+        assert got.tobytes() == full.tobytes()
+
+    @staticmethod
+    def _signed_zero_pair():
+        row = np.random.default_rng(3).normal(0, 0.3, size=PARAM_DIM)
+        pair = np.stack([row, row])
+        pair[0, 12], pair[1, 12] = 0.0, -0.0
+        assert np.array_equal(pair[0], pair[1])
+        return pair
+
+    @pytest.mark.parametrize(
+        "pattern,starts",
+        [
+            ([0, 0, 0, 0, 0], [0]),  # all rows equal
+            ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]),  # no repeated rows
+            ([0, 0, 0, 1, 2, 2, 3, 3, 3], [0, 3, 4, 6]),  # runs at both ends
+            ([0], [0]),  # m = 1
+            ([0, 1, 0, 0], [0, 1, 2]),  # a row recurs after another
+            (None, [0, 1]),  # equal under == but not in a signed zero
+        ],
+    )
+    def test_each_run_of_equal_rows_simulated_once(self, monkeypatch, pattern, starts):
+        import stablepac.experiment as experiment
+
+        if pattern is None:
+            cloud = self._signed_zero_pair()
+        else:
+            base = np.random.default_rng(2).normal(0, 0.3, size=(max(pattern) + 1, PARAM_DIM))
+            cloud = base[pattern]
+        data = generate_dataset(2, 40)
+        full = experiment._batch_empirical_losses(cloud, data.inputs, data.outputs, [7, 40])
+        simulated = []
+        real = experiment._batch_empirical_losses
+
+        def recorded(thetas, *args):
+            simulated.append(thetas.copy())
+            return real(thetas, *args)
+
+        monkeypatch.setattr(experiment, "_batch_empirical_losses", recorded)
+        got = experiment._cloud_losses(cloud, data.inputs, data.outputs, [7, 40])
+        assert len(simulated) == 1
+        assert simulated[0].tobytes() == cloud[starts].tobytes()
+        assert got.tobytes() == full.tobytes()
+
     def test_reports_match_per_cell_reference(self, reports):
         # Every cell equals the per-cell evaluation with its own chain: the
         # seed's chain does not depend on the grid.

@@ -115,13 +115,23 @@ class TestSpectralNorm:
 
     def test_relative_accuracy_at_every_scale(self):
         # The convergence test is relative, so small matrices are not
-        # stopped early with an underestimated norm.
+        # stopped early with an underestimated norm; and matrices far from
+        # 1 are iterated at an exact power-of-two scale, so neither the Gram
+        # matrix nor w . w overflows (to 0.0 or NaN from about 1e77 up) or
+        # underflows (to 0.0 from about 1e-90 down).
         rng = np.random.default_rng(77)
-        for scale in 10.0 ** np.arange(-8, 3):
-            for _ in range(200):
-                m = scale * rng.normal(0, 1, size=(2, 2))
+        shapes = [(2, 2), (3, 3), (1, 1), (2, 5), (4, 1), (1, 3), (6, 4)]
+        for scale in 10.0 ** np.arange(-300, 301, 4):
+            for k in range(28):
+                m = scale * rng.normal(0, 1, size=shapes[k % len(shapes)])
                 expected = np.linalg.svd(m, compute_uv=False)[0]
-                assert abs(spectral_norm(m) - expected) <= 1e-9 * expected
+                assert abs(spectral_norm(m) - expected) <= 1e-9 * expected, (scale, m.shape)
+
+    def test_norm_beyond_the_largest_float_is_inf(self):
+        assert spectral_norm(np.full((2, 2), 1e308)) == math.inf
+        assert spectral_norm(np.array([[1e308, 1e308]])) == pytest.approx(
+            math.sqrt(2.0) * 1e308, rel=1e-12
+        )
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
