@@ -39,6 +39,7 @@ from .dynsys import (
 from .errors import (
     ConfigError,
     DegenerateTruncationError,
+    GainOverflowError,
     InstabilityError,
     InvalidConfidenceError,
     NotStableError,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynsys import RnnSystem
-from .errors import NotStableError, SingularCompositionError
+from .errors import GainOverflowError, NotStableError, SingularCompositionError
 from .numerics import spectral_norm
 
 
@@ -64,7 +64,8 @@ def rnn_constants(sys: RnnSystem) -> StabilityConstants:
     """Certificate of one affine-then-activation block.
 
     Requires Lip(sigma_f) * ||A||_2 < 1; the input-to-state gain is
-    Lip(sigma_f) * ||B||_2.
+    Lip(sigma_f) * ||B||_2.  A norm of B, C or D beyond the largest float
+    raises GainOverflowError.
     """
     rho_f = sys.sigma_f.lipschitz
     rho_g = sys.sigma_g.lipschitz
@@ -74,12 +75,15 @@ def rnn_constants(sys: RnnSystem) -> StabilityConstants:
             f"Lip(sigma_f)*||A||_2 = {tau:.6f} >= 1: no contraction certificate",
             value=tau,
         )
+    gains = {}
+    for name, rho, m in (("B", rho_f, sys.b), ("C", rho_g, sys.c), ("D", rho_g, sys.d)):
+        gains[name] = rho * spectral_norm(m)
+        if gains[name] == math.inf:
+            raise GainOverflowError(
+                f"||{name}||_2 exceeds the largest float: no finite certificate gain"
+            )
     return StabilityConstants(
-        c=1.0,
-        tau=tau,
-        l_v=rho_f * spectral_norm(sys.b),
-        l_gs=rho_g * spectral_norm(sys.c),
-        l_gv=rho_g * spectral_norm(sys.d),
+        c=1.0, tau=tau, l_v=gains["B"], l_gs=gains["C"], l_gv=gains["D"]
     )
 
 

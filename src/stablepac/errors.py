@@ -17,6 +17,11 @@ class NotStableError(StablepacError):
         self.value = value
 
 
+class GainOverflowError(StablepacError):
+    """A weight block's spectral norm exceeds the largest float, so the
+    certificate gain it sets would be infinite; the message names the block."""
+
+
 class InstabilityError(StablepacError):
     """A Lyapunov series or matrix power sequence diverges (spectral radius >= 1)."""
 

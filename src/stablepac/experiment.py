@@ -11,7 +11,9 @@ Metropolis-Hastings chain per seed, started at theta = 0.  The cloud is
 certified once, one entry per sample, and simulated as whole arrays, one
 entry per distinct state: a rejected proposal repeats the chain's state, and
 each run of identical consecutive rows is simulated once.  One simulation
-pass gives the losses on every data prefix.
+pass gives the losses on every data prefix.  A small cloud steps several
+consecutive time segments of the series side by side, in rounds of bounded
+memory, and gets the step loop's losses bit for bit.
 """
 
 from __future__ import annotations
@@ -68,10 +70,25 @@ _PARAM_SLICES, PARAM_DIM = _block_slices(_PARAM_BLOCKS)
 # Steady-state approximation tolerance used when generating data.
 _DATA_BURN_IN_TOL = 1e-9
 
-# Cap on the elements of the cloud loss pass's buffers of steps, the
-# (steps, 3 * samples) pre-activations and the (steps, samples) squared
-# errors; a buffer holds at least one step.
-_LOSS_CHUNK_ELEMENTS = 1 << 14
+# The cloud loss pass steps k = _LOSS_COLUMNS // m time segments of its m
+# samples side by side.  On the long_series cloud (154 distinct rows, n =
+# 1e5; best of six on one CPU) the pass took 0.36 s at one segment per
+# round and 0.28-0.29 s at budgets of 320 to 960 columns.  Two segments do
+# not pay: the full 300-row cloud took 0.55 s at k = 2 against 0.53 s at
+# k = 1.
+_LOSS_COLUMNS = 640
+# Cap on the squared errors of one round of the loss pass, a time-major
+# (steps, samples) buffer: 2 MiB.
+_LOSS_ROUND_ELEMENTS = 1 << 18
+# Cap on the elements of the loss pass's buffer of steps, (steps, 3 x
+# columns) pre-activations; it holds at least one step.
+_LOSS_CHUNK_ELEMENTS = 1 << 15
+# Steps of the zero-state warm-up before each later segment of a loss
+# round: on the long_series clouds of base seeds 0, 1000, 2000 and 3000
+# (146-157 distinct rows, 168-180 boundaries each at n = 1e5), 32 steps
+# left 363-2239 sample starts per cloud off in some byte (so those samples
+# ran their segment twice), 48 steps 5 (base seed 1000), 64 none.
+_LOSS_WARM_UP_STEPS = 64
 
 _RELU = activation("relu")
 _TANH = activation("tanh")
@@ -283,6 +300,69 @@ def _cloud_blocks(thetas: np.ndarray) -> dict[str, np.ndarray]:
     return {name: thetas[:, cols].T for name, cols in _PARAM_SLICES.items()}
 
 
+def _loss_round_shape(m: int, n_max: int) -> tuple[int, int]:
+    """Segments per round k and steps per segment L of the loss pass over m
+    samples: at most ``_LOSS_COLUMNS`` columns k*m (at least one segment),
+    at most ``_LOSS_ROUND_ELEMENTS`` squared errors k*L*m in a round (at
+    least one step), and rounds of equal shape that cover n_max steps with
+    the fewest padded steps.  A round of one segment has no warm-up to
+    spread, so it is one buffer of steps, which keeps the buffers of a
+    large cloud small."""
+    k = max(1, _LOSS_COLUMNS // m)
+    cap = _LOSS_ROUND_ELEMENTS if k > 1 else _LOSS_CHUNK_ELEMENTS // 3
+    most = max(1, cap // (k * m))
+    segments = -(-n_max // most)
+    rounds = -(-segments // k)
+    k = -(-segments // rounds)
+    return k, -(-n_max // (rounds * k))
+
+
+def _step_rows(
+    coef: tuple[np.ndarray, np.ndarray, np.ndarray],
+    state: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray | None,
+    out: np.ndarray | None,
+    rows: np.ndarray,
+) -> None:
+    """Step c = segs * m predictors over the inputs x, (steps, segs).
+
+    ``coef`` is (k_ab, k_x, k_1) with k_ab (6c,), k_x (3, m) and k_1 (3c,);
+    ``state`` is (s0, s1, s0, s1, s0, s1), 6c, each block segment-major, and
+    is advanced in place: its halves line up with both state products of
+    every block, so one multiply by k_ab forms them, the ReLU writes the
+    first two blocks and one copy fills the other four.  ``rows``,
+    (b, 3, segs, m), takes b steps at a time: their input products k_x*x in
+    one array operation, then each step's flat 3c-vector of pre-activations
+    (next s0, next s1, output).  ``out``, (segs, steps, m), receives the
+    squared errors against the labels y, (steps, segs); a warm-up passes
+    None for both.
+    """
+    k_ab, k_x, k_1 = coef
+    c = k_1.size // 3
+    steps = [(p, p[: 2 * c]) for p in rows.reshape(rows.shape[0], 3 * c)]
+    prod = np.empty(6 * c)
+    prod_a, prod_b = prod[: 3 * c], prod[3 * c :]
+    state_s, state_copies = state[: 2 * c], state[2 * c :].reshape(2, 2 * c)
+    multiply, add, maximum = np.multiply, np.add, np.maximum
+    for start in range(0, x.shape[0], len(steps)):
+        chunk = x[start : start + len(steps)]
+        b = chunk.shape[0]
+        np.multiply(chunk[:, None, :, None], k_x[:, None], rows[:b])
+        for p, p_s in steps[:b]:
+            multiply(k_ab, state, prod)
+            add(prod_a, prod_b, prod_a)
+            p += prod_a
+            p += k_1
+            maximum(p_s, _ZERO, out=state_s)
+            state_copies[...] = state_s
+        if out is not None:
+            sq = out[:, start : start + b]
+            np.tanh(rows[:b, 2].swapaxes(0, 1), sq)
+            sq -= y[start : start + b].T[:, :, None]
+            sq *= sq
+
+
 def _batch_empirical_losses(
     thetas: np.ndarray, inputs: np.ndarray, labels: np.ndarray, ns: Sequence[int]
 ) -> np.ndarray:
@@ -295,27 +375,31 @@ def _batch_empirical_losses(
     over the cloud: deterministic and independent of BLAS threading.  Agrees
     with per-sample empirical_loss.
 
-    Only the state feeds back, so the per-step loop does only the affine map
-    and the ReLU.  Each step has one flat 3m-vector whose blocks are the
-    next s0, the next s1 and the output pre-activation.  The input products
-    k_x*x of a buffer of steps are formed per buffer, in one array
-    operation; each step adds the state terms and then k_1 to its vector,
-    so every element is summed in the order
-    ``((k_s0*s0 + k_s1*s1) + k_x*x) + k_1`` (one IEEE addition commutes),
-    and applies the ReLU to the first two blocks.  The state is kept as
-    (s0, s1, s0, s1, s0, s1), so its halves line up with both products of
-    every block: one multiply by (k_a | k_b) forms both, and no operand is
-    broadcast.  The ReLU writes the first two blocks and one copy fills the
-    other four.  The tanh and squared errors of a buffer of steps then run
-    as array operations.
+    The series is cut into segments of L steps, and the pass works through
+    it one round of k consecutive segments at a time, stepped side by side
+    as k*m columns (``_loss_round_shape``; k = 1 above
+    ``_LOSS_COLUMNS // 2`` samples).  Segment 0 of a round starts from the
+    exact state the round before ended in; each later one from a zero-state
+    warm-up over the ``_LOSS_WARM_UP_STEPS`` steps before it, which a stable
+    predictor forgets its start over.  Then the boundaries are checked in
+    order, as ``dynsys.simulate`` does: the samples whose start differs in
+    any byte from the end of the segment before are run again over the
+    segment, from that end.  A predictor started from the exact bytes of its
+    state repeats the step loop's arithmetic, so by induction from the first
+    step every pre-activation is the step loop's, bit for bit, whether or not
+    the predictor forgets.
 
-    Buffers end on a grid of ``rows`` steps and at every n of ``ns``, so a
-    snapshot is always a buffer's last step.  A buffer's squares join the
-    running sums in time order by one reduction over axis 0 of the running
-    sum followed by its rows: numpy adds the rows of a C-ordered block one
-    after another, but a single column pairwise, hence at least two columns.
-    A one-step buffer (every buffer, for more than 2048 samples) is one
-    in-place addition: the same sum without copying the running sum in.
+    Only the state feeds back, so the step loop (``_step_rows``) does only
+    the affine map and the ReLU, and sums every element in the order
+    ``((k_s0*s0 + k_s1*s1) + k_x*x) + k_1`` (one IEEE addition commutes).
+    The squared errors of a round's outputs go into one time-major buffer.
+    They join the running sums in time order, in pieces that end at every
+    n: each piece is one reduction over axis 0 of the running sum, written
+    into the row before the piece (already summed, or a spare), followed by
+    the piece's rows.  numpy adds the rows of a C-ordered block one after
+    another, but a single column pairwise, so a lone sample is simulated
+    twice.  A one-row piece is one in-place addition: the same sum without
+    copying the running sum in.
     """
     if (
         not ns
@@ -326,59 +410,79 @@ def _batch_empirical_losses(
         raise ValueError(
             f"prefix lengths {ns} must ascend strictly within 1..{inputs.shape[0]}"
         )
+    m_in = thetas.shape[0]
+    if m_in == 1:
+        thetas = np.concatenate([thetas, thetas])
     m = thetas.shape[0]
     n_max = ns[-1]
+    k, L = _loss_round_shape(m, n_max)
     x = inputs[:n_max, 0]
     y = labels[:n_max, 0]
-    # Blocks (next s0, next s1, output) of the coefficients.  The first half
-    # of k_ab multiplies the state's first half (s0, s1, s0) and the second
-    # half its second (s1, s0, s1); a sum of two terms is exact in either
-    # order.
+    # Blocks (next s0, next s1, output) of the coefficients, each repeated
+    # for the k segments of a round (k_x, a row per block, is broadcast).
+    # The first half of k_ab multiplies the state's first half (s0, s1, s0)
+    # and the second half its second (s1, s0, s1); a sum of two terms is
+    # exact in either order.
     w = _cloud_blocks(thetas)
-    a, c, s0 = w["a"], w["c"], w["s0"]
-    k_ab = np.concatenate([a[0], a[3], c[0], a[1], a[2], c[1]])
-    k_x = np.concatenate([*w["b"], *w["d"]])
-    k_1 = np.concatenate([*w["b_s"], *w["b_y"]])
-    state = np.concatenate([*s0, *s0, *s0])
-    state_s, state_copies = state[: 2 * m], state[2 * m :].reshape(2, 2 * m)
-    rows = max(1, min(n_max, _LOSS_CHUNK_ELEMENTS // (4 * max(m, 1))))
-    pre = np.empty((rows, 3 * m))
-    steps = [(p, p[: 2 * m]) for p in pre]
-    prod = np.empty(6 * m)
-    prod_a, prod_b = prod[: 3 * m], prod[3 * m :]
-    multiply, add, maximum = np.multiply, np.add, np.maximum
-    # Row j >= 1 of sums holds the squared errors of the buffer's j-th step;
-    # row 0 receives the running sum before the buffer's reduction.
-    sums = np.zeros((rows + 1, max(m, 2)))
-    squares = sums[1:, :m]
-    acc = np.zeros(sums.shape[1])
-    means = np.empty((len(ns), m))
-    k = 0
-    stops = sorted({*range(rows, n_max, rows), *ns})
-    for start, stop in zip([0, *stops], stops):
-        n_rows = stop - start
-        np.multiply(x[start:stop, None], k_x, pre[:n_rows])
-        for p, p_s in steps[:n_rows]:
-            multiply(k_ab, state, prod)
-            add(prod_a, prod_b, prod_a)
-            p += prod_a
-            p += k_1
-            maximum(p_s, _ZERO, out=state_s)
-            state_copies[...] = state_s
-        # The squared errors get a contiguous buffer of their own: numpy is
-        # slower on the strided output blocks of pre.
-        sq_chunk = squares[:n_rows]
-        np.tanh(pre[:n_rows, 2 * m :], sq_chunk)
-        sq_chunk -= y[start:stop, None]
-        sq_chunk *= sq_chunk
-        if n_rows == 1:
-            acc += sums[1]
-        else:
-            sums[0] = acc
-            np.add.reduce(sums[: n_rows + 1], 0, None, acc)
-        if stop == ns[k]:
-            np.divide(acc[:m], stop, means[k])
-            k += 1
+    a, c = w["a"], w["c"]
+    k_ab = np.stack(
+        [np.broadcast_to(v, (k, m)) for v in (a[0], a[3], c[0], a[1], a[2], c[1])]
+    )
+    k_x = np.concatenate([w["b"], w["d"]])
+    k_1 = np.stack([np.broadcast_to(v, (k, m)) for v in (*w["b_s"], *w["b_y"])])
+    coef = (k_ab.reshape(-1), k_x, k_1.reshape(-1))
+    rows = np.empty((max(1, min(L, _LOSS_CHUNK_ELEMENTS // (3 * k * m))), 3, k, m))
+    state = np.empty(6 * k * m)
+    ends = state[: 2 * k * m].reshape(2, k, m)
+    carry = w["s0"]
+    warm = min(_LOSS_WARM_UP_STEPS, L)
+    # A round's inputs and labels, segment by segment, zero past n_max; the
+    # warm-up's inputs, zero in segment 0's column.
+    xs, ys, xw = np.zeros((k, L)), np.zeros((k, L)), np.zeros((warm, k))
+    # Rows 1.. of sums hold a round's squared errors in time order; row 0 is
+    # spare for the running sum.
+    sums = np.empty((k * L + 1, m))
+    squares = sums[1:].reshape(k, L, m)
+    acc = np.zeros(m)
+    means = np.empty((len(ns), m_in))
+    q = 0
+    for r0 in range(0, n_max, k * L):
+        n_r = min(k * L, n_max - r0)
+        xs.flat[:n_r], ys.flat[:n_r] = x[r0 : r0 + n_r], y[r0 : r0 + n_r]
+        xs.flat[n_r:] = ys.flat[n_r:] = 0.0
+        if k > 1:
+            xw[:, 1:] = xs[:-1, L - warm :].T
+            state[:] = 0.0
+            _step_rows(coef, state, xw, None, None, rows)
+        ends[:, 0] = carry
+        starts = ends.copy()
+        state[2 * k * m :].reshape(2, -1)[...] = state[: 2 * k * m]
+        _step_rows(coef, state, xs.T, ys.T, squares, rows)
+        for j in range(1, -(-n_r // L)):
+            prev = ends[:, j - 1]
+            bits = starts[:, j].view(np.uint64) != prev.view(np.uint64)
+            cols = np.flatnonzero(np.any(bits, axis=0))
+            if cols.size:
+                rerun = np.tile(prev[:, cols].ravel(), 3)
+                sub = (k_ab[:, 0, cols].ravel(), k_x[:, cols], k_1[:, 0, cols].ravel())
+                sub_rows = np.empty((rows.shape[0], 3, 1, cols.size))
+                out = np.empty((1, L, cols.size))
+                _step_rows(sub, rerun, xs[j, :, None], ys[j, :, None], out, sub_rows)
+                squares[j][:, cols] = out[0]
+                ends[:, j, cols] = rerun[: 2 * cols.size].reshape(2, -1)
+        carry = ends[:, -1].copy()
+        start = 0
+        while start < n_r:
+            stop = min(n_r, ns[q] - r0)
+            if stop == start + 1:
+                acc += sums[stop]
+            else:
+                sums[start] = acc
+                np.add.reduce(sums[start : stop + 1], 0, None, acc)
+            if r0 + stop == ns[q]:
+                np.divide(acc[:m_in], ns[q], means[q])
+                q += 1
+            start = stop
     return means
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from stablepac import (
 )
 from stablepac.cli import main
 from stablepac.dynsys import RnnSystem, activation
-from stablepac.errors import NotStableError
+from stablepac.errors import GainOverflowError, NotStableError
 from helpers import random_contractive_system
 
 
@@ -112,6 +113,31 @@ class TestCheckStability:
             rnn_constants(load_model(path))
         assert main(["check-stability", "--model", path]) == 1
         assert json.loads(capsys.readouterr().out) == {"ok": False, "tau": scale}
+
+    @pytest.mark.parametrize("block", ["b", "c", "d"])
+    def test_overflowing_gain_is_a_typed_error(self, tmp_path, capsys, block):
+        # B = [[1.5e308, 1.5e308]] has ||B||_2 = sqrt(2) * 1.5e308, beyond the
+        # largest float; so have C = B.T and D = [[1.5e308, 1.5e308], [0, 0]].
+        weights = {"b": np.ones((1, 2)), "c": np.ones((2, 1)), "d": np.zeros((2, 2))}
+        weights[block] = np.zeros(weights[block].shape)
+        weights[block].flat[:2] = 1.5e308
+        sys = RnnSystem(
+            a=np.array([[0.5]]),
+            b_s=np.zeros(1),
+            b_y=np.zeros(2),
+            sigma_f=activation("relu"),
+            sigma_g=activation("tanh"),
+            **weights,
+        )
+        path = _system_path(tmp_path, sys)
+        name = f"||{block.upper()}||_2"
+        with pytest.raises(GainOverflowError, match=re.escape(name)):
+            rnn_constants(load_model(path))
+        assert main(["check-stability", "--model", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"{name} exceeds the largest float: no finite certificate gain"
+        assert captured.err == f"error: {message}\n"
 
     def test_tau_agrees_with_rnn_constants(self, tmp_path, capsys):
         rng = np.random.default_rng(14)

@@ -24,7 +24,7 @@ from stablepac import (
 from stablepac.bound import psi2_exponent
 from stablepac.errors import ConfigError
 from stablepac.experiment import (
-    _LOSS_CHUNK_ELEMENTS,
+    _PARAM_SLICES,
     PARAM_DIM,
     ChainSettings,
     _chain_rng,
@@ -34,27 +34,7 @@ from stablepac.experiment import (
 )
 from stablepac.numerics import seeded_rng, spectral_norm_2x2
 
-from helpers import autocorrelation_time, benchmark_predictor
-
-
-
-def reference_batch_losses(thetas, inputs, labels):
-    """Per-step cloud loop: the reference the buffered loss loop must match bit for bit."""
-    x, y = inputs[:, 0], labels[:, 0]
-    a00, a01, a10, a11 = thetas[:, 0], thetas[:, 1], thetas[:, 2], thetas[:, 3]
-    bb0, bb1, c0, c1 = thetas[:, 4], thetas[:, 5], thetas[:, 6], thetas[:, 7]
-    w0, w1, dd, by = thetas[:, 8], thetas[:, 9], thetas[:, 10], thetas[:, 11]
-    s0, s1 = thetas[:, 12].copy(), thetas[:, 13].copy()
-    acc = np.zeros(thetas.shape[0])
-    for t in range(x.shape[0]):
-        yhat = np.tanh(w0 * s0 + w1 * s1 + dd * x[t] + by)
-        diff = yhat - y[t]
-        acc += diff * diff
-        p0 = np.maximum(a00 * s0 + a01 * s1 + bb0 * x[t] + c0, 0.0)
-        s1 = np.maximum(a10 * s0 + a11 * s1 + bb1 * x[t] + c1, 0.0)
-        s0 = p0
-    return acc / x.shape[0]
-
+from helpers import autocorrelation_time, benchmark_predictor, reference_batch_losses
 
 
 def reference_run_cell(cfg, seed, n, data):
@@ -455,20 +435,20 @@ class TestRunExperiment:
             (5000, 40),
             (1, 3),
             (1300, 40),
-            (_LOSS_CHUNK_ELEMENTS + 1, 4),
+            (16385, 4),
             (1, 9000),
         ],
     )
     def test_batch_losses_match_step_loop(self, m, n):
-        # A buffer holds 2**14 // (4 * m) steps, at least one and at most n:
-        # 300 samples over 500 steps span 39 buffers of 13 steps, the last
-        # of 6; 4999 samples take one step per buffer, and so do the 5000 of
-        # the reference cloud; one sample takes all 3 steps in one buffer;
-        # 1300 samples leave 3 steps per buffer and a one-step remainder;
-        # more samples than 2**14 take one step per buffer too; one sample
-        # over 9000 steps spans three buffers of up to 4096 steps, where a
-        # sum over a buffer's steps in one reduction would be pairwise, not
-        # in time order.
+        # (segments per round, steps per segment) from _loss_round_shape:
+        # 300 samples over 500 steps run one round of two 250-step segments
+        # side by side, the second from a warm-up; 4999 samples and the 5000
+        # of the reference cloud take rounds of one 2-step segment, 1300 of
+        # one 8-step segment; one sample (two equal columns) takes all 3
+        # steps at once; more samples than 2**14 take one step per round;
+        # one sample over 9000 steps runs 23 segments of 392 steps side by
+        # side, the last 16 of them padding, and a sum over its steps in one
+        # reduction would be pairwise, not in time order.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(m)
@@ -479,14 +459,15 @@ class TestRunExperiment:
         assert batch.tobytes() == ref.tobytes()
 
     def test_prefix_loss_rows_match_separate_passes(self):
-        # 300 samples give 2**14 // (4 * 300) = 13 steps per buffer: n = 1,
-        # n on a buffer boundary (13, 26), n off it (20) and n_max.
+        # 300 samples run two 250-step segments side by side: n = 1, n inside
+        # the first segment (13, 20, 26), on its last step and on the second
+        # one's first (250, 251), and n_max.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(31)
         data = generate_dataset(6, 500)
         thetas = rng.normal(0, 0.5, size=(300, PARAM_DIM))
-        ns = [1, 13, 20, 26, 500]
+        ns = [1, 13, 20, 26, 250, 251, 500]
         rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
         assert rows.shape == (len(ns), 300)
         for n, row in zip(ns, rows):
@@ -496,15 +477,16 @@ class TestRunExperiment:
         assert rows[2].tobytes() == ref.tobytes()
 
     def test_one_sample_prefix_rows_sum_in_time_order(self):
-        # One sample gives 4096-step buffers: n = 1, 5 and 17 inside the
-        # first, n on its last step and on the next buffer's first, and n_max
-        # in the third.  Each row must equal the step loop over its prefix.
+        # One sample runs as two equal columns, 23 segments of 392 steps side
+        # by side: n = 1, 5 and 17 inside the first, n on its last step and
+        # on the next one's first, inside the eleventh (4096, 4097) and
+        # n_max.  Each row must equal the step loop over its prefix.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(32)
         data = generate_dataset(7, 9000)
         thetas = rng.normal(0, 0.5, size=(1, PARAM_DIM))
-        ns = [1, 5, 17, 4096, 4097, 9000]
+        ns = [1, 5, 17, 392, 393, 4096, 4097, 9000]
         rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
         for n, row in zip(ns, rows):
             ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
@@ -512,18 +494,21 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 2049])
     def test_few_sample_prefix_rows_match_step_loop_bytes(self, m):
-        # A buffer holds 2**14 // (4 * m) steps: 4096, 2048, 1365 and 1.  The
-        # snapshots fall on the first two steps, inside the first buffer, on
-        # the last and the first step at both buffer boundaries (one-step
-        # buffers among them) and inside the third buffer.  numpy sums a
-        # one-column block pairwise, so the first three sample counts are
-        # where a reduction over a buffer could leave time order; with one
-        # step per buffer, every buffer's sum is an in-place addition.
-        from stablepac.experiment import _batch_empirical_losses
+        # Over 3000 steps, 1 to 3 samples run 8 segments of 375 steps side by
+        # side in one round (one sample as two equal columns); over 300
+        # steps, which keeps all of them finite, 2049 samples run one 5-step
+        # segment per round.  The snapshots fall on the first two steps,
+        # inside the first segment, on the last and the first step at both
+        # segment boundaries (one-row pieces among them), 50 steps past the
+        # second and on the last step.  numpy sums a one-column block
+        # pairwise, so the first three sample counts are where a reduction
+        # over a piece could leave time order.
+        from stablepac.experiment import _batch_empirical_losses, _loss_round_shape
 
-        rows = _LOSS_CHUNK_ELEMENTS // (4 * m)
+        n_max = 3000 if m < 4 else 300
+        _, seg = _loss_round_shape(max(m, 2), n_max)
         ns = sorted(
-            {1, 2, 7, rows, rows + 1, rows + 2, 2 * rows, 2 * rows + 1, 2 * rows + 50}
+            {1, 2, 7, seg, seg + 1, seg + 2, 2 * seg, 2 * seg + 1, 2 * seg + 50, n_max}
         )
         rng = np.random.default_rng(40 + m)
         data = generate_dataset(8, ns[-1])
@@ -658,10 +643,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize("base_seed", [0, 3000])
     def test_distinct_state_losses_match_full_cloud(self, base_seed):
         # About half of a 300-row chain cloud repeats the row before it.  Its
-        # 164 and 142 distinct rows take 2**14 // (4 * m) = 24 and 28 steps
-        # per buffer where the full cloud takes 13, so the two passes end
-        # their buffers on different steps; every loss must still be the
-        # full cloud's bytes.
+        # 164 and 142 distinct rows run 3 and 4 segments side by side (of 500
+        # and 450 steps) where the full cloud runs 2 of 410, so the two passes
+        # start their segments on different steps; every loss must still be
+        # the full cloud's bytes.
         from stablepac.experiment import _batch_empirical_losses, _cloud_losses
 
         cfg = ExperimentConfig(n_grid=(9000,), n_f=300, chain=ChainSettings(base_seed=base_seed))
@@ -782,6 +767,172 @@ class TestRunExperiment:
             a = psi2_exponent(lam, n, 1.3, c, 1.4, gh, 0.7)
             b = psi2_exponent(lam, 2 * n, 1.3, c, 1.4, gh, 0.7)
             assert b == a / 2.0
+
+
+def _stable_cloud(rng, m, a_norm=0.3):
+    """m predictors at the prior's scale with ||A||_2 = a_norm each."""
+    thetas = rng.normal(0, 0.3, size=(m, PARAM_DIM))
+    a = thetas[:, _PARAM_SLICES["a"]]
+    a *= (a_norm / spectral_norm_2x2(*a.T))[:, None]
+    return thetas
+
+
+@pytest.fixture
+def small_rounds(monkeypatch):
+    """Loss rounds small enough for a short series to span several: 20
+    samples run 4 segments of 40 steps side by side, warm up over 32 steps
+    and step 7 at a time, so the buffers of steps end off the segments."""
+    import stablepac.experiment as experiment
+
+    monkeypatch.setattr(experiment, "_LOSS_COLUMNS", 80)
+    monkeypatch.setattr(experiment, "_LOSS_ROUND_ELEMENTS", 80 * 40)
+    monkeypatch.setattr(experiment, "_LOSS_CHUNK_ELEMENTS", 3 * 80 * 7)
+    monkeypatch.setattr(experiment, "_LOSS_WARM_UP_STEPS", 32)
+    return experiment
+
+
+def _record_steps(monkeypatch, experiment):
+    """Record (segments, columns, k_1) of every call of the step loop."""
+    calls = []
+    real = experiment._step_rows
+
+    def recorded(coef, state, x, *rest):
+        k_1 = coef[2]
+        calls.append((x.shape[1], k_1.size // 3, k_1.copy()))
+        return real(coef, state, x, *rest)
+
+    monkeypatch.setattr(experiment, "_step_rows", recorded)
+    return calls
+
+
+class TestLossRounds:
+    @pytest.mark.parametrize(
+        "ns",
+        [
+            [40, 80, 120, 200, 640],  # on segment boundaries
+            [160, 320, 480, 640],  # on round boundaries
+            [1, 2, 37, 41, 100, 161, 333, 639, 640],  # inside segments
+        ],
+        ids=["segment-boundary", "round-boundary", "inside-segment"],
+    )
+    def test_snapshots_match_step_loop(self, small_rounds, ns):
+        rng = np.random.default_rng(50)
+        data = generate_dataset(9, 640)
+        thetas = _stable_cloud(rng, 20)
+        assert small_rounds._loss_round_shape(20, 640) == (4, 40)
+        rows = small_rounds._batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        for n, row in zip(ns, rows):
+            ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
+            assert row.tobytes() == ref.tobytes(), n
+
+    @pytest.mark.parametrize(
+        "round_elements,n_max,shape",
+        [
+            (80 * 40, 600, (4, 38)),  # 4 rounds of 152 steps: 8 padded
+            (80 * 2, 37, (4, 2)),  # 5 rounds of 8 steps: a whole segment padded
+        ],
+    )
+    def test_short_last_round(self, small_rounds, monkeypatch, round_elements, n_max, shape):
+        monkeypatch.setattr(small_rounds, "_LOSS_ROUND_ELEMENTS", round_elements)
+        k, seg = small_rounds._loss_round_shape(20, n_max)
+        assert (k, seg) == shape and n_max % (k * seg) != 0
+        rng = np.random.default_rng(51)
+        data = generate_dataset(10, n_max)
+        thetas = _stable_cloud(rng, 20)
+        ns = [1, n_max - 1, n_max]
+        rows = small_rounds._batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        for n, row in zip(ns, rows):
+            ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
+            assert row.tobytes() == ref.tobytes(), n
+
+    def test_slowly_forgetting_sample_is_rerun(self, small_rounds, monkeypatch):
+        # A = 0.99 x a rotation forgets a 32-step warm-up's start by at most
+        # 0.99**32, so the sample's start differs at every one of the 4 x 3
+        # boundaries and is run again from the segment before's end; the
+        # other samples forget theirs to the last bit and are not.
+        rng = np.random.default_rng(52)
+        data = generate_dataset(11, 640)
+        thetas = _stable_cloud(rng, 20)
+        slow = 7
+        turn = 0.3
+        rotation = [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]]
+        thetas[slow, _PARAM_SLICES["a"]] = 0.99 * np.ravel(rotation)
+        thetas[slow, _PARAM_SLICES["b_s"]] = 1.0
+        calls = _record_steps(monkeypatch, small_rounds)
+        rows = small_rounds._batch_empirical_losses(
+            thetas, data.inputs, data.outputs, [100, 640]
+        )
+        reruns = [(cols, k_1) for segs, cols, k_1 in calls if segs == 1]
+        assert len(reruns) == 4 * 3
+        k_1 = thetas[slow, [6, 7, 11]]
+        assert all(cols == 1 and np.array_equal(got, k_1) for cols, got in reruns)
+        for n, row in zip([100, 640], rows):
+            ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
+            assert row.tobytes() == ref.tobytes(), n
+
+    def test_cloud_above_column_budget_runs_one_segment(self, small_rounds, monkeypatch):
+        # 81 samples exceed the 80 columns: a round is one segment, one
+        # buffer of 6 steps, with no warm-up and no boundary to check.
+        m = small_rounds._LOSS_COLUMNS + 1
+        assert small_rounds._loss_round_shape(m, 640) == (1, 6)
+        rng = np.random.default_rng(53)
+        data = generate_dataset(12, 640)
+        thetas = _stable_cloud(rng, m)
+        calls = _record_steps(monkeypatch, small_rounds)
+        ns = [1, 6, 7, 100, 640]
+        rows = small_rounds._batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        assert len(calls) == 107 and all(c[:2] == (1, m) for c in calls)
+        for n, row in zip(ns, rows):
+            ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
+            assert row.tobytes() == ref.tobytes(), n
+
+    def test_long_series_cloud_losses_match_full_cloud(self):
+        # The long_series cloud at base seed 0: its 154 distinct rows run 4
+        # segments of 417 steps side by side over 1e4 steps, the 300 rows
+        # of the full cloud 2.
+        from stablepac.experiment import (
+            _batch_empirical_losses, _cloud_losses, _loss_round_shape,
+        )
+
+        cfg = ExperimentConfig(n_grid=(1000, 10000, 100000), n_seeds=1, n_f=300)
+        cloud = _prior_cloud(cfg, 0)
+        distinct = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(cloud[1:], cloud[:-1]))
+        assert distinct == 154
+        assert _loss_round_shape(154, 10000) == (4, 417)
+        assert _loss_round_shape(300, 10000) == (2, 417)
+        data = generate_dataset(0, 10000)
+        ns = [1000, 10000]
+        got = _cloud_losses(cloud, data.inputs, data.outputs, ns)
+        full = _batch_empirical_losses(cloud, data.inputs, data.outputs, ns)
+        assert got.tobytes() == full.tobytes()
+        ref = reference_batch_losses(cloud, data.inputs[:1000], data.outputs[:1000])
+        assert got[0].tobytes() == ref.tobytes()
+
+    def test_peak_allocation_is_the_round_buffers(self):
+        # 154 samples over 1e4 steps take 6 rounds.  The pass may hold one
+        # round's squared errors, one buffer of steps, O(columns) state, the
+        # means and numpy's ufunc buffers (getbufsize() elements for each of
+        # up to three operands); all squared errors at once would be 1e4 x
+        # 154 doubles, 12 MB.
+        import tracemalloc
+
+        from stablepac.experiment import _batch_empirical_losses
+
+        rng = np.random.default_rng(54)
+        thetas = _stable_cloud(rng, 154)
+        data = generate_dataset(13, 10000)
+        ns = [1000, 10000]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # Doubles: a 2**18 round, a 2**15 buffer of steps, 32 per column of
+        # the 640-column budget.
+        cap = (1 << 18) + (1 << 15) + 32 * 640
+        assert peak <= 8 * (cap + 154 * len(ns) + 3 * np.getbufsize()), peak
 
 
 class TestCloudCertificate:
