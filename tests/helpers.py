@@ -103,3 +103,13 @@ def reference_batch_losses(thetas, inputs, labels):
         s1 = np.maximum(a10 * s0 + a11 * s1 + bb1 * x[t] + c1, 0.0)
         s0 = p0
     return acc / x.shape[0]
+
+
+def reference_final_states(thetas, inputs):
+    """Step loop: the state of every predictor of the cloud after the inputs,
+    each started from its own s0, as a (samples, 2) array."""
+    w = {name: thetas[:, cols].T for name, cols in _PARAM_SLICES.items()}
+    a, s = w["a"].reshape(2, 2, -1), w["s0"]
+    for x in inputs[:, 0]:
+        s = np.maximum(a[:, 0] * s[0] + a[:, 1] * s[1] + w["b"] * x + w["b_s"], 0.0)
+    return s.T

@@ -54,7 +54,7 @@ class TestStabilityConstants:
     def test_invalid_field_rejected(self, form, field, bad):
         fields = dict(_VALID, **{field: bad})
         if form == "array":
-            # the bad value sits among valid ones, as in certify_cloud's arrays
+            # the bad value sits among valid ones, as in the seed facts' arrays
             fields = {k: np.array([_VALID[k], v, _VALID[k]]) for k, v in fields.items()}
         with pytest.raises(ValueError, match=rf"^{field} must"):
             StabilityConstants(**fields)

@@ -21,41 +21,54 @@ from stablepac import (
     save_model,
     save_trajectory,
 )
-from stablepac.bound import psi2_exponent
+from stablepac.bound import (
+    BoundReport, gibbs_log_estimates, pac_bound, pooled_psi, psi1_exponent, psi2_exponent,
+)
 from stablepac.errors import ConfigError
 from stablepac.experiment import (
     _PARAM_SLICES,
     PARAM_DIM,
     ChainSettings,
     _chain_rng,
+    _batch_empirical_losses,
     _prior_cloud,
+    _reduce,
+    _seed_facts,
     emit_curves,
     write_outputs,
 )
+from stablepac.loss import transient_gap_bound
 from stablepac.numerics import seeded_rng, spectral_norm_2x2
 
-from helpers import autocorrelation_time, benchmark_predictor, reference_batch_losses
+from helpers import (
+    autocorrelation_time, benchmark_predictor, reference_batch_losses, reference_final_states,
+)
+
+
+def scalar_terms(facts, n, lambda_, losses, delta):
+    """(psi, kl, post_emp_loss, z_hat, r_n) of one (n, lambda) pair from the
+    scalar bound functions."""
+    psi = pooled_psi(
+        psi1_exponent(lambda_, n, facts.l_ell, facts.data, facts.gains),
+        psi2_exponent(
+            lambda_, n, facts.l_ell, facts.constants, facts.data.b_q, facts.gains,
+            facts.s0_norm,
+        ),
+    )
+    z_hat, kl, post = gibbs_log_estimates(-lambda_ * losses, losses)
+    return psi, kl, post, z_hat, pac_bound(lambda_, delta, kl, psi)
 
 
 def reference_run_cell(cfg, seed, n, data):
-    """One (seed, n) cell from its own chain and a separate loss pass over the prefix."""
-    from stablepac.bound import (
-        BoundReport, gibbs_log_estimates, pac_bound, pooled_psi, psi1_exponent,
-    )
-    from stablepac.experiment import certify_cloud
-    from stablepac.mixing import generator_data_constants
-
-    thetas = _prior_cloud(dataclasses.replace(cfg, n_grid=(n,)), seed)
+    """One (seed, n) cell from its own chain, a separate loss pass over the
+    prefix and the scalar bound functions; only the certificates are the
+    seed facts'."""
+    one = dataclasses.replace(cfg, n_grid=(n,))
+    thetas = _prior_cloud(one, seed)
+    facts = _seed_facts(one, thetas, data)
     lambda_ = cfg.lambda_for(n)
-    dc = generator_data_constants(build_reference_generator(), cfg.e_inf)
-    consts, gh, l_ell, s0_norm = certify_cloud(thetas, dc, cfg.tau_max)
     losses = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
-    z_hat, kl, post = gibbs_log_estimates(-lambda_ * losses, losses)
-    ph = pooled_psi(
-        psi1_exponent(lambda_, n, l_ell, dc, gh),
-        psi2_exponent(lambda_, n, l_ell, consts, dc.b_q, gh, s0_norm),
-    )
-    r_n = pac_bound(lambda_, cfg.delta, kl, ph)
+    ph, kl, post, z_hat, r_n = scalar_terms(facts, n, lambda_, losses, cfg.delta)
     return BoundReport(
         n=n, seed=seed, lambda_=lambda_, delta=cfg.delta, kl=kl, psi_hat=ph,
         r_n=r_n, post_emp_loss=post, total=post + r_n, z_hat=z_hat,
@@ -294,7 +307,7 @@ class TestConfig:
         assert len(blocks) == 1
         block = json.loads(blocks[0])
         assert ExperimentConfig.from_dict(block) == ExperimentConfig()
-        assert block.keys() == ExperimentConfig().to_dict().keys()
+        assert block.keys() == dataclasses.asdict(ExperimentConfig()).keys()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="n_seed"):
@@ -305,7 +318,7 @@ class TestConfig:
             n_grid=(10, 20), n_f=100, lambda_rule=3.0,
             chain=ChainSettings(proposal_std=0.1, burn_in=10, thin=2, base_seed=5),
         )
-        doc = json.loads(json.dumps(cfg.to_dict()))
+        doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
         assert ExperimentConfig.from_dict(doc) == cfg
 
 
@@ -401,17 +414,15 @@ class TestRunExperiment:
         assert float(np.min(losses)) <= post <= float(np.max(losses))
 
     def test_retained_samples_certified_and_finite(self):
-        from stablepac.bound import psi1_exponent
-        from stablepac.experiment import build_reference_generator, certify_cloud
-        from stablepac.mixing import generator_data_constants
-
         cfg = ExperimentConfig(n_grid=(30,), n_f=300, chain=ChainSettings(burn_in=100))
-        dc = generator_data_constants(build_reference_generator(), 1.27)
-        consts, gh, l_ell, s0_norm = certify_cloud(_prior_cloud(cfg, 1), dc, 0.995)
-        assert np.all(consts.tau < 0.995)
+        facts = _seed_facts(cfg, _prior_cloud(cfg, 1), generate_dataset(1, 30))
+        assert np.all(facts.constants.tau < 0.995)
         lambda_ = math.sqrt(30)
-        psi1 = psi1_exponent(lambda_, 30, l_ell, dc, gh)
-        psi2 = psi2_exponent(lambda_, 30, l_ell, consts, dc.b_q, gh, s0_norm)
+        psi1 = psi1_exponent(lambda_, 30, facts.l_ell, facts.data, facts.gains)
+        psi2 = psi2_exponent(
+            lambda_, 30, facts.l_ell, facts.constants, facts.data.b_q, facts.gains,
+            facts.s0_norm,
+        )
         assert np.all(np.isfinite(psi1)) and np.all(np.isfinite(psi2))
 
     def test_batch_losses_match_reference_evaluator(self):
@@ -606,13 +617,13 @@ class TestRunExperiment:
         import stablepac.experiment as experiment
 
         clouds = []
-        real = experiment.certify_cloud
+        real = experiment._seed_facts
 
-        def counted(thetas, *args, **kwargs):
+        def counted(cfg, thetas, data):
             clouds.append(thetas.shape[0])
-            return real(thetas, *args, **kwargs)
+            return real(cfg, thetas, data)
 
-        monkeypatch.setattr(experiment, "certify_cloud", counted)
+        monkeypatch.setattr(experiment, "_seed_facts", counted)
         run_experiment(SMALL)
         assert clouds == [SMALL.n_f] * SMALL.n_seeds
 
@@ -708,6 +719,30 @@ class TestRunExperiment:
             data = generate_dataset(seed, n_max)
             mine = [r for r in reports if r.seed == seed]
             assert mine == [reference_run_cell(SMALL, seed, n, data) for n in SMALL.n_grid]
+
+    def test_progress_follows_each_cell_report(self, monkeypatch):
+        # A harness may time each cell between progress calls and then write
+        # the reports: progress is called once per cell, in cell order, after
+        # the cell's report is made, and names the cell and its total.
+        import stablepac.experiment as experiment
+
+        events = []
+        real = experiment.run_seed
+
+        def recorded(cfg, seed, data):
+            made = real(cfg, seed, data)
+            events.extend(("report", r.seed, r.n) for r in made)
+            return made
+
+        monkeypatch.setattr(experiment, "run_seed", recorded)
+        got = run_experiment(SMALL, progress=lambda msg: events.append(("progress", msg)))
+        cells = [(s, n) for s in range(SMALL.n_seeds) for n in SMALL.n_grid]
+        assert [(r.seed, r.n) for r in got] == cells
+        messages = [e[1] for e in events if e[0] == "progress"]
+        assert len(messages) == len(cells)
+        for r, msg in zip(got, messages):
+            assert msg.startswith(f"seed={r.seed} n={r.n} total={r.total:.4f} ")
+            assert events.index(("report", r.seed, r.n)) < events.index(("progress", msg))
 
     def test_run_seed_needs_n_max_rows(self):
         with pytest.raises(ValueError, match="need at least 20"):
@@ -952,9 +987,13 @@ class TestCloudCertificate:
         thetas[near, 0:4] = (a * scale[:, None, None]).reshape(-1, 4)
         return thetas[np.linalg.norm(thetas[:, 0:4].reshape(-1, 2, 2), 2, axis=(1, 2)) < cls.TAU_MAX]
 
+    @classmethod
+    def facts(cls, thetas):
+        cfg = ExperimentConfig(n_grid=(5,), tau_max=cls.TAU_MAX)
+        return _seed_facts(cfg, thetas, generate_dataset(0, 5))
+
     def test_matches_per_sample_functions(self):
-        from stablepac import gain_pair, loss_lipschitz, psi1_exponent
-        from stablepac.experiment import certify_cloud
+        from stablepac import gain_pair, loss_lipschitz
         from stablepac.mixing import generator_data_constants
 
         rng = np.random.default_rng(21)
@@ -962,7 +1001,10 @@ class TestCloudCertificate:
         assert thetas.shape[0] > 250
         dc = generator_data_constants(build_reference_generator(), 1.27)
         spec = LossSpec(kind="square")
-        arr, arr_gh, arr_l_ell, arr_s0_norm = certify_cloud(thetas, dc, self.TAU_MAX)
+        facts = self.facts(thetas)
+        assert facts.data == dc
+        arr, arr_gh, arr_l_ell = facts.constants, facts.gains, facts.l_ell
+        arr_s0_norm = facts.s0_norm
         # The moment exponents of the whole cloud, at two values of n.
         psi = {
             n: (
@@ -1003,14 +1045,70 @@ class TestCloudCertificate:
                 )
 
     def test_truncation_failure_is_reported(self):
-        from stablepac.experiment import certify_cloud
-        from stablepac.mixing import generator_data_constants
-
         thetas = np.zeros((3, PARAM_DIM))
         thetas[1, 0] = self.TAU_MAX
-        dc = generator_data_constants(build_reference_generator(), 1.27)
         with pytest.raises(RuntimeError, match="sample 1 .*prior truncation failed"):
-            certify_cloud(thetas, dc, self.TAU_MAX)
+            self.facts(thetas)
+
+    def test_final_states_oracle_matches_simulate(self):
+        # The oracle below starts V_n from reference_final_states.
+        from stablepac.dynsys import simulate
+
+        thetas = np.random.default_rng(22).normal(0, 0.3, size=(5, PARAM_DIM))
+        data = generate_dataset(3, 50)
+        got = reference_final_states(thetas, data.inputs[:-1])
+        for theta, state in zip(thetas, got):
+            states, _ = simulate(*benchmark_predictor(theta), data.inputs)
+            assert np.array_equal(states[-1], state)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 9: the pipeline's l_ell = 2*b_q*g is no Lipschitz "
+        "constant of the squared loss, so the transient gap exceeds its bound",
+    )
+    def test_transient_gap_bound_holds_on_the_cloud(self):
+        # 400 rows of seed 0's cloud, with their biases and s0, on 8 datasets:
+        # the loss over an n = 20 window from s0 and V_n, the loss over the
+        # same window from the state reached from zero over a 300-step
+        # prefix, differ by at most the bound, with the pipeline's l_ell, b_q
+        # and ||s0||.  With l_ell = 4 no sample exceeds it.
+        cfg = ExperimentConfig(n_grid=(100,), n_seeds=1)
+        rows = np.random.default_rng(9).choice(cfg.n_f, 400, replace=False)
+        cloud = _prior_cloud(cfg, 0)[rows]
+        n, prefix = 20, 300
+        facts = _seed_facts(dataclasses.replace(cfg, n_grid=(n,)), cloud, generate_dataset(0, n))
+        bound = transient_gap_bound(
+            facts.constants, facts.l_ell, facts.data.b_q, facts.s0_norm, n
+        )
+        s0 = _PARAM_SLICES["s0"]
+        from_zero, steady = cloud.copy(), cloud.copy()
+        from_zero[:, s0] = 0.0
+        gaps = []
+        for seed in range(100, 108):
+            data = generate_dataset(seed, prefix + n)
+            steady[:, s0] = reference_final_states(from_zero, data.inputs[:prefix])
+            window = (data.inputs[prefix:], data.outputs[prefix:], [n])
+            (l_hat,) = _batch_empirical_losses(cloud, *window)
+            (v_n,) = _batch_empirical_losses(steady, *window)
+            gaps.append(np.abs(l_hat - v_n))
+        assert np.all(np.max(gaps, axis=0) <= bound)
+
+
+class TestReduce:
+    def test_pairs_equal_the_scalar_calls(self):
+        # Seed 0's default cloud; at (1000, 1000) exp(-lambda * loss)
+        # underflows for some samples.
+        cfg = ExperimentConfig(n_grid=(5, 1000), n_seeds=1)
+        facts = _seed_facts(cfg, _prior_cloud(cfg, 0), generate_dataset(0, 1000))
+        assert np.count_nonzero(np.exp(-1000.0 * facts.losses[1]) == 0.0) > 0
+        pairs = [(5, math.sqrt(5)), (5, 1000.0), (1000, 1000.0)]
+        ns, lambdas = zip(*pairs)
+        got = _reduce(facts, ns, lambdas, cfg.delta)
+        assert all(len(column) == len(pairs) for column in got)
+        for i, (n, lambda_) in enumerate(pairs):
+            losses = facts.losses[cfg.n_grid.index(n)]
+            want = scalar_terms(facts, n, lambda_, losses, cfg.delta)
+            assert [column[i].hex() for column in got] == [w.hex() for w in want]
 
 
 class TestEmitCurves:
