@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import GainPair, StabilityConstants
+from .certify import GainPair, StabilityConstants, transient_bracket
 from .errors import InvalidConfidenceError
 from .mixing import DataConstants
 from .numerics import log_mean_exp, shifted_exp
@@ -84,12 +84,14 @@ def psi2_exponent(
 ) -> float:
     """Exponent of the initial-state transient moment bound.
 
-        (2 * lambda * l_ell * c / n) * (2*b_q*h + s0_norm*l_gs/(1-tau))
+        (2 * lambda * l_ell * c / n) * transient_bracket(c, gh, b_q, s0_norm)
+
+    2*lambda times transient_gap_bound: the log-MGF bound, at s = 2*lambda,
+    of a term bounded deterministically.
     """
     if lambda_ <= 0 or n < 1:
         raise ValueError("lambda must be positive and n >= 1")
-    inner = 2.0 * b_q * gh.h + s0_norm * c.l_gs / (1.0 - c.tau)
-    return (2.0 * lambda_ * l_ell * c.c / n) * inner
+    return (2.0 * lambda_ * l_ell * c.c / n) * transient_bracket(c, gh, b_q, s0_norm)
 
 
 def pooled_psi(psi1: np.ndarray, psi2: np.ndarray) -> float:

@@ -60,30 +60,41 @@ class GainPair:
     h: float
 
 
-def rnn_constants(sys: RnnSystem) -> StabilityConstants:
-    """Certificate of one affine-then-activation block.
+def block_constants(lip_f, lip_g, a_norm, b_norm, c_norm, d_norm) -> StabilityConstants:
+    """Certificate of affine-then-activation blocks from their weight norms.
 
-    Requires Lip(sigma_f) * ||A||_2 < 1; the input-to-state gain is
-    Lip(sigma_f) * ||B||_2.  A norm of B, C or D beyond the largest float
-    raises GainOverflowError.
+    With Lipschitz constants lip_f of sigma_f and lip_g of sigma_g and the
+    spectral norms of A, B, C and D, elementwise over arrays of blocks:
+
+        c = 1,  tau = lip_f*||A||,  l_v = lip_f*||B||,
+        l_gs = lip_g*||C||,  l_gv = lip_g*||D||
+
+    Any tau >= 1 raises NotStableError carrying the largest tau; a norm of
+    B, C or D beyond the largest float raises GainOverflowError naming it.
     """
-    rho_f = sys.sigma_f.lipschitz
-    rho_g = sys.sigma_g.lipschitz
-    tau = rho_f * spectral_norm(sys.a)
-    if tau >= 1.0:
+    tau = lip_f * a_norm
+    worst = float(np.max(tau))
+    if worst >= 1.0:
         raise NotStableError(
-            f"Lip(sigma_f)*||A||_2 = {tau:.6f} >= 1: no contraction certificate",
-            value=tau,
+            f"Lip(sigma_f)*||A||_2 = {worst:.6f} >= 1: no contraction certificate",
+            value=worst,
         )
-    gains = {}
-    for name, rho, m in (("B", rho_f, sys.b), ("C", rho_g, sys.c), ("D", rho_g, sys.d)):
-        gains[name] = rho * spectral_norm(m)
-        if gains[name] == math.inf:
+    gains = {"B": lip_f * b_norm, "C": lip_g * c_norm, "D": lip_g * d_norm}
+    for name, gain in gains.items():
+        if np.any(gain == math.inf):
             raise GainOverflowError(
                 f"||{name}||_2 exceeds the largest float: no finite certificate gain"
             )
     return StabilityConstants(
         c=1.0, tau=tau, l_v=gains["B"], l_gs=gains["C"], l_gv=gains["D"]
+    )
+
+
+def rnn_constants(sys: RnnSystem) -> StabilityConstants:
+    """Certificate of one system: block_constants of its weights' spectral norms."""
+    return block_constants(
+        sys.sigma_f.lipschitz, sys.sigma_g.lipschitz,
+        *(spectral_norm(m) for m in (sys.a, sys.b, sys.c, sys.d)),
     )
 
 
@@ -123,3 +134,15 @@ def gain_pair(c: StabilityConstants) -> GainPair:
     """
     core = c.l_gs * c.l_v / (1.0 - c.tau)
     return GainPair(g=core + c.l_gv, h=core / (1.0 - c.tau))
+
+
+def transient_bracket(
+    c: StabilityConstants, gh: GainPair, b_q: float, s0_norm: float
+) -> float:
+    """The transient term's bracket 2*b_q*h + s0_norm*l_gs/(1-tau), elementwise.
+
+    psi2_exponent and transient_gap_bound scale it by their own prefactors.
+    With the pipeline's l_ell that product does not bound the transient gap:
+    README "Known-red", ROADMAP items 9 and 13.
+    """
+    return 2.0 * b_q * gh.h + s0_norm * c.l_gs / (1.0 - c.tau)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import check_finite_matrix
+from .numerics import ZERO, check_finite_matrix
 
 if TYPE_CHECKING:
     from .certify import StabilityConstants
@@ -30,11 +30,6 @@ if TYPE_CHECKING:
 # (simulate's outputs and save_trajectory's row lists), and the most steps
 # in one of simulate's segments.
 _CHUNK_ROWS = 4096
-
-# A read-only 0-d zero for the ReLU: numpy converts a Python 0.0 operand
-# anew on every call, which doubles the cost of a ufunc call on a small array.
-_ZERO = np.zeros(())
-_ZERO.flags.writeable = False
 
 # Steps of the zero-state warm-up before each later segment of simulate: on
 # the reference generator's series of 1e5 and 1e6 steps, 64 left 3 of some
@@ -52,7 +47,7 @@ def _sigmoid(x, out=None):
 # optional ``out`` array, as a ufunc does, so a step loop can write into its
 # own buffers.
 _ACTIVATION_TABLE: dict[str, tuple[Callable[..., np.ndarray], float]] = {
-    "relu": (lambda x, out=None: np.maximum(x, _ZERO, out=out), 1.0),
+    "relu": (lambda x, out=None: np.maximum(x, ZERO, out=out), 1.0),
     "tanh": (np.tanh, 1.0),
     "sigmoid": (_sigmoid, 0.25),
     "identity": (lambda x, out=None: np.positive(x, out=out), 1.0),

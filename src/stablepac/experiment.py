@@ -38,9 +38,8 @@ from .bound import (
     psi1_exponent,
     psi2_exponent,
 )
-from .certify import GainPair, StabilityConstants, gain_pair, rnn_constants
+from .certify import GainPair, StabilityConstants, block_constants, gain_pair, rnn_constants
 from .dynsys import (
-    _ZERO,
     RnnSystem,
     Trajectory,
     activation,
@@ -52,7 +51,7 @@ from .dynsys import (
 from .errors import ConfigError
 from .loss import LossSpec, loss_lipschitz
 from .mixing import DataConstants, generator_data_constants
-from .numerics import seeded_rng, spectral_norm, spectral_norm_2x2, truncated_gaussian
+from .numerics import ZERO, seeded_rng, spectral_norm, spectral_norm_2x2, truncated_gaussian
 
 # Blocks of the benchmark predictor's parameter vector in order, each row-major:
 # RnnSystem's weights under their field names, then the initial state s0.
@@ -353,7 +352,7 @@ def _step_rows(
             add(prod_a, prod_b, prod_a)
             p += prod_a
             p += k_1
-            maximum(p_s, _ZERO, out=state_s)
+            maximum(p_s, ZERO, out=state_s)
             state_copies[...] = state_s
         if out is not None:
             sq = out[:, start : start + b]
@@ -397,8 +396,7 @@ def _batch_empirical_losses(
     into the row before the piece (already summed, or a spare), followed by
     the piece's rows.  numpy adds the rows of a C-ordered block one after
     another, but a single column pairwise, so a lone sample is simulated
-    twice.  A one-row piece is one in-place addition: the same sum without
-    copying the running sum in.
+    twice.
     """
     if (
         not ns
@@ -473,11 +471,8 @@ def _batch_empirical_losses(
         start = 0
         while start < n_r:
             stop = min(n_r, ns[q] - r0)
-            if stop == start + 1:
-                acc += sums[stop]
-            else:
-                sums[start] = acc
-                np.add.reduce(sums[start : stop + 1], 0, None, acc)
+            sums[start] = acc
+            np.add.reduce(sums[start : stop + 1], 0, None, acc)
             if r0 + stop == ns[q]:
                 np.divide(acc[:m_in], ns[q], means[q])
                 q += 1
@@ -525,8 +520,8 @@ class _SeedFacts:
 def _seed_facts(cfg: ExperimentConfig, thetas: np.ndarray, data: Trajectory) -> _SeedFacts:
     """Certify the cloud and take its losses on every prefix of ``data``.
 
-    rnn_constants, gain_pair, loss_lipschitz and ||s0|| over arrays: B and C
-    of the benchmark predictor are vectors and D is a scalar, so their
+    block_constants, gain_pair, loss_lipschitz and ||s0|| over arrays: B and
+    C of the benchmark predictor are vectors and D is a scalar, so their
     spectral norms are Euclidean norms and an absolute value; ||A||_2 has a
     closed form.  Every sample must satisfy tau < tau_max.  The losses come
     from one pass over the n grid, each distinct state of the chain once
@@ -537,20 +532,16 @@ def _seed_facts(cfg: ExperimentConfig, thetas: np.ndarray, data: Trajectory) -> 
         raise ValueError(f"data has {data.length} rows, need at least {n_max}")
     w = _cloud_blocks(thetas)
     a, b, c, s0 = w["a"], w["b"], w["c"], w["s0"]
-    tau = _RELU.lipschitz * spectral_norm_2x2(a[0], a[1], a[2], a[3])
-    bad = np.flatnonzero(tau >= cfg.tau_max)
+    consts = block_constants(
+        _RELU.lipschitz, _TANH.lipschitz, spectral_norm_2x2(a[0], a[1], a[2], a[3]),
+        np.hypot(b[0], b[1]), np.hypot(c[0], c[1]), np.abs(w["d"][0]),
+    )
+    bad = np.flatnonzero(consts.tau >= cfg.tau_max)
     if bad.size:
         raise RuntimeError(
-            f"retained sample {bad[0]} has tau={tau[bad[0]]:.6f} >= tau_max={cfg.tau_max}; "
-            "prior truncation failed"
+            f"retained sample {bad[0]} has tau={consts.tau[bad[0]]:.6f} >= "
+            f"tau_max={cfg.tau_max}; prior truncation failed"
         )
-    consts = StabilityConstants(
-        c=1.0,
-        tau=tau,
-        l_v=_RELU.lipschitz * np.hypot(b[0], b[1]),
-        l_gs=_TANH.lipschitz * np.hypot(c[0], c[1]),
-        l_gv=_TANH.lipschitz * np.abs(w["d"][0]),
-    )
     gh = gain_pair(consts)
     dc = generator_data_constants(build_reference_generator(), cfg.e_inf)
     return _SeedFacts(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import GainPair, StabilityConstants, gain_pair
+from .certify import GainPair, StabilityConstants, gain_pair, transient_bracket
 from .dynsys import RnnSystem, Trajectory, simulate
 from .errors import ConfigError
 from .mixing import DataConstants
@@ -53,10 +53,14 @@ def loss_value(spec: LossSpec, y: np.ndarray, yhat: np.ndarray) -> float:
 
 
 def loss_lipschitz(spec: LossSpec, data: DataConstants, gh: GainPair) -> float:
-    """Certified Lipschitz constant of the loss on the reachable range.
+    """The loss constant l_ell that the bound uses, from b_q and the gain g.
 
     square:       2 * b_q * g
     softmax_xent: K * (2 * b_q * g + ln K + 2)
+
+    For the pipeline's predictors the square form is no Lipschitz constant of
+    the loss: the transient gap exceeds its bound on seed 0's cloud (README
+    "Known-red", ROADMAP item 9).
     """
     if spec.kind == "square":
         return 2.0 * data.b_q * gh.g
@@ -101,14 +105,13 @@ def infinite_horizon_loss(
 def transient_gap_bound(
     c: StabilityConstants, l_ell: float, b_q: float, s0_norm: float, n: int
 ) -> float:
-    """Deterministic bound on |empirical loss - infinite-horizon loss|.
+    """The transient term (l_ell * c / n) * transient_bracket, with h from gain_pair(c).
 
-        (l_ell * c / n) * (2 * b_q * h + s0_norm * l_gs / (1 - tau))
-
-    valid whenever b_q bounds the sup-norm of the predictor inputs and the
-    steady state obeys the amplitude bound 2*b_q*l_v/(1-tau).
+    It is meant to bound |empirical loss - infinite-horizon loss| when b_q
+    bounds the predictor inputs and l_ell is a Lipschitz constant of the
+    loss; with the pipeline's l_ell it does not (README "Known-red",
+    ROADMAP item 9).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    h = gain_pair(c).h
-    return (l_ell * c.c / n) * (2.0 * b_q * h + s0_norm * c.l_gs / (1.0 - c.tau))
+    return (l_ell * c.c / n) * transient_bracket(c, gain_pair(c), b_q, s0_norm)

@@ -14,6 +14,12 @@ import numpy as np
 
 from .errors import DegenerateTruncationError, InstabilityError
 
+# A read-only 0-d zero for np.maximum's ReLU: numpy converts a Python 0.0
+# operand anew on every call, which doubles the cost of a ufunc call on a
+# small array.
+ZERO = np.zeros(())
+ZERO.flags.writeable = False
+
 # Power iteration on the Gram matrix: relative convergence tolerance on the
 # Rayleigh quotient and hard iteration cap.
 _POWER_TOL = 1e-12

@@ -9,7 +9,9 @@ deleted function's export alive.  Exported
 classes are exempt, since they are the argument and result types of the
 functions checked here.  Exported error classes must be raised somewhere in
 the package: an exception that nothing raises is dead weight too.  Every
-name a package module imports must be used in that module.
+name a package module imports must be used in that module, and no package
+module imports another's private (underscore) name: what two modules share
+is public in its one home.
 """
 
 import ast
@@ -86,3 +88,16 @@ def test_every_imported_name_is_used():
             if not re.search(rf"\b{re.escape(name)}\b", body)
         ]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_no_private_name_imported_across_modules():
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "stablepac"
+            ):
+                private += [
+                    f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")
+                ]
+    assert not private, f"private names imported from another package module: {private}"

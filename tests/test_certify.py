@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from stablepac import (
+    GainOverflowError,
     NotStableError,
     RnnSystem,
     SingularCompositionError,
@@ -16,6 +18,8 @@ from stablepac import (
     simulate,
     simulate_series,
 )
+from stablepac.certify import block_constants
+from stablepac.numerics import spectral_norm
 from helpers import eig_spectral_norm, random_contractive_system
 
 
@@ -134,6 +138,36 @@ class TestRnnConstants:
         # l_v = Lip(sigma_f) * ||B||_2, with Lip(sigmoid) = 0.25
         norm_b = eig_spectral_norm(sys.b)
         assert rnn_constants(sys).l_v == pytest.approx(0.25 * norm_b, rel=1e-9)
+
+
+class TestBlockConstants:
+    """The block rule over arrays of norms, as _seed_facts calls it."""
+
+    def test_arrays_match_rnn_constants(self):
+        rng = np.random.default_rng(3)
+        systems = [random_contractive_system(rng) for _ in range(20)]
+        lip_f = np.array([s.sigma_f.lipschitz for s in systems])
+        lip_g = np.array([s.sigma_g.lipschitz for s in systems])
+        norms = [np.array([spectral_norm(getattr(s, m)) for s in systems]) for m in "abcd"]
+        arr = block_constants(lip_f, lip_g, *norms)
+        for i, s in enumerate(systems):
+            ref = rnn_constants(s)
+            assert arr.c == ref.c
+            for name in ("tau", "l_v", "l_gs", "l_gv"):
+                assert getattr(arr, name)[i] == getattr(ref, name)
+
+    def test_any_unstable_entry_rejected_with_the_largest_tau(self):
+        ones = np.ones(3)
+        with pytest.raises(NotStableError) as exc:
+            block_constants(0.5, 1.0, np.array([0.2, 2.4, 2.2]), ones, ones, ones)
+        assert exc.value.value == 1.2
+
+    @pytest.mark.parametrize("block", range(3))
+    def test_infinite_gain_names_the_block(self, block):
+        norms = [np.full(3, 0.5) for _ in range(4)]
+        norms[1 + block][1] = math.inf
+        with pytest.raises(GainOverflowError, match=re.escape("||" + "BCD"[block])):
+            block_constants(1.0, 1.0, *norms)
 
 
 class TestSeriesCompose:

@@ -11,8 +11,10 @@ import pytest
 from stablepac import (
     ExperimentConfig,
     LossSpec,
+    StabilityConstants,
     build_reference_generator,
     data_constants,
+    gain_pair,
     generate_dataset,
     load_model,
     rnn_constants,
@@ -1043,6 +1045,28 @@ class TestCloudCertificate:
                 assert psi2[i] == pytest.approx(
                     psi2_exponent(lambda_, n, l_ell, ref, dc.b_q, gh, s0_norm), rel=1e-12
                 )
+
+    def test_psi2_is_two_lambda_times_transient_gap_bound(self):
+        # psi2 is the log-MGF bound, at s = 2*lambda, of the transient term,
+        # which is bounded deterministically: both share one bracket, on
+        # scalars and on seed 0's cloud arrays.
+        cfg = ExperimentConfig(n_grid=(20,), n_seeds=1, n_f=1000)
+        facts = _seed_facts(cfg, _prior_cloud(cfg, 0), generate_dataset(0, 20))
+        b_q = facts.data.b_q
+        rng = np.random.default_rng(5)
+        # (c, tau, l_v, l_gs, l_gv), l_ell and ||s0|| as floats.
+        scalars = [
+            (StabilityConstants(*map(float, rng.uniform([1, 0, 0, 0, 0], [3, 0.999, 2, 2, 2]))),
+             float(rng.uniform(0, 5)), float(rng.uniform(0, 2)))
+            for _ in range(50)
+        ]
+        cases = [(facts.constants, facts.l_ell, facts.s0_norm), *scalars]
+        for consts, l_ell, s0_norm in cases:
+            gh = gain_pair(consts)
+            for n, lambda_ in ((1, 1.0), (5, math.sqrt(5)), (20, 0.3), (1000, 1000.0)):
+                psi2 = psi2_exponent(lambda_, n, l_ell, consts, b_q, gh, s0_norm)
+                gap = transient_gap_bound(consts, l_ell, b_q, s0_norm, n)
+                assert psi2 == pytest.approx(2.0 * lambda_ * gap, rel=1e-15, abs=0.0)
 
     def test_truncation_failure_is_reported(self):
         thetas = np.zeros((3, PARAM_DIM))
