@@ -26,7 +26,7 @@ from .experiment import (
     run_seed,
     write_outputs,
 )
-from .mixing import data_constants, generator_data_constants, saturation_bound
+from .mixing import data_constants, saturation_bound
 from .numerics import seeded_rng, truncated_gaussian
 
 
@@ -103,8 +103,10 @@ def _cmd_check_stability(args) -> int:
 def _cmd_data_constants(args) -> int:
     sys_ = load_model(args.model)
     doc = dataclasses.asdict(data_constants(rnn_constants(sys_), args.e_inf))
-    doc["saturation_bound"] = saturation_bound(sys_)
-    doc["b_q_effective"] = generator_data_constants(sys_, args.e_inf).b_q
+    cap = saturation_bound(sys_)
+    doc["saturation_bound"] = cap
+    # generator_data_constants' b_q, from the certificate already in hand.
+    doc["b_q_effective"] = doc["b_q"] if cap is None else min(doc["b_q"], cap)
     _print_json(doc)
     return 0
 
@@ -163,41 +165,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("constants", help="print the stability certificate of a model")
-    p.add_argument("--model", required=True)
-    p.set_defaults(func=_cmd_constants)
+    # Options of several subcommands, each declared once and taken in as
+    # parents; the noise defaults are ExperimentConfig's.
+    model, noise, e_inf, out = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    model.add_argument("--model", required=True)
+    noise.add_argument("--seed", type=_seed, default=0)
+    noise.add_argument("--n", type=_positive_int, required=True)
+    noise.add_argument("--e-std", type=_positive_float, default=ExperimentConfig.e_std)
+    e_inf.add_argument("--e-inf", type=_positive_float, default=ExperimentConfig.e_inf)
+    out.add_argument("--out", required=True)
+    trajectory = [noise, e_inf, out]
 
-    p = sub.add_parser(
-        "check-stability", help="check the contraction condition (nonzero exit on failure)"
-    )
-    p.add_argument("--model", required=True)
-    p.set_defaults(func=_cmd_check_stability)
-
-    p = sub.add_parser(
-        "data-constants", help="print the data-distribution constants of a generator"
-    )
-    p.add_argument("--model", required=True)
-    p.add_argument("--e-inf", type=_positive_float, default=1.27)
-    p.set_defaults(func=_cmd_data_constants)
-
-    p = sub.add_parser("simulate", help="drive a model with seeded noise, write a trajectory CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--e-std", type=_positive_float, default=1.0)
-    p.add_argument("--e-inf", type=_positive_float, default=1.27)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser(
-        "generate-data", help="synthesize benchmark data from the built-in generator"
-    )
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--e-std", type=_positive_float, default=1.0)
-    p.add_argument("--e-inf", type=_positive_float, default=1.27)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_generate_data)
+    for name, parents, func, help_ in [
+        ("constants", [model], _cmd_constants, "print the stability certificate of a model"),
+        ("check-stability", [model], _cmd_check_stability,
+         "check the contraction condition (nonzero exit on failure)"),
+        ("data-constants", [model, e_inf], _cmd_data_constants,
+         "print the data-distribution constants of a generator"),
+        ("simulate", [model, *trajectory], _cmd_simulate,
+         "drive a model with seeded noise, write a trajectory CSV"),
+        ("generate-data", trajectory, _cmd_generate_data,
+         "synthesize benchmark data from the built-in generator"),
+    ]:
+        sub.add_parser(name, parents=parents, help=help_).set_defaults(func=func)
 
     p = sub.add_parser("bound", help="evaluate the bound for one (seed, n) cell")
     p.add_argument("--config")

@@ -138,14 +138,12 @@ class Trajectory:
     outputs: np.ndarray
 
     def __post_init__(self):
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        outputs = np.atleast_2d(np.asarray(self.outputs, dtype=float))
+        inputs = check_finite_matrix(self.inputs, "inputs")
+        outputs = check_finite_matrix(self.outputs, "outputs")
         if inputs.shape[0] != outputs.shape[0]:
             raise ValueError("inputs and outputs must have the same length")
         if inputs.shape[0] == 0:
             raise ValueError("trajectory must be nonempty")
-        if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(outputs))):
-            raise ValueError("trajectory contains non-finite entries")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
 

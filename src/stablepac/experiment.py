@@ -89,8 +89,8 @@ _LOSS_CHUNK_ELEMENTS = 1 << 15
 # Steps of the zero-state warm-up before each later segment of a loss
 # round: on the long_series clouds of base seeds 0, 1000, 2000 and 3000
 # (146-157 distinct rows, 168-180 boundaries each at n = 1e5), 32 steps
-# left 363-2239 sample starts per cloud off in some byte (so those samples
-# ran their segment twice), 48 steps 5 (base seed 1000), 64 none.
+# left 363-2239 sample starts per cloud off in some byte, 48 steps 5 (base
+# seed 1000), 64 none.  A segment with any start off runs twice.
 _LOSS_WARM_UP_STEPS = 64
 
 _RELU = activation("relu")
@@ -380,12 +380,13 @@ def _batch_empirical_losses(
     exact state the round before ended in; each later one from a zero-state
     warm-up over the ``_LOSS_WARM_UP_STEPS`` steps before it, which a stable
     predictor forgets its start over.  Then the boundaries are checked in
-    order, as ``dynsys.simulate`` does: the samples whose start differs in
-    any byte from the end of the segment before are run again over the
-    segment, from that end.  A predictor started from the exact bytes of its
-    state repeats the step loop's arithmetic, so by induction from the first
-    step every pre-activation is the step loop's, bit for bit, whether or not
-    the predictor forgets.
+    order, as ``dynsys.simulate`` does: where a segment's start differs in
+    any byte from the end of the segment before, the whole segment, every
+    sample, is run again from that end.  A predictor started from the exact
+    bytes of its state repeats the step loop's arithmetic, so by induction
+    from the first step every pre-activation is the step loop's, bit for
+    bit, whether or not the predictor forgets; a sample whose start already
+    matched repeats its bits.
 
     Only the state feeds back, so the step loop (``_step_rows``) does only
     the affine map and the ReLU, and sums every element in the order
@@ -429,6 +430,9 @@ def _batch_empirical_losses(
     k_1 = np.stack([np.broadcast_to(v, (k, m)) for v in (*w["b_s"], *w["b_y"])])
     coef = (k_ab.reshape(-1), k_x, k_1.reshape(-1))
     rows = np.empty((max(1, min(L, _LOSS_CHUNK_ELEMENTS // (3 * k * m))), 3, k, m))
+    # A rerun steps one segment, in the buffer of steps viewed one segment wide.
+    one = (k_ab[:, 0].ravel(), k_x, k_1[:, 0].ravel())
+    one_state, one_rows = np.empty(6 * m), rows.reshape(-1, 3, 1, m)
     state = np.empty(6 * k * m)
     ends = state[: 2 * k * m].reshape(2, k, m)
     carry = w["s0"]
@@ -456,17 +460,11 @@ def _batch_empirical_losses(
         state[2 * k * m :].reshape(2, -1)[...] = state[: 2 * k * m]
         _step_rows(coef, state, xs.T, ys.T, squares, rows)
         for j in range(1, -(-n_r // L)):
-            prev = ends[:, j - 1]
-            bits = starts[:, j].view(np.uint64) != prev.view(np.uint64)
-            cols = np.flatnonzero(np.any(bits, axis=0))
-            if cols.size:
-                rerun = np.tile(prev[:, cols].ravel(), 3)
-                sub = (k_ab[:, 0, cols].ravel(), k_x[:, cols], k_1[:, 0, cols].ravel())
-                sub_rows = np.empty((rows.shape[0], 3, 1, cols.size))
-                out = np.empty((1, L, cols.size))
-                _step_rows(sub, rerun, xs[j, :, None], ys[j, :, None], out, sub_rows)
-                squares[j][:, cols] = out[0]
-                ends[:, j, cols] = rerun[: 2 * cols.size].reshape(2, -1)
+            if starts[:, j].tobytes() != ends[:, j - 1].tobytes():
+                one_state.reshape(3, 2, m)[...] = ends[:, j - 1]
+                _step_rows(one, one_state, xs[j, :, None], ys[j, :, None],
+                           squares[j : j + 1], one_rows)
+                ends[:, j] = one_state[: 2 * m].reshape(2, m)
         carry = ends[:, -1].copy()
         start = 0
         while start < n_r:

@@ -169,6 +169,23 @@ class TestDataConstants:
         else:
             assert doc["saturation_bound"] is None and expected == doc["b_q"]
 
+    def test_certifies_the_model_once(self, generator_path, capsys, monkeypatch):
+        import stablepac.cli
+        import stablepac.mixing
+
+        calls = []
+
+        def counted(sys):
+            calls.append(sys)
+            return rnn_constants(sys)
+
+        for module in (stablepac.cli, stablepac.mixing):
+            monkeypatch.setattr(module, "rnn_constants", counted)
+        assert main(["data-constants", "--model", generator_path]) == 0
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["b_q_effective"] == doc["b_q"] < doc["saturation_bound"]
+
     def test_prints_constants(self, generator_path, capsys):
         assert main(
             ["data-constants", "--model", generator_path, "--e-inf", "1.27"]

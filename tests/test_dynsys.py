@@ -601,6 +601,21 @@ class TestModelFiles:
             load_trajectory(str(path))
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "inputs,outputs,message",
+        [
+            (np.arange(5.0), np.arange(5.0).reshape(5, 1), "inputs must be 2-dimensional"),
+            (np.zeros((5, 1)), np.arange(5.0), "outputs must be 2-dimensional"),
+            (np.zeros((5, 1)), np.full((5, 1), np.nan), "outputs contains non-finite"),
+            (np.zeros((5, 1)), np.zeros((4, 1)), "same length"),
+        ],
+        ids=["1-d-inputs", "1-d-outputs", "nan", "lengths"],
+    )
+    def test_bad_trajectory_arrays_rejected(self, inputs, outputs, message):
+        # A 1-d array is not read as one step of its entries.
+        with pytest.raises(ValueError, match=message):
+            Trajectory(inputs=inputs, outputs=outputs)
+
     def test_trajectory_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)
         traj = Trajectory(

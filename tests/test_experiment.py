@@ -814,6 +814,14 @@ def _stable_cloud(rng, m, a_norm=0.3):
     return thetas
 
 
+def _make_slow(thetas, i):
+    """Make sample i forget its start slowly: A = 0.99 x a rotation, b_s = 1."""
+    turn = 0.3
+    rotation = [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]]
+    thetas[i, _PARAM_SLICES["a"]] = 0.99 * np.ravel(rotation)
+    thetas[i, _PARAM_SLICES["b_s"]] = 1.0
+
+
 @pytest.fixture
 def small_rounds(monkeypatch):
     """Loss rounds small enough for a short series to span several: 20
@@ -876,6 +884,9 @@ class TestLossRounds:
         rng = np.random.default_rng(51)
         data = generate_dataset(10, n_max)
         thetas = _stable_cloud(rng, 20)
+        # A slowly forgetting sample: the last round's boundaries, before
+        # its padded steps, are run again.
+        _make_slow(thetas, 7)
         ns = [1, n_max - 1, n_max]
         rows = small_rounds._batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
         for n, row in zip(ns, rows):
@@ -885,24 +896,21 @@ class TestLossRounds:
     def test_slowly_forgetting_sample_is_rerun(self, small_rounds, monkeypatch):
         # A = 0.99 x a rotation forgets a 32-step warm-up's start by at most
         # 0.99**32, so the sample's start differs at every one of the 4 x 3
-        # boundaries and is run again from the segment before's end; the
-        # other samples forget theirs to the last bit and are not.
+        # boundaries, and each of those segments is run again, every sample
+        # of it, from the segment before's end; the other samples forget
+        # theirs to the last bit and repeat their bytes.
         rng = np.random.default_rng(52)
         data = generate_dataset(11, 640)
         thetas = _stable_cloud(rng, 20)
-        slow = 7
-        turn = 0.3
-        rotation = [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]]
-        thetas[slow, _PARAM_SLICES["a"]] = 0.99 * np.ravel(rotation)
-        thetas[slow, _PARAM_SLICES["b_s"]] = 1.0
+        _make_slow(thetas, 7)
         calls = _record_steps(monkeypatch, small_rounds)
         rows = small_rounds._batch_empirical_losses(
             thetas, data.inputs, data.outputs, [100, 640]
         )
         reruns = [(cols, k_1) for segs, cols, k_1 in calls if segs == 1]
         assert len(reruns) == 4 * 3
-        k_1 = thetas[slow, [6, 7, 11]]
-        assert all(cols == 1 and np.array_equal(got, k_1) for cols, got in reruns)
+        k_1 = thetas[:, [6, 7, 11]].T.ravel()
+        assert all(cols == 20 and np.array_equal(got, k_1) for cols, got in reruns)
         for n, row in zip([100, 640], rows):
             ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
             assert row.tobytes() == ref.tobytes(), n
