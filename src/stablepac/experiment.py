@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -118,8 +118,112 @@ def build_reference_generator() -> RnnSystem:
     )
 
 
+# A config key's rules, each a (test, condition) pair, checked in order.  A
+# count such as 5.7 must not be truncated silently, and a string or null must
+# not fail in a comparison that names no key; bool is an Integral too, but
+# true/false for a number is a typo.
+_INT = (lambda v: not isinstance(v, bool) and isinstance(v, numbers.Integral), "an integer")
+_REAL = (
+    lambda v: not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v),
+    "a finite number",
+)
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+
+
+def _key(default, *rules):
+    """A config field with its default and the rules its values must pass."""
+    return field(default=default, metadata={"rules": rules})
+
+
+def _check(key: str, value, *rules) -> None:
+    """Raise ConfigError naming the key and the value at the first rule it fails."""
+    for test, condition in rules:
+        if not test(value):
+            raise ConfigError(f"{key} must be {condition}, got {value!r}")
+
+
+def _check_fields(cfg, prefix: str = "") -> None:
+    for f in fields(cfg):
+        _check(prefix + f.name, getattr(cfg, f.name), *f.metadata.get("rules", ()))
+
+
+@dataclass(frozen=True)
+class ChainSettings:
+    """Per-seed Metropolis-Hastings settings; steps are derived from n_f.
+
+    A chain runs burn_in + n_f * thin steps and keeps n_f, so n_f >= 1 and
+    thin >= 1 already give it a step and a burn-in shorter than the chain.
+    """
+
+    proposal_std: float = _key(0.05, _REAL, _POSITIVE)
+    burn_in: int = _key(500, _INT, _NONNEGATIVE)
+    thin: int = _key(1, _INT, _AT_LEAST_ONE)
+    base_seed: int = _key(0, _INT, _NONNEGATIVE)
+
+    def __post_init__(self):
+        _check_fields(self, "chain.")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Full benchmark configuration; defaults reproduce the reference setup.
+
+    Every scalar key carries its rules; ``n_grid``, ``lambda_rule`` and
+    ``chain`` are checked by ``__post_init__``.
+    """
+
+    n_grid: tuple[int, ...] = (5, 9, 20, 50, 100, 200, 500, 1000)
+    n_seeds: int = _key(10, _INT, _AT_LEAST_ONE)
+    prior_sigma2: float = _key(0.02, _REAL, _POSITIVE)
+    lambda_rule: str | float = "sqrt_n"
+    delta: float = _key(0.025, _REAL, (lambda v: 0 < v <= 0.5, "in (0, 0.5]"))
+    n_f: int = _key(5000, _INT, _AT_LEAST_ONE)
+    chain: ChainSettings = field(default_factory=ChainSettings)
+    e_inf: float = _key(1.27, _REAL, _POSITIVE)
+    e_std: float = _key(1.0, _REAL, _POSITIVE)
+    tau_max: float = _key(0.995, _REAL, (lambda v: 0 < v < 1, "in (0, 1)"))
+
+    def __post_init__(self):
+        grid = self.n_grid
+        _check("n_grid", grid, (lambda v: isinstance(v, (tuple, list)), "a list of integers"))
+        for i, n in enumerate(grid):
+            _check(f"n_grid[{i}]", n, _INT)
+        _check("n_grid", grid, (
+            lambda v: v and v[0] >= 1 and all(a < b for a, b in zip(v, v[1:])),
+            "a nonempty strictly ascending list of integers >= 1",
+        ))
+        object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
+        _check("chain", self.chain, (lambda v: isinstance(v, ChainSettings), "an object"))
+        if isinstance(self.lambda_rule, str):
+            _check("lambda_rule", self.lambda_rule,
+                   (lambda v: v == "sqrt_n", "'sqrt_n' or a number > 0"))
+        else:
+            _check("lambda_rule", self.lambda_rule, _REAL, _POSITIVE)
+        _check_fields(self)
+
+    def lambda_for(self, n: int) -> float:
+        if self.lambda_rule == "sqrt_n":
+            return math.sqrt(n)
+        return float(self.lambda_rule)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        _check("config", doc, (lambda v: isinstance(v, dict), "an object"))
+        doc = dict(doc)
+        try:
+            if isinstance(doc.get("chain"), dict):
+                doc["chain"] = ChainSettings(**doc["chain"])
+            return cls(**doc)
+        except TypeError as exc:
+            # Unknown or misspelled keys.
+            raise ConfigError(f"invalid config: {exc}") from exc
+
+
 def generate_dataset(
-    seed: int, n: int, e_std: float = 1.0, e_inf: float = 1.27
+    seed: int, n: int, e_std: float = ExperimentConfig.e_std,
+    e_inf: float = ExperimentConfig.e_inf,
 ) -> Trajectory:
     """Synthesize n steps of (input, label) data from the reference generator.
 
@@ -139,119 +243,6 @@ def generate_dataset(
     _, outputs = simulate(gen, np.zeros(gen.n_s), noise)
     window = outputs[burn:]
     return Trajectory(inputs=window[:, 1:2], outputs=window[:, 0:1])
-
-
-def _require_int(name: str, value) -> None:
-    # A count such as 5.7 must not be truncated silently; bool is an Integral
-    # too, but true/false for a count is a typo.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_real(name: str, value) -> None:
-    # A string or null would otherwise fail in a comparison that names no key.
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-    ):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-
-
-@dataclass(frozen=True)
-class ChainSettings:
-    """Per-seed Metropolis-Hastings settings; steps are derived from n_f.
-
-    A chain runs burn_in + n_f * thin steps and keeps n_f, so n_f >= 1 and
-    thin >= 1 already give it a step and a burn-in shorter than the chain.
-    """
-
-    proposal_std: float = 0.05
-    burn_in: int = 500
-    thin: int = 1
-    base_seed: int = 0
-
-    def __post_init__(self):
-        for name in ("burn_in", "thin", "base_seed"):
-            _require_int(f"chain.{name}", getattr(self, name))
-        _require_real("chain.proposal_std", self.proposal_std)
-        if self.proposal_std <= 0:
-            raise ConfigError(f"chain.proposal_std must be > 0, got {self.proposal_std!r}")
-        if self.burn_in < 0:
-            raise ConfigError(f"chain.burn_in must be >= 0, got {self.burn_in!r}")
-        if self.thin < 1:
-            raise ConfigError(f"chain.thin must be >= 1, got {self.thin!r}")
-        if self.base_seed < 0:
-            raise ConfigError(f"chain.base_seed must be >= 0, got {self.base_seed!r}")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full benchmark configuration; defaults reproduce the reference setup."""
-
-    n_grid: tuple[int, ...] = (5, 9, 20, 50, 100, 200, 500, 1000)
-    n_seeds: int = 10
-    prior_sigma2: float = 0.02
-    lambda_rule: str | float = "sqrt_n"
-    delta: float = 0.025
-    n_f: int = 5000
-    chain: ChainSettings = field(default_factory=ChainSettings)
-    e_inf: float = 1.27
-    e_std: float = 1.0
-    tau_max: float = 0.995
-
-    def __post_init__(self):
-        if not isinstance(self.n_grid, (tuple, list)):
-            raise ConfigError(f"n_grid must be a list of integers, got {self.n_grid!r}")
-        if not isinstance(self.chain, ChainSettings):
-            raise ConfigError(f"chain must be an object, got {self.chain!r}")
-        for n in self.n_grid:
-            _require_int("n_grid entry", n)
-        _require_int("n_seeds", self.n_seeds)
-        _require_int("n_f", self.n_f)
-        for name in ("prior_sigma2", "delta", "e_inf", "e_std", "tau_max"):
-            _require_real(name, getattr(self, name))
-        grid = tuple(int(n) for n in self.n_grid)
-        if not grid or any(n < 1 for n in grid) or list(grid) != sorted(set(grid)):
-            raise ConfigError("n_grid must be a nonempty ascending list of positive ints")
-        object.__setattr__(self, "n_grid", grid)
-        if self.n_seeds < 1:
-            raise ConfigError("n_seeds must be positive")
-        if self.prior_sigma2 <= 0:
-            raise ConfigError("prior_sigma2 must be positive")
-        if isinstance(self.lambda_rule, str):
-            if self.lambda_rule != "sqrt_n":
-                raise ConfigError("lambda_rule must be 'sqrt_n' or a positive number")
-        else:
-            _require_real("lambda_rule", self.lambda_rule)
-            if self.lambda_rule <= 0:
-                raise ConfigError("fixed lambda must be positive")
-        if not 0.0 < self.delta <= 0.5:
-            raise ConfigError("delta must lie in (0, 0.5]")
-        if self.n_f < 1:
-            raise ConfigError("n_f must be positive")
-        if not 0.0 < self.tau_max < 1.0:
-            raise ConfigError("tau_max must lie in (0, 1)")
-        if self.e_inf <= 0 or self.e_std <= 0:
-            raise ConfigError("e_inf and e_std must be positive")
-
-    def lambda_for(self, n: int) -> float:
-        if self.lambda_rule == "sqrt_n":
-            return math.sqrt(n)
-        return float(self.lambda_rule)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be an object, got {doc!r}")
-        doc = dict(doc)
-        try:
-            if isinstance(doc.get("chain"), dict):
-                doc["chain"] = ChainSettings(**doc["chain"])
-            return cls(**doc)
-        except TypeError as exc:
-            # Unknown or misspelled keys.
-            raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def _chain_rng(base_seed: int, seed: int) -> np.random.Generator:

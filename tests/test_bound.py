@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,19 +6,27 @@ import pytest
 
 from stablepac import (
     DataConstants,
+    ExperimentConfig,
     GainPair,
     InvalidConfidenceError,
+    LossSpec,
     SampleRecord,
     StabilityConstants,
+    build_reference_generator,
     gain_pair,
+    generator_data_constants,
     gibbs_estimates,
     gibbs_log_estimates,
+    loss_lipschitz,
     pac_bound,
     pooled_psi,
     psi1_exponent,
     psi2_exponent,
     psi_hat,
+    seeded_rng,
+    truncated_gaussian,
 )
+from stablepac.certify import block_constants
 
 DC_UNIT = DataConstants(b_q=1.0, theta_bar=0.0, e_inf=1.0)
 
@@ -79,6 +88,61 @@ class TestPsiExponents:
         a = psi2_exponent(math.sqrt(100), 100, 1.0, c, 1.0, gh, 0.5)
         b = psi2_exponent(math.sqrt(400), 400, 1.0, c, 1.0, gh, 0.5)
         assert b == pytest.approx(a / 2.0, rel=1e-12)
+
+
+class TestIidMomentOracle:
+    """psi1 against the exact log-MGF of an i.i.d. special case.
+
+    The generator is the reference one with A = C = 0 and zero biases, so its
+    outputs (label y, input x) are i.i.d. tanh(D e) and theta_bar = 0.  The
+    predictor has A = C = 0, d = 0.01 and b_y = 0: yhat = tanh(d x).  Then
+    V_n is a mean of n i.i.d. losses l = (y - yhat)^2, and at s = 2 lambda
+
+        ln E exp(s (E V_n - V_n)) = n ln E exp((s/n) (E l - l)),
+
+    which 10^6 one-step draws give with no long series.
+    """
+
+    N = 20
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        ref = build_reference_generator()
+        gen = dataclasses.replace(
+            ref, a=np.zeros((2, 2)), b_s=np.zeros(2), c=np.zeros((2, 2)), b_y=np.zeros(2)
+        )
+        data = generator_data_constants(gen, ExperimentConfig.e_inf)
+        d = 0.01
+        gh = gain_pair(block_constants(1.0, 1.0, 0.0, 0.0, 0.0, d))
+        l_ell = loss_lipschitz(LossSpec(kind="square"), data, gh)
+        lambda_ = math.sqrt(self.N)
+        noise = truncated_gaussian(
+            seeded_rng(0), ExperimentConfig.e_std, ExperimentConfig.e_inf, 2 * 10**6
+        ).reshape(-1, 2)
+        y, x = np.tanh(noise @ gen.d.T).T
+        losses = (y - np.tanh(d * x)) ** 2
+        t = 2.0 * lambda_ / self.N
+        exact = self.N * math.log(np.mean(np.exp(t * (losses.mean() - losses))))
+        return {
+            "data": data, "gh": gh, "max_norm": float(np.max(np.hypot(y, x))),
+            "psi1": psi1_exponent(lambda_, self.N, l_ell, data, gh), "exact": exact,
+        }
+
+    def test_premises(self, oracle):
+        data, gh = oracle["data"], oracle["gh"]
+        assert data.theta_bar == 0.0
+        assert data.b_q == pytest.approx(0.5483, abs=1e-4)
+        assert oracle["max_norm"] <= data.b_q
+        assert (gh.g, gh.h) == (0.01, 0.0)
+        assert oracle["exact"] == pytest.approx(2.1e-4, rel=0.05)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 9: psi1 (7.2e-9) lies about 3e4 times below the "
+        "exact i.i.d. log-MGF (2.1e-4)",
+    )
+    def test_psi1_bounds_the_exact_log_mgf(self, oracle):
+        assert oracle["psi1"] >= oracle["exact"]
 
 
 class TestPsiHat:

@@ -317,7 +317,7 @@ class TestBoundCommand:
 
     def test_nonpositive_lambda_fails_before_sampling(self, capsys):
         assert main(["bound", "--n", "5", "--lambda", "0"]) == 2
-        assert capsys.readouterr().err.startswith("error: fixed lambda")
+        assert capsys.readouterr().err.startswith("error: lambda_rule")
 
 
 @pytest.mark.parametrize("command", ["bound", "generate-data", "simulate"])

@@ -302,6 +302,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^chain\.{key} must be "):
             ExperimentConfig.from_dict({"chain": {key: value}})
 
+    # One out-of-range value per key; a key added without one fails below.
+    OUT_OF_RANGE = {
+        "n_grid": [10, 5], "n_seeds": 0, "prior_sigma2": 0.0, "lambda_rule": -2.0,
+        "delta": 0.75, "n_f": 0, "chain": 5, "e_inf": -1.27, "e_std": -1.0,
+        "tau_max": 1.0, "chain.proposal_std": -0.05, "chain.burn_in": -1,
+        "chain.thin": 0, "chain.base_seed": -1,
+    }
+
+    @pytest.mark.parametrize(
+        "key",
+        [f.name for f in dataclasses.fields(ExperimentConfig)]
+        + [f"chain.{f.name}" for f in dataclasses.fields(ChainSettings)],
+    )
+    def test_rejection_names_the_key_and_the_value(self, key):
+        value = self.OUT_OF_RANGE[key]
+        name = key.removeprefix("chain.")
+        doc = {"chain": {name: value}} if name != key else {key: value}
+        pattern = rf"^{re.escape(key)} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=pattern):
+            ExperimentConfig.from_dict(doc)
+
     def test_readme_config_block_is_the_default(self):
         # A stale README config block fails here instead of for its readers.
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
