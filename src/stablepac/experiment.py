@@ -14,9 +14,9 @@ certificates, one entry per sample, and its losses on every data prefix.
 The cloud is simulated as whole arrays, one entry per distinct state: a
 rejected proposal repeats the chain's state, and each run of identical
 consecutive rows is simulated once.  One simulation pass gives the losses on
-every data prefix.  A small cloud steps several consecutive time segments of
-the series side by side, in rounds of bounded memory, and gets the step
-loop's losses bit for bit.  One reduction (``_reduce``) turns the facts into
+every data prefix (``cloudloss``): each loss sums its steps in fixed blocks
+of 4096, so the pass steps the blocks of the series side by side and gets
+the step loop's losses bit for bit.  One reduction (``_reduce``) turns the facts into
 the bound's terms at any sequence of (n, lambda) pairs.
 """
 
@@ -39,6 +39,7 @@ from .bound import (
     psi2_exponent,
 )
 from .certify import GainPair, StabilityConstants, block_constants, gain_pair, rnn_constants
+from .cloudloss import prefix_losses
 from .dynsys import (
     RnnSystem,
     Trajectory,
@@ -51,7 +52,7 @@ from .dynsys import (
 from .errors import ConfigError
 from .loss import LossSpec, loss_lipschitz
 from .mixing import DataConstants, generator_data_constants
-from .numerics import ZERO, seeded_rng, spectral_norm, spectral_norm_2x2, truncated_gaussian
+from .numerics import seeded_rng, spectral_norm, spectral_norm_2x2, truncated_gaussian
 
 # Blocks of the benchmark predictor's parameter vector in order, each row-major:
 # RnnSystem's weights under their field names, then the initial state s0.
@@ -72,26 +73,6 @@ _PARAM_SLICES, PARAM_DIM = _block_slices(_PARAM_BLOCKS)
 
 # Steady-state approximation tolerance used when generating data.
 _DATA_BURN_IN_TOL = 1e-9
-
-# The cloud loss pass steps k = _LOSS_COLUMNS // m time segments of its m
-# samples side by side.  On the long_series cloud (154 distinct rows, n =
-# 1e5; best of six on one CPU) the pass took 0.36 s at one segment per
-# round and 0.28-0.29 s at budgets of 320 to 960 columns.  Two segments do
-# not pay: the full 300-row cloud took 0.55 s at k = 2 against 0.53 s at
-# k = 1.
-_LOSS_COLUMNS = 640
-# Cap on the squared errors of one round of the loss pass, a time-major
-# (steps, samples) buffer: 2 MiB.
-_LOSS_ROUND_ELEMENTS = 1 << 18
-# Cap on the elements of the loss pass's buffer of steps, (steps, 3 x
-# columns) pre-activations; it holds at least one step.
-_LOSS_CHUNK_ELEMENTS = 1 << 15
-# Steps of the zero-state warm-up before each later segment of a loss
-# round: on the long_series clouds of base seeds 0, 1000, 2000 and 3000
-# (146-157 distinct rows, 168-180 boundaries each at n = 1e5), 32 steps
-# left 363-2239 sample starts per cloud off in some byte, 48 steps 5 (base
-# seed 1000), 64 none.  A segment with any start off runs twice.
-_LOSS_WARM_UP_STEPS = 64
 
 _RELU = activation("relu")
 _TANH = activation("tanh")
@@ -147,6 +128,14 @@ def _check(key: str, value, *rules) -> None:
 def _check_fields(cfg, prefix: str = "") -> None:
     for f in fields(cfg):
         _check(prefix + f.name, getattr(cfg, f.name), *f.metadata.get("rules", ()))
+
+
+def _check_keys(cls, doc: dict, prefix: str = "") -> None:
+    """Raise ConfigError naming the first key of doc that is no field of cls."""
+    names = {f.name for f in fields(cls)}
+    for key in doc:
+        if key not in names:
+            raise ConfigError(f"{prefix}{key} is not a config key")
 
 
 @dataclass(frozen=True)
@@ -211,14 +200,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         _check("config", doc, (lambda v: isinstance(v, dict), "an object"))
+        _check_keys(cls, doc)
         doc = dict(doc)
-        try:
-            if isinstance(doc.get("chain"), dict):
-                doc["chain"] = ChainSettings(**doc["chain"])
-            return cls(**doc)
-        except TypeError as exc:
-            # Unknown or misspelled keys.
-            raise ConfigError(f"invalid config: {exc}") from exc
+        if isinstance(doc.get("chain"), dict):
+            _check_keys(ChainSettings, doc["chain"], "chain.")
+            doc["chain"] = ChainSettings(**doc["chain"])
+        return cls(**doc)
 
 
 def generate_dataset(
@@ -289,184 +276,14 @@ def _cloud_blocks(thetas: np.ndarray) -> dict[str, np.ndarray]:
     return {name: thetas[:, cols].T for name, cols in _PARAM_SLICES.items()}
 
 
-def _loss_round_shape(m: int, n_max: int) -> tuple[int, int]:
-    """Segments per round k and steps per segment L of the loss pass over m
-    samples: at most ``_LOSS_COLUMNS`` columns k*m (at least one segment),
-    at most ``_LOSS_ROUND_ELEMENTS`` squared errors k*L*m in a round (at
-    least one step), and rounds of equal shape that cover n_max steps with
-    the fewest padded steps.  A round of one segment has no warm-up to
-    spread, so it is one buffer of steps, which keeps the buffers of a
-    large cloud small."""
-    k = max(1, _LOSS_COLUMNS // m)
-    cap = _LOSS_ROUND_ELEMENTS if k > 1 else _LOSS_CHUNK_ELEMENTS // 3
-    most = max(1, cap // (k * m))
-    segments = -(-n_max // most)
-    rounds = -(-segments // k)
-    k = -(-segments // rounds)
-    return k, -(-n_max // (rounds * k))
-
-
-def _step_rows(
-    coef: tuple[np.ndarray, np.ndarray, np.ndarray],
-    state: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray | None,
-    out: np.ndarray | None,
-    rows: np.ndarray,
-) -> None:
-    """Step c = segs * m predictors over the inputs x, (steps, segs).
-
-    ``coef`` is (k_ab, k_x, k_1) with k_ab (6c,), k_x (3, m) and k_1 (3c,);
-    ``state`` is (s0, s1, s0, s1, s0, s1), 6c, each block segment-major, and
-    is advanced in place: its halves line up with both state products of
-    every block, so one multiply by k_ab forms them, the ReLU writes the
-    first two blocks and one copy fills the other four.  ``rows``,
-    (b, 3, segs, m), takes b steps at a time: their input products k_x*x in
-    one array operation, then each step's flat 3c-vector of pre-activations
-    (next s0, next s1, output).  ``out``, (segs, steps, m), receives the
-    squared errors against the labels y, (steps, segs); a warm-up passes
-    None for both.
-    """
-    k_ab, k_x, k_1 = coef
-    c = k_1.size // 3
-    steps = [(p, p[: 2 * c]) for p in rows.reshape(rows.shape[0], 3 * c)]
-    prod = np.empty(6 * c)
-    prod_a, prod_b = prod[: 3 * c], prod[3 * c :]
-    state_s, state_copies = state[: 2 * c], state[2 * c :].reshape(2, 2 * c)
-    multiply, add, maximum = np.multiply, np.add, np.maximum
-    for start in range(0, x.shape[0], len(steps)):
-        chunk = x[start : start + len(steps)]
-        b = chunk.shape[0]
-        np.multiply(chunk[:, None, :, None], k_x[:, None], rows[:b])
-        for p, p_s in steps[:b]:
-            multiply(k_ab, state, prod)
-            add(prod_a, prod_b, prod_a)
-            p += prod_a
-            p += k_1
-            maximum(p_s, ZERO, out=state_s)
-            state_copies[...] = state_s
-        if out is not None:
-            sq = out[:, start : start + b]
-            np.tanh(rows[:b, 2].swapaxes(0, 1), sq)
-            sq -= y[start : start + b].T[:, :, None]
-            sq *= sq
-
-
 def _batch_empirical_losses(
     thetas: np.ndarray, inputs: np.ndarray, labels: np.ndarray, ns: Sequence[int]
 ) -> np.ndarray:
-    """Mean squared losses of every predictor in the cloud on each data prefix.
-
-    Row k holds the mean loss over the first ``ns[k]`` steps, for ascending
-    ``ns``.  One pass to the largest n serves every row: the running sums are
-    divided by n as the pass reaches step n, so each row equals a separate
-    pass over that prefix bit for bit.  Pure elementwise arithmetic on arrays
-    over the cloud: deterministic and independent of BLAS threading.  Agrees
-    with per-sample empirical_loss.
-
-    The series is cut into segments of L steps, and the pass works through
-    it one round of k consecutive segments at a time, stepped side by side
-    as k*m columns (``_loss_round_shape``; k = 1 above
-    ``_LOSS_COLUMNS // 2`` samples).  Segment 0 of a round starts from the
-    exact state the round before ended in; each later one from a zero-state
-    warm-up over the ``_LOSS_WARM_UP_STEPS`` steps before it, which a stable
-    predictor forgets its start over.  Then the boundaries are checked in
-    order, as ``dynsys.simulate`` does: where a segment's start differs in
-    any byte from the end of the segment before, the whole segment, every
-    sample, is run again from that end.  A predictor started from the exact
-    bytes of its state repeats the step loop's arithmetic, so by induction
-    from the first step every pre-activation is the step loop's, bit for
-    bit, whether or not the predictor forgets; a sample whose start already
-    matched repeats its bits.
-
-    Only the state feeds back, so the step loop (``_step_rows``) does only
-    the affine map and the ReLU, and sums every element in the order
-    ``((k_s0*s0 + k_s1*s1) + k_x*x) + k_1`` (one IEEE addition commutes).
-    The squared errors of a round's outputs go into one time-major buffer.
-    They join the running sums in time order, in pieces that end at every
-    n: each piece is one reduction over axis 0 of the running sum, written
-    into the row before the piece (already summed, or a spare), followed by
-    the piece's rows.  numpy adds the rows of a C-ordered block one after
-    another, but a single column pairwise, so a lone sample is simulated
-    twice.
-    """
-    if (
-        not ns
-        or ns[0] < 1
-        or ns[-1] > inputs.shape[0]
-        or any(a >= b for a, b in zip(ns, ns[1:]))
-    ):
-        raise ValueError(
-            f"prefix lengths {ns} must ascend strictly within 1..{inputs.shape[0]}"
-        )
-    m_in = thetas.shape[0]
-    if m_in == 1:
-        thetas = np.concatenate([thetas, thetas])
-    m = thetas.shape[0]
-    n_max = ns[-1]
-    k, L = _loss_round_shape(m, n_max)
-    x = inputs[:n_max, 0]
-    y = labels[:n_max, 0]
-    # Blocks (next s0, next s1, output) of the coefficients, each repeated
-    # for the k segments of a round (k_x, a row per block, is broadcast).
-    # The first half of k_ab multiplies the state's first half (s0, s1, s0)
-    # and the second half its second (s1, s0, s1); a sum of two terms is
-    # exact in either order.
-    w = _cloud_blocks(thetas)
-    a, c = w["a"], w["c"]
-    k_ab = np.stack(
-        [np.broadcast_to(v, (k, m)) for v in (a[0], a[3], c[0], a[1], a[2], c[1])]
-    )
-    k_x = np.concatenate([w["b"], w["d"]])
-    k_1 = np.stack([np.broadcast_to(v, (k, m)) for v in (*w["b_s"], *w["b_y"])])
-    coef = (k_ab.reshape(-1), k_x, k_1.reshape(-1))
-    rows = np.empty((max(1, min(L, _LOSS_CHUNK_ELEMENTS // (3 * k * m))), 3, k, m))
-    # A rerun steps one segment, in the buffer of steps viewed one segment wide.
-    one = (k_ab[:, 0].ravel(), k_x, k_1[:, 0].ravel())
-    one_state, one_rows = np.empty(6 * m), rows.reshape(-1, 3, 1, m)
-    state = np.empty(6 * k * m)
-    ends = state[: 2 * k * m].reshape(2, k, m)
-    carry = w["s0"]
-    warm = min(_LOSS_WARM_UP_STEPS, L)
-    # A round's inputs and labels, segment by segment, zero past n_max; the
-    # warm-up's inputs, zero in segment 0's column.
-    xs, ys, xw = np.zeros((k, L)), np.zeros((k, L)), np.zeros((warm, k))
-    # Rows 1.. of sums hold a round's squared errors in time order; row 0 is
-    # spare for the running sum.
-    sums = np.empty((k * L + 1, m))
-    squares = sums[1:].reshape(k, L, m)
-    acc = np.zeros(m)
-    means = np.empty((len(ns), m_in))
-    q = 0
-    for r0 in range(0, n_max, k * L):
-        n_r = min(k * L, n_max - r0)
-        xs.flat[:n_r], ys.flat[:n_r] = x[r0 : r0 + n_r], y[r0 : r0 + n_r]
-        xs.flat[n_r:] = ys.flat[n_r:] = 0.0
-        if k > 1:
-            xw[:, 1:] = xs[:-1, L - warm :].T
-            state[:] = 0.0
-            _step_rows(coef, state, xw, None, None, rows)
-        ends[:, 0] = carry
-        starts = ends.copy()
-        state[2 * k * m :].reshape(2, -1)[...] = state[: 2 * k * m]
-        _step_rows(coef, state, xs.T, ys.T, squares, rows)
-        for j in range(1, -(-n_r // L)):
-            if starts[:, j].tobytes() != ends[:, j - 1].tobytes():
-                one_state.reshape(3, 2, m)[...] = ends[:, j - 1]
-                _step_rows(one, one_state, xs[j, :, None], ys[j, :, None],
-                           squares[j : j + 1], one_rows)
-                ends[:, j] = one_state[: 2 * m].reshape(2, m)
-        carry = ends[:, -1].copy()
-        start = 0
-        while start < n_r:
-            stop = min(n_r, ns[q] - r0)
-            sums[start] = acc
-            np.add.reduce(sums[start : stop + 1], 0, None, acc)
-            if r0 + stop == ns[q]:
-                np.divide(acc[:m_in], ns[q], means[q])
-                q += 1
-            start = stop
-    return means
+    """Mean squared losses of every predictor in the cloud on each data prefix,
+    one row per n of ``ns`` (``cloudloss.prefix_losses``).  They agree with
+    per-sample ``empirical_loss`` bit for bit up to 4096 steps, and to
+    rounding beyond, where the pass sums in blocks of 4096 steps."""
+    return prefix_losses(_cloud_blocks(thetas), inputs, labels, ns)
 
 
 def _cloud_losses(

@@ -335,6 +335,10 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="n_seed"):
             ExperimentConfig.from_dict({"n_seed": 3})
+        with pytest.raises(ConfigError, match=r"^n_gird is not a config key$"):
+            ExperimentConfig.from_dict({"n_gird": [5]})
+        with pytest.raises(ConfigError, match=r"^chain\.thinn is not a config key$"):
+            ExperimentConfig.from_dict({"chain": {"thinn": 2}})
 
     def test_dict_round_trip(self):
         cfg = ExperimentConfig(
@@ -461,6 +465,21 @@ class TestRunExperiment:
             ref = empirical_loss(LossSpec(kind="square"), sys, s0, data)
             assert batch[i] == pytest.approx(ref, rel=1e-12)
 
+    def test_batch_losses_match_reference_evaluator_past_one_block(self):
+        # Over 9000 steps the pass sums three blocks of 4096 steps and the
+        # per-sample evaluator runs one sum: they agree to rounding.
+        from stablepac.experiment import _batch_empirical_losses
+        from stablepac.loss import empirical_loss
+
+        rng = np.random.default_rng(9)
+        data = generate_dataset(4, 9000)
+        thetas = rng.normal(0, 0.14, size=(3, PARAM_DIM))
+        (batch,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [9000])
+        for i in range(3):
+            sys, s0 = benchmark_predictor(thetas[i])
+            ref = empirical_loss(LossSpec(kind="square"), sys, s0, data)
+            assert batch[i] == pytest.approx(ref, rel=1e-12)
+
     @pytest.mark.parametrize(
         "m,n",
         [
@@ -474,15 +493,13 @@ class TestRunExperiment:
         ],
     )
     def test_batch_losses_match_step_loop(self, m, n):
-        # (segments per round, steps per segment) from _loss_round_shape:
-        # 300 samples over 500 steps run one round of two 250-step segments
-        # side by side, the second from a warm-up; 4999 samples and the 5000
-        # of the reference cloud take rounds of one 2-step segment, 1300 of
-        # one 8-step segment; one sample (two equal columns) takes all 3
-        # steps at once; more samples than 2**14 take one step per round;
-        # one sample over 9000 steps runs 23 segments of 392 steps side by
-        # side, the last 16 of them padding, and a sum over its steps in one
-        # reduction would be pairwise, not in time order.
+        # Up to 4096 steps the pass steps one lane, in buffers of
+        # _LOSS_CHUNK_ELEMENTS // (3 m) steps: 2 for 4999 samples and the
+        # 5000 of the reference cloud, 8 for 1300, all 3 steps for one sample
+        # (two equal columns) and one step for more samples than 2**14.  One
+        # sample over 9000 steps runs 3 blocks side by side, the last one
+        # 808 steps and padding, and a sum over its steps in one reduction
+        # would be pairwise, not in time order.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(m)
@@ -493,9 +510,9 @@ class TestRunExperiment:
         assert batch.tobytes() == ref.tobytes()
 
     def test_prefix_loss_rows_match_separate_passes(self):
-        # 300 samples run two 250-step segments side by side: n = 1, n inside
-        # the first segment (13, 20, 26), on its last step and on the second
-        # one's first (250, 251), and n_max.
+        # 300 samples run one lane in buffers of 36 steps: n = 1, n inside
+        # the first buffer (13, 20, 26), two consecutive n inside the seventh
+        # (250, 251), and n_max.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(31)
@@ -511,16 +528,17 @@ class TestRunExperiment:
         assert rows[2].tobytes() == ref.tobytes()
 
     def test_one_sample_prefix_rows_sum_in_time_order(self):
-        # One sample runs as two equal columns, 23 segments of 392 steps side
-        # by side: n = 1, 5 and 17 inside the first, n on its last step and
-        # on the next one's first, inside the eleventh (4096, 4097) and
-        # n_max.  Each row must equal the step loop over its prefix.
+        # One sample runs as two equal columns, 3 blocks of 4096 steps side
+        # by side: n = 1, 5, 17, 392 and 393 inside the first, on its last
+        # step and the next one's first (4096, 4097), on the second's last
+        # step and the third's first (8192, 8193), and n_max.  Each row must
+        # equal the step loop over its prefix.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(32)
         data = generate_dataset(7, 9000)
         thetas = rng.normal(0, 0.5, size=(1, PARAM_DIM))
-        ns = [1, 5, 17, 392, 393, 4096, 4097, 9000]
+        ns = [1, 5, 17, 392, 393, 4096, 4097, 8192, 8193, 9000]
         rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
         for n, row in zip(ns, rows):
             ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
@@ -528,19 +546,21 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 2049])
     def test_few_sample_prefix_rows_match_step_loop_bytes(self, m):
-        # Over 3000 steps, 1 to 3 samples run 8 segments of 375 steps side by
+        # Over 9000 steps, 1 to 3 samples run 3 blocks of 4096 steps side by
         # side in one round (one sample as two equal columns); over 300
-        # steps, which keeps all of them finite, 2049 samples run one 5-step
-        # segment per round.  The snapshots fall on the first two steps,
-        # inside the first segment, on the last and the first step at both
-        # segment boundaries (one-row pieces among them), 50 steps past the
-        # second and on the last step.  numpy sums a one-column block
-        # pairwise, so the first three sample counts are where a reduction
-        # over a piece could leave time order.
-        from stablepac.experiment import _batch_empirical_losses, _loss_round_shape
+        # steps, which keeps all of them finite, 2049 samples run one lane
+        # in buffers of 5 steps.  The snapshots fall on the first two steps,
+        # inside the first block (or buffer), on the last and the first step
+        # at both of its boundaries (one-row pieces among them), 50 steps
+        # past the second and on the last step.  numpy sums a one-column
+        # block pairwise, so the first three sample counts are where a
+        # reduction over a piece could leave time order.
+        from stablepac.cloudloss import _LOSS_BLOCK, _LOSS_CHUNK_ELEMENTS
+        from stablepac.experiment import _batch_empirical_losses
 
-        n_max = 3000 if m < 4 else 300
-        _, seg = _loss_round_shape(max(m, 2), n_max)
+        n_max = 9000 if m < 4 else 300
+        seg = _LOSS_BLOCK if m < 4 else _LOSS_CHUNK_ELEMENTS // (3 * m)
+        assert seg == 5 or n_max > 2 * seg + 50
         ns = sorted(
             {1, 2, 7, seg, seg + 1, seg + 2, 2 * seg, 2 * seg + 1, 2 * seg + 50, n_max}
         )
@@ -675,17 +695,22 @@ class TestRunExperiment:
         assert max(distinct) < SMALL.n_f
 
     @pytest.mark.parametrize("base_seed", [0, 3000])
-    def test_distinct_state_losses_match_full_cloud(self, base_seed):
-        # About half of a 300-row chain cloud repeats the row before it.  Its
-        # 164 and 142 distinct rows run 3 and 4 segments side by side (of 500
-        # and 450 steps) where the full cloud runs 2 of 410, so the two passes
-        # start their segments on different steps; every loss must still be
-        # the full cloud's bytes.
+    def test_distinct_state_losses_match_full_cloud(self, base_seed, monkeypatch):
+        # About half of a 300-row chain cloud repeats the row before it.
+        # Under a budget of 450 columns its 164 (base seed 0) and 142
+        # distinct rows run the 3 blocks in 2 rounds of 2 lanes (one of them
+        # padding) and in one round of 3, where the full cloud runs 3 rounds
+        # of one lane, so the passes warm up and check different lanes;
+        # every loss must still be the full cloud's bytes.
+        import stablepac.cloudloss as cloudloss
         from stablepac.experiment import _batch_empirical_losses, _cloud_losses
 
+        monkeypatch.setattr(cloudloss, "_LOSS_COLUMNS", 450)
         cfg = ExperimentConfig(n_grid=(9000,), n_f=300, chain=ChainSettings(base_seed=base_seed))
         cloud = _prior_cloud(cfg, 1)
-        assert len({row.tobytes() for row in cloud}) < cfg.n_f
+        distinct = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(cloud[1:], cloud[:-1]))
+        lanes = [cloudloss._loss_lanes(m, 9000) for m in (cfg.n_f, distinct)]
+        assert lanes == [1, 2 if base_seed == 0 else 3]
         data = generate_dataset(1, 9000)
         ns = [1, 13, 20, 27, 500, 4097, 9000]
         got = _cloud_losses(cloud, data.inputs, data.outputs, ns)
@@ -845,39 +870,65 @@ def _make_slow(thetas, i):
 
 @pytest.fixture
 def small_rounds(monkeypatch):
-    """Loss rounds small enough for a short series to span several: 20
-    samples run 4 segments of 40 steps side by side, warm up over 32 steps
-    and step 7 at a time, so the buffers of steps end off the segments."""
-    import stablepac.experiment as experiment
+    """Loss rounds small enough for a short series to span several: blocks
+    of 40 steps, of which 20 samples run 4 lanes side by side, 32-step
+    warm-ups and buffers of 7 steps, so the buffers end off the blocks."""
+    import stablepac.cloudloss as cloudloss
 
-    monkeypatch.setattr(experiment, "_LOSS_COLUMNS", 80)
-    monkeypatch.setattr(experiment, "_LOSS_ROUND_ELEMENTS", 80 * 40)
-    monkeypatch.setattr(experiment, "_LOSS_CHUNK_ELEMENTS", 3 * 80 * 7)
-    monkeypatch.setattr(experiment, "_LOSS_WARM_UP_STEPS", 32)
-    return experiment
+    monkeypatch.setattr(cloudloss, "_LOSS_BLOCK", 40)
+    monkeypatch.setattr(cloudloss, "_LOSS_COLUMNS", 80)
+    monkeypatch.setattr(cloudloss, "_LOSS_CHUNK_ELEMENTS", 3 * 80 * 7)
+    monkeypatch.setattr(cloudloss, "_LOSS_WARM_UP_STEPS", 32)
+    return cloudloss
 
 
-def _record_steps(monkeypatch, experiment):
-    """Record (segments, columns, k_1) of every call of the step loop."""
+def _record_steps(monkeypatch, cloudloss):
+    """Record (lanes, columns, k_1) of every call of the step loop."""
     calls = []
-    real = experiment._step_rows
+    real = cloudloss._step_rows
 
     def recorded(coef, state, x, *rest):
         k_1 = coef[2]
         calls.append((x.shape[1], k_1.size // 3, k_1.copy()))
         return real(coef, state, x, *rest)
 
-    monkeypatch.setattr(experiment, "_step_rows", recorded)
+    monkeypatch.setattr(cloudloss, "_step_rows", recorded)
     return calls
+
+
+def _record_lanes(monkeypatch, cloudloss):
+    """Record (first lane, columns, k_1) of every stepped run of lanes."""
+    calls = []
+    real = cloudloss._lane_sums
+
+    def recorded(coef, state, x, y, l0, *rest):
+        k_1 = coef[2]
+        calls.append((l0, k_1.size // 3, k_1.copy()))
+        return real(coef, state, x, y, l0, *rest)
+
+    monkeypatch.setattr(cloudloss, "_lane_sums", recorded)
+    return calls
+
+
+def _assert_rows_match_step_loop(rows, ns, thetas, data):
+    """Each row is the step loop's over its prefix, in blocks of the pass's
+    block length (the small_rounds fixture sets it)."""
+    import stablepac.cloudloss as cloudloss
+
+    for n, row in zip(ns, rows):
+        ref = reference_batch_losses(
+            thetas, data.inputs[:n], data.outputs[:n], cloudloss._LOSS_BLOCK
+        )
+        assert row.tobytes() == ref.tobytes(), n
 
 
 class TestLossRounds:
     @pytest.mark.parametrize(
         "ns",
         [
-            [40, 80, 120, 200, 640],  # on segment boundaries
+            [40, 80, 120, 200, 640],  # on block boundaries
             [160, 320, 480, 640],  # on round boundaries
-            [1, 2, 37, 41, 100, 161, 333, 639, 640],  # inside segments
+            [1, 2, 37, 41, 100, 161, 333, 639, 640],  # inside blocks
         ],
         ids=["segment-boundary", "round-boundary", "inside-segment"],
     )
@@ -885,98 +936,124 @@ class TestLossRounds:
         rng = np.random.default_rng(50)
         data = generate_dataset(9, 640)
         thetas = _stable_cloud(rng, 20)
-        assert small_rounds._loss_round_shape(20, 640) == (4, 40)
-        rows = small_rounds._batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
-        for n, row in zip(ns, rows):
-            ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
-            assert row.tobytes() == ref.tobytes(), n
+        assert small_rounds._loss_lanes(20, 640) == 4
+        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        _assert_rows_match_step_loop(rows, ns, thetas, data)
 
     @pytest.mark.parametrize(
-        "round_elements,n_max,shape",
+        "columns,n_max,lanes",
         [
-            (80 * 40, 600, (4, 38)),  # 4 rounds of 152 steps: 8 padded
-            (80 * 2, 37, (4, 2)),  # 5 rounds of 8 steps: a whole segment padded
+            (80, 610, 4),  # 4 rounds of 4 lanes, the last one 10 steps
+            (80, 490, 4),  # a 10-step 13th block alone in the last round
+            (60, 610, 3),  # 6 rounds of 3 lanes, 2 of them padding
         ],
     )
-    def test_short_last_round(self, small_rounds, monkeypatch, round_elements, n_max, shape):
-        monkeypatch.setattr(small_rounds, "_LOSS_ROUND_ELEMENTS", round_elements)
-        k, seg = small_rounds._loss_round_shape(20, n_max)
-        assert (k, seg) == shape and n_max % (k * seg) != 0
+    def test_short_last_round(self, small_rounds, monkeypatch, columns, n_max, lanes):
+        monkeypatch.setattr(small_rounds, "_LOSS_COLUMNS", columns)
+        assert small_rounds._loss_lanes(20, n_max) == lanes and n_max % 40 == 10
         rng = np.random.default_rng(51)
         data = generate_dataset(10, n_max)
         thetas = _stable_cloud(rng, 20)
-        # A slowly forgetting sample: the last round's boundaries, before
-        # its padded steps, are run again.
+        # A slowly forgetting sample: every later lane of a round before the
+        # padding is run again, the short one too where it has a lane before.
         _make_slow(thetas, 7)
         ns = [1, n_max - 1, n_max]
-        rows = small_rounds._batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
-        for n, row in zip(ns, rows):
-            ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
-            assert row.tobytes() == ref.tobytes(), n
+        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        _assert_rows_match_step_loop(rows, ns, thetas, data)
 
     def test_slowly_forgetting_sample_is_rerun(self, small_rounds, monkeypatch):
         # A = 0.99 x a rotation forgets a 32-step warm-up's start by at most
         # 0.99**32, so the sample's start differs at every one of the 4 x 3
-        # boundaries, and each of those segments is run again, every sample
-        # of it, from the segment before's end; the other samples forget
-        # theirs to the last bit and repeat their bytes.
+        # lane boundaries, and each of those lanes is run again, every sample
+        # of it, from the lane before's end, with its block sum and its
+        # snapshots: n = 100 and 101 inside block 2, lane 2 of round 0, and
+        # 120 on its end.  The other samples forget theirs to the last bit
+        # and repeat their bytes.
         rng = np.random.default_rng(52)
         data = generate_dataset(11, 640)
         thetas = _stable_cloud(rng, 20)
         _make_slow(thetas, 7)
-        calls = _record_steps(monkeypatch, small_rounds)
-        rows = small_rounds._batch_empirical_losses(
-            thetas, data.inputs, data.outputs, [100, 640]
-        )
-        reruns = [(cols, k_1) for segs, cols, k_1 in calls if segs == 1]
-        assert len(reruns) == 4 * 3
+        calls = _record_lanes(monkeypatch, small_rounds)
+        ns = [100, 101, 120, 640]
+        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        reruns = [(l0, k_1) for l0, cols, k_1 in calls if cols == 20]
+        assert [l0 for l0, _ in reruns] == [r + i for r in (0, 4, 8, 12) for i in (1, 2, 3)]
         k_1 = thetas[:, [6, 7, 11]].T.ravel()
-        assert all(cols == 20 and np.array_equal(got, k_1) for cols, got in reruns)
-        for n, row in zip([100, 640], rows):
-            ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
-            assert row.tobytes() == ref.tobytes(), n
+        assert all(np.array_equal(got, k_1) for _, got in reruns)
+        _assert_rows_match_step_loop(rows, ns, thetas, data)
 
     def test_cloud_above_column_budget_runs_one_segment(self, small_rounds, monkeypatch):
-        # 81 samples exceed the 80 columns: a round is one segment, one
-        # buffer of 6 steps, with no warm-up and no boundary to check.
+        # 81 samples exceed the 80 columns: a round is one lane, stepped in
+        # 7 buffers of up to 6 steps, with no warm-up and no boundary to
+        # check.
         m = small_rounds._LOSS_COLUMNS + 1
-        assert small_rounds._loss_round_shape(m, 640) == (1, 6)
+        assert small_rounds._loss_lanes(m, 640) == 1
         rng = np.random.default_rng(53)
         data = generate_dataset(12, 640)
         thetas = _stable_cloud(rng, m)
         calls = _record_steps(monkeypatch, small_rounds)
         ns = [1, 6, 7, 100, 640]
-        rows = small_rounds._batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
-        assert len(calls) == 107 and all(c[:2] == (1, m) for c in calls)
+        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        assert len(calls) == 16 * 7 and all(c[:2] == (1, m) for c in calls)
+        _assert_rows_match_step_loop(rows, ns, thetas, data)
+
+    def test_one_n_passes_equal_the_rows_of_one_pass(self):
+        # No row depends on the other n: passes to single n around the block
+        # boundaries give the rows of one pass to all of them.
+        rng = np.random.default_rng(55)
+        data = generate_dataset(14, 9000)
+        thetas = _stable_cloud(rng, 30)
+        _make_slow(thetas, 3)
+        ns = [4095, 4096, 4097, 8192, 8193, 9000]
+        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
         for n, row in zip(ns, rows):
-            ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
-            assert row.tobytes() == ref.tobytes(), n
+            (alone,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [n])
+            assert alone.tobytes() == row.tobytes(), n
+
+    def test_rows_do_not_depend_on_the_column_budget(self, monkeypatch):
+        # One lane per round steps the blocks one after another from exact
+        # states; three lanes side by side warm up, and rerun the slow
+        # sample's lanes.  Both give the step loop's bytes.
+        import stablepac.cloudloss as cloudloss
+
+        rng = np.random.default_rng(56)
+        data = generate_dataset(15, 9000)
+        thetas = _stable_cloud(rng, 30)
+        _make_slow(thetas, 3)
+        ns = [1000, 4096, 8193, 9000]
+        got = {}
+        for columns, lanes in [(30, 1), (1 << 14, 3)]:
+            monkeypatch.setattr(cloudloss, "_LOSS_COLUMNS", columns)
+            assert cloudloss._loss_lanes(30, 9000) == lanes
+            got[lanes] = _batch_empirical_losses(
+                thetas, data.inputs, data.outputs, ns
+            )
+        assert got[1].tobytes() == got[3].tobytes()
+        _assert_rows_match_step_loop(got[1], ns, thetas, data)
 
     def test_long_series_cloud_losses_match_full_cloud(self):
-        # The long_series cloud at base seed 0: its 154 distinct rows run 4
-        # segments of 417 steps side by side over 1e4 steps, the 300 rows
-        # of the full cloud 2.
-        from stablepac.experiment import (
-            _batch_empirical_losses, _cloud_losses, _loss_round_shape,
-        )
+        # The long_series cloud at base seed 0: its 154 distinct rows, like
+        # the 300 rows of the full cloud, run the 3 blocks of 1e4 steps side
+        # by side in one round, and the 25 blocks of 1e5 steps too.
+        from stablepac.cloudloss import _loss_lanes
+        from stablepac.experiment import _batch_empirical_losses, _cloud_losses
 
         cfg = ExperimentConfig(n_grid=(1000, 10000, 100000), n_seeds=1, n_f=300)
         cloud = _prior_cloud(cfg, 0)
         distinct = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(cloud[1:], cloud[:-1]))
         assert distinct == 154
-        assert _loss_round_shape(154, 10000) == (4, 417)
-        assert _loss_round_shape(300, 10000) == (2, 417)
+        assert [_loss_lanes(m, n) for m in (154, 300) for n in (10000, 100000)] == [3, 25] * 2
         data = generate_dataset(0, 10000)
         ns = [1000, 10000]
         got = _cloud_losses(cloud, data.inputs, data.outputs, ns)
         full = _batch_empirical_losses(cloud, data.inputs, data.outputs, ns)
         assert got.tobytes() == full.tobytes()
-        ref = reference_batch_losses(cloud, data.inputs[:1000], data.outputs[:1000])
-        assert got[0].tobytes() == ref.tobytes()
+        _assert_rows_match_step_loop(got, ns, cloud, data)
 
     def test_peak_allocation_is_the_round_buffers(self):
-        # 154 samples over 1e4 steps take 6 rounds.  The pass may hold one
-        # round's squared errors, one buffer of steps, O(columns) state, the
+        # 154 samples over 1e4 steps run 3 lanes in one round.  The pass may
+        # hold one buffer of steps and its squared errors, the zero-padded
+        # last block of the inputs and of the labels, O(columns) state, the
         # means and numpy's ufunc buffers (getbufsize() elements for each of
         # up to three operands); all squared errors at once would be 1e4 x
         # 154 doubles, 12 MB.
@@ -995,9 +1072,9 @@ class TestLossRounds:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # Doubles: a 2**18 round, a 2**15 buffer of steps, 32 per column of
-        # the 640-column budget.
-        cap = (1 << 18) + (1 << 15) + 32 * 640
+        # Doubles: a 2**15 buffer of steps and a third of that in squared
+        # errors, two padded blocks, 32 per column of the 3 lanes.
+        cap = (1 << 15) * 4 // 3 + 2 * 4096 + 32 * 3 * 154
         assert peak <= 8 * (cap + 154 * len(ns) + 3 * np.getbufsize()), peak
 
 

@@ -1,0 +1,73 @@
+"""Print a sha256 prefix of every output file of the benchmark experiments.
+
+    python3 tools/output_digests.py                  # all four configurations
+    python3 tools/output_digests.py grid long_series
+
+Runs each named configuration the way ``stablepac experiment`` does
+(``run_experiment`` then ``write_outputs``) into a temporary directory and
+prints one line per output file: the configuration, the file name and the
+first 8 hex digits of its sha256.  ``grid``, ``seed_sweep`` and
+``long_series`` are the workloads of ``perfbench/run.py`` at base seed 0;
+``default`` is ``ExperimentConfig()``.  The package is imported from the
+``src`` directory of this checkout.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from stablepac.experiment import ExperimentConfig, run_experiment, write_outputs  # noqa: E402
+
+PREFIX_HEX = 8
+
+
+def _workloads() -> dict[str, dict]:
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def configs() -> dict[str, ExperimentConfig]:
+    """Each configuration by name: the perfbench workloads at base seed 0, then the default."""
+    out = {
+        name: ExperimentConfig.from_dict({**doc, "chain": {"base_seed": 0}})
+        for name, doc in _workloads().items()
+    }
+    out["default"] = ExperimentConfig()
+    return out
+
+
+def digests(cfg: ExperimentConfig) -> dict[str, str]:
+    """sha256 prefix of each output file of one experiment, by file name."""
+    with tempfile.TemporaryDirectory() as out:
+        write_outputs(cfg, run_experiment(cfg), out)
+        return {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:PREFIX_HEX]
+            for path in sorted(Path(out).iterdir())
+        }
+
+
+def main(argv: list[str]) -> int:
+    known = configs()
+    names = argv or list(known)
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown configuration {unknown[0]!r}; choose from {', '.join(known)}",
+              file=sys.stderr)
+        return 2
+    for name in names:
+        for file, digest in digests(known[name]).items():
+            print(f"{name:12s} {file:24s} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
