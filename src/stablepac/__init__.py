@@ -30,7 +30,6 @@ from .dynsys import (
     activation,
     burn_in_length,
     load_model,
-    load_trajectory,
     save_model,
     save_trajectory,
     simulate,

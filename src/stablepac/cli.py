@@ -158,7 +158,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stablepac",
         description="Generalisation-gap bounds for stable recurrent predictors",
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (StablepacError, OSError) as exc:

@@ -12,7 +12,6 @@ burn-in prefix whose length is derived from the contraction certificate.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -284,50 +283,34 @@ def burn_in_length(consts: "StabilityConstants", s0_bound: float, tol: float) ->
 # Model and trajectory files
 
 
-def model_to_dict(sys: RnnSystem) -> dict:
-    return {
-        "n_s": sys.n_s,
-        "n_v": sys.n_v,
-        "n_y": sys.n_y,
-        "sigma_f": sys.sigma_f.kind,
-        "sigma_g": sys.sigma_g.kind,
-        "A": sys.a.tolist(),
-        "B": sys.b.tolist(),
-        "b_s": sys.b_s.tolist(),
-        "C": sys.c.tolist(),
-        "D": sys.d.tolist(),
-        "b_y": sys.b_y.tolist(),
-    }
-
-
-def model_from_dict(doc: dict) -> RnnSystem:
-    sys = RnnSystem(
-        a=np.array(doc["A"], dtype=float),
-        b=np.array(doc["B"], dtype=float),
-        b_s=np.array(doc["b_s"], dtype=float),
-        c=np.array(doc["C"], dtype=float),
-        d=np.array(doc["D"], dtype=float),
-        b_y=np.array(doc["b_y"], dtype=float),
-        sigma_f=activation(doc["sigma_f"]),
-        sigma_g=activation(doc["sigma_g"]),
-    )
-    for key in ("n_s", "n_v", "n_y"):
-        if key in doc and doc[key] != getattr(sys, key):
-            raise ValueError(f"declared {key}={doc[key]} does not match matrix shapes")
-    return sys
+# Model-file key of each array field of RnnSystem, in file order.
+_MODEL_ARRAYS = {"a": "A", "b": "B", "b_s": "b_s", "c": "C", "d": "D", "b_y": "b_y"}
 
 
 def save_model(sys: RnnSystem, path: str) -> None:
+    doc = {"n_s": sys.n_s, "n_v": sys.n_v, "n_y": sys.n_y,
+           "sigma_f": sys.sigma_f.kind, "sigma_g": sys.sigma_g.kind}
+    doc.update((key, getattr(sys, field).tolist()) for field, key in _MODEL_ARRAYS.items())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(sys), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def load_model(path: str) -> RnnSystem:
-    """Read a model file; one that cannot be read or built raises ConfigError."""
+    """Read a model file; one that cannot be read or built, or whose declared
+    n_s, n_v or n_y does not match its matrices, raises ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return model_from_dict(json.load(fh))
+            doc = json.load(fh)
+        sys = RnnSystem(
+            **{field: np.array(doc[key], dtype=float) for field, key in _MODEL_ARRAYS.items()},
+            sigma_f=activation(doc["sigma_f"]),
+            sigma_g=activation(doc["sigma_g"]),
+        )
+        for key in ("n_s", "n_v", "n_y"):
+            if key in doc and doc[key] != getattr(sys, key):
+                raise ValueError(f"declared {key}={doc[key]} does not match matrix shapes")
+        return sys
     except OSError as exc:
         raise ConfigError(f"cannot read model file {path!r}: {exc.strerror}") from exc
     except KeyError as exc:
@@ -336,12 +319,9 @@ def load_model(path: str) -> RnnSystem:
         raise ConfigError(f"model file {path!r}: {exc}") from exc
 
 
-def _trajectory_header(m: int, p: int) -> list[str]:
-    return ["t"] + [f"x_{i}" for i in range(m)] + [f"y_{i}" for i in range(p)]
-
-
 def save_trajectory(traj: Trajectory, path: str) -> None:
-    """Write a trajectory as CSV with header t, x_0.., y_0.. (round-trip exact).
+    """Write a trajectory as CSV with header t, x_0.., y_0.., which
+    ``np.loadtxt(path, delimiter=",", skiprows=1)`` reads back exactly.
 
     The bytes are those of ``csv.writer``: no field needs quoting (finite
     float reprs contain no comma, quote or line break) and rows end in
@@ -350,7 +330,8 @@ def save_trajectory(traj: Trajectory, path: str) -> None:
     split per column gives its fields from C; rows are the fields joined by
     commas.  Chunks bound the memory of those lists.
     """
-    header = _trajectory_header(traj.inputs.shape[1], traj.outputs.shape[1])
+    m, p = traj.inputs.shape[1], traj.outputs.shape[1]
+    header = ["t"] + [f"x_{i}" for i in range(m)] + [f"y_{i}" for i in range(p)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, traj.length, _CHUNK_ROWS):
@@ -360,22 +341,3 @@ def save_trajectory(traj: Trajectory, path: str) -> None:
             fields = [repr(col)[1:-1].split(", ") for col in columns]
             rows = map(",".join, zip(map(str, range(start, stop)), *fields))
             fh.write("\r\n".join(rows) + "\r\n")
-
-
-def load_trajectory(path: str) -> Trajectory:
-    """Read a save_trajectory CSV; an unreadable or malformed file raises ConfigError."""
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            header, *rows = csv.reader(fh)
-        m = sum(1 for h in header if h.startswith("x_"))
-        p = len(header) - 1 - m
-        if min(m, p) < 1 or header != _trajectory_header(m, p):
-            raise ValueError(f"header {header} is not t, x_0.., y_0..")
-        if any(len(row) != m + p + 1 for row in rows):
-            raise ValueError(f"every row needs {m + p + 1} fields")
-        data = np.array([[float(v) for v in row[1:]] for row in rows]).reshape(-1, m + p)
-        return Trajectory(inputs=data[:, :m], outputs=data[:, m:])
-    except OSError as exc:
-        raise ConfigError(f"cannot read trajectory file {path!r}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"trajectory file {path!r}: {exc}") from exc

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from stablepac import RnnSystem, activation
+from stablepac import RnnSystem, Trajectory, activation
 from stablepac.cloudloss import _LOSS_BLOCK
 from stablepac.experiment import _PARAM_BLOCKS, _PARAM_SLICES
 
@@ -23,6 +23,15 @@ def benchmark_predictor(theta):
     }
     s0 = blocks.pop("s0")
     return RnnSystem(**blocks, sigma_f=activation("relu"), sigma_g=activation("tanh")), s0
+
+
+def read_trajectory(path):
+    """A trajectory CSV read back: the columns after t, split at the count of
+    x_ columns in the header."""
+    with open(path, encoding="utf-8") as fh:
+        m = sum(name.startswith("x_") for name in fh.readline().split(","))
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return Trajectory(inputs=data[:, 1 : 1 + m], outputs=data[:, 1 + m :])
 
 
 def autocorrelation_time(x):

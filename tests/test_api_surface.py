@@ -1,22 +1,24 @@
-"""Every exported function must have a user outside its own module.
+"""Every public function must have a user outside its own module.
 
-A function in ``stablepac.__all__`` counts as used when its name appears in
-another module of the package, in the acceptance gate or in the shared test
-helpers.  Unit tests of the function itself do not count: public API that
-only its own tests call is dead weight.  Nor does the benchmark harness: its
-trace table names functions to time, and a stale entry there would keep a
-deleted function's export alive.  Exported
-classes are exempt, since they are the argument and result types of the
-functions checked here.  Exported error classes must be raised somewhere in
-the package: an exception that nothing raises is dead weight too.  Every
-name a package module imports must be used in that module, and no package
-module imports another's private (underscore) name: what two modules share
-is public in its one home.
+A public (non-underscore) module-level function of a package module counts
+as used when its name appears in another module of the package, in the
+acceptance gate or in the shared test helpers, or when ``pyproject.toml``
+names it as a script entry point.  Unit tests of the function itself do not
+count: public API that only its own tests call is dead weight, and a helper
+that only its own module calls is private.  Nor does the benchmark harness:
+its trace table names functions to time, and a stale entry there would keep
+a deleted function alive.  Classes are exempt, since they are the argument
+and result types of the functions checked here.  Exported error classes
+must be raised somewhere in the package: an exception that nothing raises
+is dead weight too.  Every name a package module imports must be used in
+that module, and no package module imports another's private (underscore)
+name: what two modules share is public in its one home.
 """
 
 import ast
 import inspect
 import re
+import tomllib
 from pathlib import Path
 
 import stablepac
@@ -25,9 +27,6 @@ from stablepac.errors import StablepacError
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stablepac"
 
-# load_trajectory reads back the trajectory CSVs the CLI writes.
-EXEMPT = {"load_trajectory"}
-
 
 def _user_files():
     yield from PACKAGE.glob("*.py")
@@ -35,22 +34,35 @@ def _user_files():
     yield ROOT / "tests" / "helpers.py"
 
 
+def _public_functions(text):
+    return [
+        node.name
+        for node in ast.parse(text).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def _entry_points():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    return {target.replace(":", ".") for target in scripts.values()}
+
+
 def test_every_exported_function_has_a_user():
     texts = {path: path.read_text(encoding="utf-8") for path in _user_files()}
+    entry_points = _entry_points()
     unused = []
-    for name in stablepac.__all__:
-        obj = getattr(stablepac, name)
-        if not inspect.isfunction(obj) or name in EXEMPT:
-            continue
-        own = PACKAGE / (obj.__module__.rsplit(".", 1)[-1] + ".py")
-        pattern = re.compile(rf"\b{re.escape(name)}\b")
-        if not any(
-            pattern.search(text)
-            for path, text in texts.items()
-            if path not in (own, PACKAGE / "__init__.py")
-        ):
-            unused.append(f"{obj.__module__}.{name}")
-    assert not unused, f"exported but used only by its own module and tests: {unused}"
+    for own in sorted(PACKAGE.glob("*.py")):
+        for name in _public_functions(texts[own]):
+            qualified = f"stablepac.{own.stem}.{name}"
+            pattern = re.compile(rf"\b{re.escape(name)}\b")
+            if qualified not in entry_points and not any(
+                pattern.search(text)
+                for path, text in texts.items()
+                if path not in (own, PACKAGE / "__init__.py")
+            ):
+                unused.append(qualified)
+    assert not unused, f"public but used only by its own module and tests: {unused}"
 
 
 def test_every_exported_error_is_raised():

@@ -12,14 +12,13 @@ from stablepac import (
     generate_dataset,
     generator_data_constants,
     load_model,
-    load_trajectory,
     rnn_constants,
     save_model,
 )
 from stablepac.cli import main
 from stablepac.dynsys import RnnSystem, activation
 from stablepac.errors import GainOverflowError, NotStableError
-from helpers import random_contractive_system
+from helpers import random_contractive_system, read_trajectory
 
 
 @pytest.fixture()
@@ -203,14 +202,14 @@ class TestTrajectoryCommands:
             ["simulate", "--model", generator_path, "--seed", "3", "--n", "25",
              "--out", str(out)]
         ) == 0
-        traj = load_trajectory(str(out))
+        traj = read_trajectory(out)
         assert traj.length == 25
         assert traj.inputs.shape == (25, 2) and traj.outputs.shape == (25, 2)
 
     def test_generate_data_writes_csv(self, tmp_path):
         out = tmp_path / "data.csv"
         assert main(["generate-data", "--seed", "0", "--n", "40", "--out", str(out)]) == 0
-        traj = load_trajectory(str(out))
+        traj = read_trajectory(out)
         assert traj.length == 40
         assert traj.inputs.shape == (40, 1)
 
@@ -219,7 +218,7 @@ class TestTrajectoryCommands:
 
         out = tmp_path / "data.csv"
         main(["generate-data", "--seed", "5", "--n", "30", "--out", str(out)])
-        traj = load_trajectory(str(out))
+        traj = read_trajectory(out)
         ref = generate_dataset(5, 30)
         assert np.array_equal(traj.inputs, ref.inputs)
         assert np.array_equal(traj.outputs, ref.outputs)

@@ -1191,6 +1191,28 @@ class TestCloudCertificate:
             states, _ = simulate(*benchmark_predictor(theta), data.inputs)
             assert np.array_equal(states[-1], state)
 
+    def test_two_states_of_a_cloud_sample_contract(self):
+        # Contraction: 400 rows of seed 0's default cloud, each run over
+        # seed 0's data from s0 and from s0 plus an N(0, 1) offset, close
+        # their gap at rate c*tau^t, with tau the closed-form ||A||_2 and
+        # c = 1 (the ReLU state map is 1-Lipschitz in the 2-norm).
+        from stablepac.dynsys import simulate
+
+        cfg = ExperimentConfig()
+        rows = np.random.default_rng(10).choice(cfg.n_f, 400, replace=False)
+        cloud = _prior_cloud(cfg, 0)[rows]
+        taus = spectral_norm_2x2(*cloud[:, _PARAM_SLICES["a"]].T)
+        offsets = np.random.default_rng(11).normal(size=(cloud.shape[0], 2))
+        inputs = generate_dataset(0, 200).inputs
+        powers = np.arange(inputs.shape[0])
+        assert rnn_constants(benchmark_predictor(cloud[0])[0]).c == 1.0
+        for theta, tau, offset in zip(cloud, taus, offsets):
+            sys, s0 = benchmark_predictor(theta)
+            states, _ = simulate(sys, s0, inputs)
+            moved, _ = simulate(sys, s0 + offset, inputs)
+            gap = np.linalg.norm(moved - states, axis=1)
+            assert np.all(gap <= tau**powers * gap[0] + 1e-14)
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 9: the pipeline's l_ell = 2*b_q*g is no Lipschitz "

@@ -8,6 +8,7 @@ from stablepac import (
     activation,
     build_reference_generator,
     data_constants,
+    gain_pair,
     generator_data_constants,
     rnn_constants,
     saturation_bound,
@@ -118,3 +119,22 @@ class TestEmpiricalAmplitude:
         norms = np.linalg.norm(outputs, axis=1)
         assert float(np.max(norms)) <= dc.b_q
 
+
+class TestGeneratorInfluence:
+    def test_one_noise_vector_moves_the_output_sum_by_at_most_g(self):
+        # G = 2 * e_inf * sqrt(n_v) * g bounds sum_t ||dw_t|| when one noise
+        # vector of the reference generator moves inside the box
+        # |e| <= e_inf: the output moves by at most g per unit of input
+        # change, and the box's diameter is 2 * e_inf * sqrt(n_v).
+        gen = build_reference_generator()
+        e_inf, n = 1.27, 200
+        big_g = 2.0 * e_inf * math.sqrt(gen.n_v) * gain_pair(rnn_constants(gen)).g
+        assert big_g == pytest.approx(1.988, abs=5e-4)
+        rng = seeded_rng(7)
+        for _ in range(300):
+            noise = truncated_gaussian(rng, 1.0, e_inf, n * gen.n_v).reshape(n, gen.n_v)
+            moved = noise.copy()
+            moved[rng.integers(n)] = rng.uniform(-e_inf, e_inf, gen.n_v)
+            _, w = simulate(gen, np.zeros(gen.n_s), noise)
+            _, w_moved = simulate(gen, np.zeros(gen.n_s), moved)
+            assert np.sum(np.linalg.norm(w_moved - w, axis=1)) <= big_g
