@@ -116,13 +116,12 @@ def _lane_sums(
 
     Returns each lane's sum, (k, m).  ``rows`` is ``_step_rows``'
     buffer, (b, 3, k, m).  ``ends_in`` lists (q, o) for each block: the
-    running sum of the block's lane after o steps goes to sums[q].  The
-    squared errors of b steps go into rows 1.. of a time-major buffer and
-    join the running sums in pieces that end at each offset: each piece is
-    one reduction over axis 0, written into the row before it (already
-    summed, or the spare row 0).  numpy adds the rows of a C-ordered block
-    one after another, but a single column pairwise, so a lone sample is
-    simulated twice.
+    running sum of the block's lane after o steps goes to sums[q].  Each
+    buffer of at most b steps ends at the next such offset of the k lanes or
+    at ``steps``.  Its squared errors go into rows 1.. of a time-major
+    buffer, the running sums into row 0, and one reduction over axis 0 joins
+    them.  numpy adds the rows of a C-ordered block one after another, but a
+    single column pairwise, so a lone sample is simulated twice.
     """
     b, _, k, m = rows.shape
     xs, ys = np.empty((b, k)), np.empty((b, k))
@@ -133,10 +132,9 @@ def _lane_sums(
     for i in range(k):
         for q, o in ends_in.get(l0 + i, ()):
             takes.setdefault(o, []).append((q, i))
-    cuts = iter(sorted({*takes, steps}))
-    cut = next(cuts)
-    for s in range(0, steps, b):
-        n = min(b, steps - s)
+    s = 0
+    while s < steps:
+        n = min(b, steps - s, *(o - s for o in takes if o > s))
         _take_lanes(xs[:n], x, l0, s)
         _take_lanes(ys[:n], y, l0, s)
         _step_rows(coef, state, xs[:n], rows)
@@ -144,16 +142,11 @@ def _lane_sums(
         np.tanh(rows[:n, 2].reshape(n, k * m), err)
         np.subtract(err.reshape(n, k, m), ys[:n, :, None], err.reshape(n, k, m))
         err *= err
-        start = s
-        while start < s + n:
-            stop = min(s + n, cut)
-            sq[start - s] = acc
-            np.add.reduce(sq[start - s : stop - s + 1], 0, None, acc)
-            if stop == cut:
-                for q, i in takes.get(cut, ()):
-                    sums[q] = lane_acc[i]
-                cut = next(cuts, None)
-            start = stop
+        sq[0] = acc
+        np.add.reduce(sq[: n + 1], 0, None, acc)
+        s += n
+        for q, i in takes.get(s, ()):
+            sums[q] = lane_acc[i]
     return lane_acc
 
 
@@ -191,7 +184,9 @@ def prefix_losses(
     arithmetic, so by induction from the first step every pre-activation is
     the step loop's, bit for bit, whether or not the predictor forgets; a
     sample whose start already matched repeats its bits.  Each lane sums
-    its own block (``_lane_sums``).
+    its own block (``_lane_sums``): a buffer of steps ends at the next
+    prefix offset of its lanes or at the block end, and joins the lane sums
+    in one reduction.
 
     Only the state feeds back, so the step loop (``_step_rows``) does only
     the affine map and the ReLU, and sums every element in the order

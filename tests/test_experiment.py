@@ -883,13 +883,13 @@ def small_rounds(monkeypatch):
 
 
 def _record_steps(monkeypatch, cloudloss):
-    """Record (lanes, columns, k_1) of every call of the step loop."""
+    """Record (lanes, columns, k_1, steps) of every call of the step loop."""
     calls = []
     real = cloudloss._step_rows
 
     def recorded(coef, state, x, *rest):
         k_1 = coef[2]
-        calls.append((x.shape[1], k_1.size // 3, k_1.copy()))
+        calls.append((x.shape[1], k_1.size // 3, k_1.copy(), x.shape[0]))
         return real(coef, state, x, *rest)
 
     monkeypatch.setattr(cloudloss, "_step_rows", recorded)
@@ -984,8 +984,9 @@ class TestLossRounds:
 
     def test_cloud_above_column_budget_runs_one_segment(self, small_rounds, monkeypatch):
         # 81 samples exceed the 80 columns: a round is one lane, stepped in
-        # 7 buffers of up to 6 steps, with no warm-up and no boundary to
-        # check.
+        # buffers of up to 6 steps that end at the prefix offsets (1, 6 and
+        # 7 in block 0, 20 in block 2) and at the block end, with no warm-up
+        # and no boundary to check.
         m = small_rounds._LOSS_COLUMNS + 1
         assert small_rounds._loss_lanes(m, 640) == 1
         rng = np.random.default_rng(53)
@@ -994,7 +995,10 @@ class TestLossRounds:
         calls = _record_steps(monkeypatch, small_rounds)
         ns = [1, 6, 7, 100, 640]
         rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
-        assert len(calls) == 16 * 7 and all(c[:2] == (1, m) for c in calls)
+        assert all(c[:2] == (1, m) for c in calls)
+        whole = [6, 6, 6, 6, 6, 6, 4]
+        schedule = [1, 5, 1, 6, 6, 6, 6, 6, 3] + whole + [6, 6, 6, 2, 6, 6, 6, 2] + whole * 13
+        assert [c[3] for c in calls] == schedule and len(schedule) == 115
         _assert_rows_match_step_loop(rows, ns, thetas, data)
 
     def test_one_n_passes_equal_the_rows_of_one_pass(self):
