@@ -41,6 +41,7 @@ from .errors import (
     GainOverflowError,
     InstabilityError,
     InvalidConfidenceError,
+    KernelBuildError,
     NotStableError,
     SingularCompositionError,
     StablepacError,

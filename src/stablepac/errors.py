@@ -40,3 +40,8 @@ class InvalidConfidenceError(StablepacError):
 
 class ConfigError(StablepacError):
     """A configuration value or input file is invalid; raised before any work starts."""
+
+
+class KernelBuildError(StablepacError):
+    """The C step loop of the cloud loss pass could not be compiled; the
+    message names the compiler command and quotes what it reported."""

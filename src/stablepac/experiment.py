@@ -15,9 +15,9 @@ The cloud is simulated as whole arrays, one entry per distinct state: a
 rejected proposal repeats the chain's state, and each run of identical
 consecutive rows is simulated once.  One simulation pass gives the losses on
 every data prefix (``cloudloss``): each loss sums its steps in fixed blocks
-of 4096, so the pass steps the blocks of the series side by side and gets
-the step loop's losses bit for bit.  One reduction (``_reduce``) turns the facts into
-the bound's terms at any sequence of (n, lambda) pairs.
+of 4096, in time order, and a compiled step loop gets the numpy step loop's
+losses bit for bit.  One reduction (``_reduce``) turns the facts into the
+bound's terms at any sequence of (n, lambda) pairs.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from stablepac import (
 from stablepac.bound import (
     BoundReport, gibbs_log_estimates, pac_bound, pooled_psi, psi1_exponent, psi2_exponent,
 )
-from stablepac.errors import ConfigError
+from stablepac.errors import ConfigError, KernelBuildError
 from stablepac.experiment import (
     _PARAM_SLICES,
     PARAM_DIM,
@@ -493,13 +494,12 @@ class TestRunExperiment:
         ],
     )
     def test_batch_losses_match_step_loop(self, m, n):
-        # Up to 4096 steps the pass steps one lane, in buffers of
-        # _LOSS_CHUNK_ELEMENTS // (3 m) steps: 2 for 4999 samples and the
-        # 5000 of the reference cloud, 8 for 1300, all 3 steps for one sample
-        # (two equal columns) and one step for more samples than 2**14.  One
-        # sample over 9000 steps runs 3 blocks side by side, the last one
-        # 808 steps and padding, and a sum over its steps in one reduction
-        # would be pairwise, not in time order.
+        # The pass runs buffers of _LOSS_CHUNK_ELEMENTS // m steps: 6 for
+        # 4999 samples and the 5000 of the reference cloud, 25 for 1300, all
+        # 3 steps for one sample and one step for more samples than 2**14.
+        # One sample over 9000 steps runs 3 blocks, the last one 808 steps,
+        # and a sum over its steps in one numpy reduction would be pairwise,
+        # not in time order.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(m)
@@ -510,9 +510,9 @@ class TestRunExperiment:
         assert batch.tobytes() == ref.tobytes()
 
     def test_prefix_loss_rows_match_separate_passes(self):
-        # 300 samples run one lane in buffers of 36 steps: n = 1, n inside
-        # the first buffer (13, 20, 26), two consecutive n inside the seventh
-        # (250, 251), and n_max.
+        # 300 samples run buffers of 109 steps: n = 1, n inside the first
+        # buffer (13, 20, 26), two consecutive n inside the third (250, 251),
+        # and n_max.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(31)
@@ -528,11 +528,11 @@ class TestRunExperiment:
         assert rows[2].tobytes() == ref.tobytes()
 
     def test_one_sample_prefix_rows_sum_in_time_order(self):
-        # One sample runs as two equal columns, 3 blocks of 4096 steps side
-        # by side: n = 1, 5, 17, 392 and 393 inside the first, on its last
-        # step and the next one's first (4096, 4097), on the second's last
-        # step and the third's first (8192, 8193), and n_max.  Each row must
-        # equal the step loop over its prefix.
+        # One sample runs 3 blocks of 4096 steps, in buffers that end at the
+        # block ends: n = 1, 5, 17, 392 and 393 inside the first, on its
+        # last step and the next one's first (4096, 4097), on the second's
+        # last step and the third's first (8192, 8193), and n_max.  Each row
+        # must equal the step loop over its prefix.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(32)
@@ -546,10 +546,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 2049])
     def test_few_sample_prefix_rows_match_step_loop_bytes(self, m):
-        # Over 9000 steps, 1 to 3 samples run 3 blocks of 4096 steps side by
-        # side in one round (one sample as two equal columns); over 300
-        # steps, which keeps all of them finite, 2049 samples run one lane
-        # in buffers of 5 steps.  The snapshots fall on the first two steps,
+        # Over 9000 steps, 1 to 3 samples run 3 blocks of 4096 steps; over
+        # 300 steps, which keeps all of them finite, 2049 samples run
+        # buffers of 15 steps.  The snapshots fall on the first two steps,
         # inside the first block (or buffer), on the last and the first step
         # at both of its boundaries (one-row pieces among them), 50 steps
         # past the second and on the last step.  numpy sums a one-column
@@ -559,8 +558,8 @@ class TestRunExperiment:
         from stablepac.experiment import _batch_empirical_losses
 
         n_max = 9000 if m < 4 else 300
-        seg = _LOSS_BLOCK if m < 4 else _LOSS_CHUNK_ELEMENTS // (3 * m)
-        assert seg == 5 or n_max > 2 * seg + 50
+        seg = _LOSS_BLOCK if m < 4 else _LOSS_CHUNK_ELEMENTS // m
+        assert n_max > 2 * seg + 50
         ns = sorted(
             {1, 2, 7, seg, seg + 1, seg + 2, 2 * seg, 2 * seg + 1, 2 * seg + 50, n_max}
         )
@@ -580,6 +579,14 @@ class TestRunExperiment:
         data = generate_dataset(6, 30)
         with pytest.raises(ValueError, match="prefix lengths"):
             _batch_empirical_losses(np.zeros((4, PARAM_DIM)), data.inputs, data.outputs, ns)
+
+    def test_labels_shorter_than_prefix_rejected(self):
+        # The compiled loop would read past the labels' end.
+        from stablepac.experiment import _batch_empirical_losses
+
+        data = generate_dataset(6, 30)
+        with pytest.raises(ValueError, match="prefix lengths"):
+            _batch_empirical_losses(np.zeros((4, PARAM_DIM)), data.inputs, data.outputs[:20], [25])
 
     def test_underflowing_weights_evaluate(self):
         # lambda = 1e4 underflows exp(-lambda * loss) for every loss above
@@ -695,22 +702,17 @@ class TestRunExperiment:
         assert max(distinct) < SMALL.n_f
 
     @pytest.mark.parametrize("base_seed", [0, 3000])
-    def test_distinct_state_losses_match_full_cloud(self, base_seed, monkeypatch):
+    def test_distinct_state_losses_match_full_cloud(self, base_seed):
         # About half of a 300-row chain cloud repeats the row before it.
-        # Under a budget of 450 columns its 164 (base seed 0) and 142
-        # distinct rows run the 3 blocks in 2 rounds of 2 lanes (one of them
-        # padding) and in one round of 3, where the full cloud runs 3 rounds
-        # of one lane, so the passes warm up and check different lanes;
-        # every loss must still be the full cloud's bytes.
-        import stablepac.cloudloss as cloudloss
+        # Its 164 (base seed 0) and 142 distinct rows run buffers of 199
+        # and 230 steps, where the full cloud runs buffers of 109; every
+        # loss must still be the full cloud's bytes.
         from stablepac.experiment import _batch_empirical_losses, _cloud_losses
 
-        monkeypatch.setattr(cloudloss, "_LOSS_COLUMNS", 450)
         cfg = ExperimentConfig(n_grid=(9000,), n_f=300, chain=ChainSettings(base_seed=base_seed))
         cloud = _prior_cloud(cfg, 1)
         distinct = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(cloud[1:], cloud[:-1]))
-        lanes = [cloudloss._loss_lanes(m, 9000) for m in (cfg.n_f, distinct)]
-        assert lanes == [1, 2 if base_seed == 0 else 3]
+        assert distinct == (164 if base_seed == 0 else 142)
         data = generate_dataset(1, 9000)
         ns = [1, 13, 20, 27, 500, 4097, 9000]
         got = _cloud_losses(cloud, data.inputs, data.outputs, ns)
@@ -860,59 +862,21 @@ def _stable_cloud(rng, m, a_norm=0.3):
     return thetas
 
 
-def _make_slow(thetas, i):
-    """Make sample i forget its start slowly: A = 0.99 x a rotation, b_s = 1."""
-    turn = 0.3
-    rotation = [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]]
-    thetas[i, _PARAM_SLICES["a"]] = 0.99 * np.ravel(rotation)
-    thetas[i, _PARAM_SLICES["b_s"]] = 1.0
-
-
 @pytest.fixture
-def small_rounds(monkeypatch):
-    """Loss rounds small enough for a short series to span several: blocks
-    of 40 steps, of which 20 samples run 4 lanes side by side, 32-step
-    warm-ups and buffers of 7 steps, so the buffers end off the blocks."""
+def small_blocks(monkeypatch):
+    """Loss blocks small enough for a short series to span several: blocks of
+    40 steps, and buffers of 7 steps for 20 samples, so the buffers end off
+    the blocks."""
     import stablepac.cloudloss as cloudloss
 
     monkeypatch.setattr(cloudloss, "_LOSS_BLOCK", 40)
-    monkeypatch.setattr(cloudloss, "_LOSS_COLUMNS", 80)
-    monkeypatch.setattr(cloudloss, "_LOSS_CHUNK_ELEMENTS", 3 * 80 * 7)
-    monkeypatch.setattr(cloudloss, "_LOSS_WARM_UP_STEPS", 32)
+    monkeypatch.setattr(cloudloss, "_LOSS_CHUNK_ELEMENTS", 20 * 7)
     return cloudloss
-
-
-def _record_steps(monkeypatch, cloudloss):
-    """Record (lanes, columns, k_1, steps) of every call of the step loop."""
-    calls = []
-    real = cloudloss._step_rows
-
-    def recorded(coef, state, x, *rest):
-        k_1 = coef[2]
-        calls.append((x.shape[1], k_1.size // 3, k_1.copy(), x.shape[0]))
-        return real(coef, state, x, *rest)
-
-    monkeypatch.setattr(cloudloss, "_step_rows", recorded)
-    return calls
-
-
-def _record_lanes(monkeypatch, cloudloss):
-    """Record (first lane, columns, k_1) of every stepped run of lanes."""
-    calls = []
-    real = cloudloss._lane_sums
-
-    def recorded(coef, state, x, y, l0, *rest):
-        k_1 = coef[2]
-        calls.append((l0, k_1.size // 3, k_1.copy()))
-        return real(coef, state, x, y, l0, *rest)
-
-    monkeypatch.setattr(cloudloss, "_lane_sums", recorded)
-    return calls
 
 
 def _assert_rows_match_step_loop(rows, ns, thetas, data):
     """Each row is the step loop's over its prefix, in blocks of the pass's
-    block length (the small_rounds fixture sets it)."""
+    block length (the small_blocks fixture sets it)."""
     import stablepac.cloudloss as cloudloss
 
     for n, row in zip(ns, rows):
@@ -922,83 +886,53 @@ def _assert_rows_match_step_loop(rows, ns, thetas, data):
         assert row.tobytes() == ref.tobytes(), n
 
 
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path):
+    """The loss pass's kernel cache moved to an empty directory, and the
+    loaded kernel forgotten before and after the test."""
+    import stablepac.cloudloss as cloudloss
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cloudloss._kernel.cache_clear()
+    yield cloudloss
+    cloudloss._kernel.cache_clear()
+
+
 class TestLossRounds:
     @pytest.mark.parametrize(
         "ns",
         [
             [40, 80, 120, 200, 640],  # on block boundaries
-            [160, 320, 480, 640],  # on round boundaries
+            [160, 320, 480, 640],  # on every fourth block boundary
             [1, 2, 37, 41, 100, 161, 333, 639, 640],  # inside blocks
         ],
         ids=["segment-boundary", "round-boundary", "inside-segment"],
     )
-    def test_snapshots_match_step_loop(self, small_rounds, ns):
+    def test_snapshots_match_step_loop(self, small_blocks, ns):
         rng = np.random.default_rng(50)
         data = generate_dataset(9, 640)
         thetas = _stable_cloud(rng, 20)
-        assert small_rounds._loss_lanes(20, 640) == 4
         rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
         _assert_rows_match_step_loop(rows, ns, thetas, data)
 
     @pytest.mark.parametrize(
-        "columns,n_max,lanes",
+        "m,n_max,steps",
         [
-            (80, 610, 4),  # 4 rounds of 4 lanes, the last one 10 steps
-            (80, 490, 4),  # a 10-step 13th block alone in the last round
-            (60, 610, 3),  # 6 rounds of 3 lanes, 2 of them padding
+            (80, 610, 4),  # 16 blocks, the last one 10 steps
+            (80, 490, 4),  # 13 blocks, the last one 10 steps
+            (60, 610, 3),  # buffers of 3 steps, so one step ends each block
         ],
     )
-    def test_short_last_round(self, small_rounds, monkeypatch, columns, n_max, lanes):
-        monkeypatch.setattr(small_rounds, "_LOSS_COLUMNS", columns)
-        assert small_rounds._loss_lanes(20, n_max) == lanes and n_max % 40 == 10
+    def test_short_last_round(self, small_blocks, monkeypatch, m, n_max, steps):
+        # The last block is short, and the buffers of ``steps`` steps end
+        # at its offsets n_max - 1 and n_max.
+        monkeypatch.setattr(small_blocks, "_LOSS_CHUNK_ELEMENTS", m * steps)
+        assert n_max % 40 == 10
         rng = np.random.default_rng(51)
         data = generate_dataset(10, n_max)
-        thetas = _stable_cloud(rng, 20)
-        # A slowly forgetting sample: every later lane of a round before the
-        # padding is run again, the short one too where it has a lane before.
-        _make_slow(thetas, 7)
+        thetas = _stable_cloud(rng, m)
         ns = [1, n_max - 1, n_max]
         rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
-        _assert_rows_match_step_loop(rows, ns, thetas, data)
-
-    def test_slowly_forgetting_sample_is_rerun(self, small_rounds, monkeypatch):
-        # A = 0.99 x a rotation forgets a 32-step warm-up's start by at most
-        # 0.99**32, so the sample's start differs at every one of the 4 x 3
-        # lane boundaries, and each of those lanes is run again, every sample
-        # of it, from the lane before's end, with its block sum and its
-        # snapshots: n = 100 and 101 inside block 2, lane 2 of round 0, and
-        # 120 on its end.  The other samples forget theirs to the last bit
-        # and repeat their bytes.
-        rng = np.random.default_rng(52)
-        data = generate_dataset(11, 640)
-        thetas = _stable_cloud(rng, 20)
-        _make_slow(thetas, 7)
-        calls = _record_lanes(monkeypatch, small_rounds)
-        ns = [100, 101, 120, 640]
-        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
-        reruns = [(l0, k_1) for l0, cols, k_1 in calls if cols == 20]
-        assert [l0 for l0, _ in reruns] == [r + i for r in (0, 4, 8, 12) for i in (1, 2, 3)]
-        k_1 = thetas[:, [6, 7, 11]].T.ravel()
-        assert all(np.array_equal(got, k_1) for _, got in reruns)
-        _assert_rows_match_step_loop(rows, ns, thetas, data)
-
-    def test_cloud_above_column_budget_runs_one_segment(self, small_rounds, monkeypatch):
-        # 81 samples exceed the 80 columns: a round is one lane, stepped in
-        # buffers of up to 6 steps that end at the prefix offsets (1, 6 and
-        # 7 in block 0, 20 in block 2) and at the block end, with no warm-up
-        # and no boundary to check.
-        m = small_rounds._LOSS_COLUMNS + 1
-        assert small_rounds._loss_lanes(m, 640) == 1
-        rng = np.random.default_rng(53)
-        data = generate_dataset(12, 640)
-        thetas = _stable_cloud(rng, m)
-        calls = _record_steps(monkeypatch, small_rounds)
-        ns = [1, 6, 7, 100, 640]
-        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
-        assert all(c[:2] == (1, m) for c in calls)
-        whole = [6, 6, 6, 6, 6, 6, 4]
-        schedule = [1, 5, 1, 6, 6, 6, 6, 6, 3] + whole + [6, 6, 6, 2, 6, 6, 6, 2] + whole * 13
-        assert [c[3] for c in calls] == schedule and len(schedule) == 115
         _assert_rows_match_step_loop(rows, ns, thetas, data)
 
     def test_one_n_passes_equal_the_rows_of_one_pass(self):
@@ -1007,46 +941,21 @@ class TestLossRounds:
         rng = np.random.default_rng(55)
         data = generate_dataset(14, 9000)
         thetas = _stable_cloud(rng, 30)
-        _make_slow(thetas, 3)
         ns = [4095, 4096, 4097, 8192, 8193, 9000]
         rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
         for n, row in zip(ns, rows):
             (alone,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [n])
             assert alone.tobytes() == row.tobytes(), n
 
-    def test_rows_do_not_depend_on_the_column_budget(self, monkeypatch):
-        # One lane per round steps the blocks one after another from exact
-        # states; three lanes side by side warm up, and rerun the slow
-        # sample's lanes.  Both give the step loop's bytes.
-        import stablepac.cloudloss as cloudloss
-
-        rng = np.random.default_rng(56)
-        data = generate_dataset(15, 9000)
-        thetas = _stable_cloud(rng, 30)
-        _make_slow(thetas, 3)
-        ns = [1000, 4096, 8193, 9000]
-        got = {}
-        for columns, lanes in [(30, 1), (1 << 14, 3)]:
-            monkeypatch.setattr(cloudloss, "_LOSS_COLUMNS", columns)
-            assert cloudloss._loss_lanes(30, 9000) == lanes
-            got[lanes] = _batch_empirical_losses(
-                thetas, data.inputs, data.outputs, ns
-            )
-        assert got[1].tobytes() == got[3].tobytes()
-        _assert_rows_match_step_loop(got[1], ns, thetas, data)
-
     def test_long_series_cloud_losses_match_full_cloud(self):
-        # The long_series cloud at base seed 0: its 154 distinct rows, like
-        # the 300 rows of the full cloud, run the 3 blocks of 1e4 steps side
-        # by side in one round, and the 25 blocks of 1e5 steps too.
-        from stablepac.cloudloss import _loss_lanes
+        # The long_series cloud at base seed 0: its 154 distinct rows give
+        # the losses of the 300 rows of the full cloud over 1e4 steps.
         from stablepac.experiment import _batch_empirical_losses, _cloud_losses
 
         cfg = ExperimentConfig(n_grid=(1000, 10000, 100000), n_seeds=1, n_f=300)
         cloud = _prior_cloud(cfg, 0)
         distinct = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(cloud[1:], cloud[:-1]))
         assert distinct == 154
-        assert [_loss_lanes(m, n) for m in (154, 300) for n in (10000, 100000)] == [3, 25] * 2
         data = generate_dataset(0, 10000)
         ns = [1000, 10000]
         got = _cloud_losses(cloud, data.inputs, data.outputs, ns)
@@ -1054,13 +963,56 @@ class TestLossRounds:
         assert got.tobytes() == full.tobytes()
         _assert_rows_match_step_loop(got, ns, cloud, data)
 
+    def test_relu_maps_negative_zero_to_positive_zero(self):
+        # With a00 = a01 = b0 = -0.0, a zero state and x = 1, the first
+        # pre-activation is exactly bs0; the kernel's ReLU must give
+        # np.maximum's bytes: +0.0 for -0.0 and negatives, NaN kept.
+        import stablepac.cloudloss as cloudloss
+
+        step, _ = cloudloss._kernel()
+        bs0 = np.array([-0.0, 0.0, -1.5, 2.5, np.nan, -np.inf, np.inf])
+        w = np.zeros((12, bs0.size))
+        w[[0, 1, 4]] = -0.0
+        w[6] = bs0
+        state, out = np.zeros((2, bs0.size)), np.empty((1, bs0.size))
+        step(1, bs0.size, np.ones(1), w, state, out)
+        assert np.maximum(-0.0, 0.0).tobytes() == np.float64(0.0).tobytes()
+        assert state[0].tobytes() == np.maximum(bs0, 0.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "command", [("stablepac-no-such-compiler",), ("cc", "-stablepac-no-such-flag")],
+        ids=["missing", "failing"],
+    )
+    def test_compiler_failure_raises_typed_error(self, fresh_kernel, monkeypatch, command):
+        monkeypatch.setattr(fresh_kernel, "_COMPILE", command)
+        with pytest.raises(KernelBuildError, match=re.escape(command[-1])):
+            fresh_kernel._kernel()
+        assert not list((Path(os.environ["XDG_CACHE_HOME"]) / "stablepac").iterdir())
+
+    def test_second_load_reuses_the_cached_kernel(self, fresh_kernel, monkeypatch):
+        import subprocess
+
+        fresh_kernel._kernel()
+        (built,) = (Path(os.environ["XDG_CACHE_HOME"]) / "stablepac").iterdir()
+        fresh_kernel._kernel.cache_clear()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the cached kernel was compiled again")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        data = generate_dataset(1, 50)
+        thetas = _stable_cloud(np.random.default_rng(57), 4)
+        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, [50])
+        _assert_rows_match_step_loop(rows, [50], thetas, data)
+        assert [p.name for p in built.parent.iterdir()] == [built.name]
+
     def test_peak_allocation_is_the_round_buffers(self):
-        # 154 samples over 1e4 steps run 3 lanes in one round.  The pass may
-        # hold one buffer of steps and its squared errors, the zero-padded
-        # last block of the inputs and of the labels, O(columns) state, the
+        # 154 samples over 1e4 steps.  The pass may hold one buffer of
+        # steps, the inputs and labels of one buffer, O(samples) weights and
+        # sums, the ctypes call objects that await the cycle collector, the
         # means and numpy's ufunc buffers (getbufsize() elements for each of
-        # up to three operands); all squared errors at once would be 1e4 x
-        # 154 doubles, 12 MB.
+        # up to three operands); all output pre-activations at once would be
+        # 1e4 x 154 doubles, 12 MB.
         import tracemalloc
 
         from stablepac.experiment import _batch_empirical_losses
@@ -1076,9 +1028,9 @@ class TestLossRounds:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # Doubles: a 2**15 buffer of steps and a third of that in squared
-        # errors, two padded blocks, 32 per column of the 3 lanes.
-        cap = (1 << 15) * 4 // 3 + 2 * 4096 + 32 * 3 * 154
+        # Doubles: a 2**15 buffer of steps and a third of that for the
+        # pieces and call objects, 32 per sample.
+        cap = (1 << 15) * 4 // 3 + 32 * 154
         assert peak <= 8 * (cap + 154 * len(ns) + 3 * np.getbufsize()), peak
 
 
