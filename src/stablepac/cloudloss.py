@@ -60,9 +60,8 @@ def _kernel():
             )
         os.replace(tmp, lib)
     dll = ctypes.CDLL(str(lib))
-    array = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-    dll.step.argtypes = [ctypes.c_long, ctypes.c_long, array, array, array, array]
-    dll.add_squares.argtypes = [ctypes.c_long, ctypes.c_long, array, array, array]
+    dll.step.argtypes = [ctypes.c_long, ctypes.c_long] + [ctypes.c_void_p] * 4
+    dll.add_squares.argtypes = [ctypes.c_long, ctypes.c_long] + [ctypes.c_void_p] * 3
     dll.step.restype = dll.add_squares.restype = None
     return dll.step, dll.add_squares
 
@@ -99,22 +98,31 @@ def prefix_losses(
     length = min(inputs.shape[0], labels.shape[0])
     if not ns or ns[0] < 1 or ns[-1] > length or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError(f"prefix lengths {ns} must ascend strictly within 1..{length}")
+    # The C functions take raw addresses: every array they read or write is
+    # float64, checked here or made so below, and C-contiguous.
+    if inputs.dtype != np.float64 or labels.dtype != np.float64:
+        raise TypeError(
+            f"inputs and labels must be float64, got {inputs.dtype} and {labels.dtype}"
+        )
     step, add_squares = _kernel()
     m = w["s0"].shape[1]
     coef = np.empty((12, m))
     np.concatenate([w[name] for name in ("a", "b", "b_s", "c", "d", "b_y")], out=coef)
-    state = np.array(w["s0"], order="C")
+    state = np.array(w["s0"], dtype=np.float64, order="C")
     out = np.empty((max(1, _LOSS_CHUNK_ELEMENTS // m), m))
     rows = {n: q for q, n in enumerate(ns)}
     sums = np.empty((len(ns), m))
     prefix, acc = np.zeros(m), np.zeros(m)
+    coef_p, state_p, out_p, acc_p = (a.ctypes.data for a in (coef, state, out, acc))
     t = 0
     for stop in sorted({*ns, *range(_LOSS_BLOCK, ns[-1], _LOSS_BLOCK)}):
         for s in range(t, stop, out.shape[0]):
             b = min(out.shape[0], stop - s)
-            step(b, m, np.ascontiguousarray(inputs[s : s + b, 0]), coef, state, out)
+            x = np.ascontiguousarray(inputs[s : s + b, 0])
+            step(b, m, x.ctypes.data, coef_p, state_p, out_p)
             np.tanh(out[:b], out[:b])
-            add_squares(b, m, out, np.ascontiguousarray(labels[s : s + b, 0]), acc)
+            y = np.ascontiguousarray(labels[s : s + b, 0])
+            add_squares(b, m, out_p, y.ctypes.data, acc_p)
         t = stop
         if stop in rows:
             sums[rows[stop]] = prefix + acc

@@ -323,21 +323,35 @@ def save_trajectory(traj: Trajectory, path: str) -> None:
     """Write a trajectory as CSV with header t, x_0.., y_0.., which
     ``np.loadtxt(path, delimiter=",", skiprows=1)`` reads back exactly.
 
-    The bytes are those of ``csv.writer``: no field needs quoting (finite
-    float reprs contain no comma, quote or line break) and rows end in
-    ``\\r\\n``.  Each chunk's columns are lists of floats, whose ``repr``
-    is the floats' own reprs joined by ", " (none contains a comma), so one
-    split per column gives its fields from C; rows are the fields joined by
-    commas.  Chunks bound the memory of those lists.
+    The bytes are those of ``csv.writer`` with each float's ``repr``: no
+    field needs quoting (finite float reprs contain no comma, quote or line
+    break) and rows end in ``\\r\\n``.  Each chunk's columns are formatted
+    by ``orjson``, whose shortest round-trip digits (Ryu) are ``repr``'s.
+    Where the magnitude lies in [1e-4, 1e15) its text is ``repr``'s too;
+    every other field (0.0, -0.0, subnormals, and whatever ``repr`` writes
+    in exponent form, where orjson writes ``1e-5`` for ``1e-05`` and
+    ``1e16`` for ``1e+16``) is its ``repr``.  One split per column gives its
+    fields from C; rows are the fields joined by commas.  Chunks bound the
+    memory of those lists.
     """
+    import orjson
+
     m, p = traj.inputs.shape[1], traj.outputs.shape[1]
     header = ["t"] + [f"x_{i}" for i in range(m)] + [f"y_{i}" for i in range(p)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, traj.length, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, traj.length)
-            columns = traj.inputs[start:stop].T.tolist()
-            columns += traj.outputs[start:stop].T.tolist()
-            fields = [repr(col)[1:-1].split(", ") for col in columns]
+            columns = np.hstack((traj.inputs[start:stop], traj.outputs[start:stop])).T.copy()
+            magnitude = np.abs(columns)
+            outside = (magnitude < 1e-4) | (magnitude >= 1e15)
+            fields = []
+            for col, col_outside in zip(columns, outside):
+                text = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)
+                col_fields = text[1:-1].decode().split(",")
+                odd = np.flatnonzero(col_outside)
+                for i, v in zip(odd.tolist(), col[odd].tolist()):
+                    col_fields[i] = repr(v)
+                fields.append(col_fields)
             rows = map(",".join, zip(map(str, range(start, stop)), *fields))
             fh.write("\r\n".join(rows) + "\r\n")

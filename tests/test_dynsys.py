@@ -1,5 +1,7 @@
 import csv
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -633,3 +635,39 @@ class TestModelFiles:
         save_trajectory(traj, str(path))
         reference_save_trajectory(traj, str(ref_path))
         assert path.read_bytes() == ref_path.read_bytes()
+
+
+class TestTrajectoryFloatFormat:
+    """save_trajectory's fields are the floats' reprs: orjson's text inside
+    [1e-4, 1e15), repr's own outside it."""
+
+    @staticmethod
+    def assert_fields_are_reprs(tmp_path, inputs, outputs):
+        traj = Trajectory(inputs=inputs[:, None], outputs=outputs[:, None])
+        path = tmp_path / "traj.csv"
+        save_trajectory(traj, str(path))
+        lines = path.read_text().splitlines()[1:]
+        x, y = zip(*(line.split(",")[1:] for line in lines))
+        assert list(x) == list(map(repr, inputs.tolist()))
+        assert list(y) == list(map(repr, outputs.tolist()))
+
+    def test_range_edges_and_special_values(self, tmp_path):
+        edges = [1e-4, 1e15, 1e16]
+        values = edges + [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)]
+        values = np.array(values + [9.999999999999999e-05, 0.0, 5e-324, 2.0**53, 1e14, 3.0])
+        self.assert_fields_are_reprs(tmp_path, values, -values)
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(12)
+        bits = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64).view(np.float64)
+        bits = bits[np.isfinite(bits)]
+        half = bits.size // 2
+        self.assert_fields_are_reprs(tmp_path, bits[:half], bits[half : 2 * half])
+
+    def test_import_leaves_orjson_unloaded(self):
+        # orjson is imported by the first trajectory write, not by the package.
+        code = "import sys, stablepac; print('orjson' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"

@@ -974,8 +974,8 @@ class TestLossRounds:
         w = np.zeros((12, bs0.size))
         w[[0, 1, 4]] = -0.0
         w[6] = bs0
-        state, out = np.zeros((2, bs0.size)), np.empty((1, bs0.size))
-        step(1, bs0.size, np.ones(1), w, state, out)
+        x, state, out = np.ones(1), np.zeros((2, bs0.size)), np.empty((1, bs0.size))
+        step(1, bs0.size, *(a.ctypes.data for a in (x, w, state, out)))
         assert np.maximum(-0.0, 0.0).tobytes() == np.float64(0.0).tobytes()
         assert state[0].tobytes() == np.maximum(bs0, 0.0).tobytes()
 
@@ -1009,10 +1009,9 @@ class TestLossRounds:
     def test_peak_allocation_is_the_round_buffers(self):
         # 154 samples over 1e4 steps.  The pass may hold one buffer of
         # steps, the inputs and labels of one buffer, O(samples) weights and
-        # sums, the ctypes call objects that await the cycle collector, the
-        # means and numpy's ufunc buffers (getbufsize() elements for each of
-        # up to three operands); all output pre-activations at once would be
-        # 1e4 x 154 doubles, 12 MB.
+        # sums, the means and numpy's ufunc buffers (getbufsize() elements
+        # for each of up to three operands); all output pre-activations at
+        # once would be 1e4 x 154 doubles, 12 MB.
         import tracemalloc
 
         from stablepac.experiment import _batch_empirical_losses
@@ -1028,10 +1027,37 @@ class TestLossRounds:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # Doubles: a 2**15 buffer of steps and a third of that for the
-        # pieces and call objects, 32 per sample.
-        cap = (1 << 15) * 4 // 3 + 32 * 154
+        # Doubles: a 2**15 buffer of steps, and 32 per sample.
+        cap = (1 << 15) + 32 * 154
         assert peak <= 8 * (cap + 154 * len(ns) + 3 * np.getbufsize()), peak
+
+    def test_pass_leaves_no_cyclic_garbage(self):
+        # The kernel gets raw addresses, so a pass builds no ctypes objects
+        # that only the cycle collector frees.
+        import gc
+
+        from stablepac.cloudloss import _kernel
+
+        rng = np.random.default_rng(55)
+        thetas = _stable_cloud(rng, 30)
+        data = generate_dataset(14, 5000)
+        _kernel()
+        gc.collect()
+        gc.disable()
+        try:
+            _batch_empirical_losses(thetas, data.inputs, data.outputs, [100, 5000])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_non_float64_data_rejected(self):
+        rng = np.random.default_rng(56)
+        thetas = _stable_cloud(rng, 4)
+        data = generate_dataset(15, 50)
+        with pytest.raises(TypeError, match="float64"):
+            _batch_empirical_losses(
+                thetas, data.inputs, data.outputs.astype(np.float32), [10, 50]
+            )
 
 
 class TestCloudCertificate:

@@ -10,8 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -34,4 +34,22 @@ def _code_lines():
          "c-comment-markers-in-strings"],
 )
 def test_count(suffix, source, code):
-    assert _code_lines().count(source, suffix) == (code, len(source.splitlines()))
+    assert _tool("code_lines").count(source, suffix) == (code, len(source.splitlines()))
+
+
+def test_digests_start_with_the_provenance_header(monkeypatch, capsys):
+    import numpy
+    import orjson
+    from numpy._core import _multiarray_umath as umath
+
+    tool = _tool("output_digests")
+    monkeypatch.setattr(tool, "digests", lambda cfg: {"summary.csv": "0123abcd"})
+    assert tool.main(["grid"]) == 0
+    header, line = capsys.readouterr().out.splitlines()
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]] or ["none"]
+    assert header.split() == [
+        "#", "numpy", numpy.__version__, "orjson", orjson.__version__, "simd", *simd
+    ]
+    assert line.split() == ["grid", "summary.csv", "0123abcd"]
+    committed = (ROOT / "tools" / "output_digests.txt").read_text().splitlines()
+    assert committed[0].startswith("# numpy ") and not committed[1].startswith("#")

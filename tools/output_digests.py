@@ -6,10 +6,12 @@
 Runs each named configuration the way ``stablepac experiment`` does
 (``run_experiment`` then ``write_outputs``) into a temporary directory and
 prints one line per output file: the configuration, the file name and the
-first 8 hex digits of its sha256.  ``grid``, ``seed_sweep`` and
-``long_series`` are the workloads of ``perfbench/run.py`` at base seed 0;
-``default`` is ``ExperimentConfig()``.  The package is imported from the
-``src`` directory of this checkout.
+first 8 hex digits of its sha256.  A header line comes first: the versions
+of numpy and orjson, and the SIMD targets of numpy's runtime dispatch that
+this host enables, on which the output bytes depend.  ``grid``,
+``seed_sweep`` and ``long_series`` are the workloads of
+``perfbench/run.py`` at base seed 0; ``default`` is ``ExperimentConfig()``.
+The package is imported from the ``src`` directory of this checkout.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ import importlib.util
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy
+import orjson
+from numpy._core import _multiarray_umath as umath
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -45,6 +51,13 @@ def configs() -> dict[str, ExperimentConfig]:
     return out
 
 
+def header() -> str:
+    """The provenance line: numpy's and orjson's versions, and numpy's
+    dispatched SIMD targets that this host's CPU enables."""
+    simd = " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+    return f"# numpy {numpy.__version__} orjson {orjson.__version__} simd {simd or 'none'}"
+
+
 def digests(cfg: ExperimentConfig) -> dict[str, str]:
     """sha256 prefix of each output file of one experiment, by file name."""
     with tempfile.TemporaryDirectory() as out:
@@ -63,6 +76,7 @@ def main(argv: list[str]) -> int:
         print(f"unknown configuration {unknown[0]!r}; choose from {', '.join(known)}",
               file=sys.stderr)
         return 2
+    print(header(), flush=True)
     for name in names:
         for file, digest in digests(known[name]).items():
             print(f"{name:12s} {file:24s} {digest}", flush=True)
