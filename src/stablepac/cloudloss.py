@@ -2,10 +2,11 @@
 
 The predictors are the benchmark's ReLU/tanh recurrent networks, two states,
 one input and one output, given as arrays over the cloud
-(``prefix_losses``).  Each loss sums its steps in fixed blocks of
-``_LOSS_BLOCK`` steps.  The step loop runs in C (``_cloudloss.c``), compiled
-on the first pass and cached under ``$XDG_CACHE_HOME/stablepac`` (default
-``~/.cache/stablepac``); the tanh stays numpy's.
+(``prefix_losses``).  Each loss is one running sum of its steps in time
+order, the rule of ``loss.empirical_loss``.  The step loop runs in C
+(``_cloudloss.c``), compiled on the first pass and cached under
+``$XDG_CACHE_HOME/stablepac`` (default ``~/.cache/stablepac``); the tanh
+stays numpy's.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ import numpy as np
 
 from .errors import KernelBuildError
 
-# A sample's loss sum restarts at every block of this many steps, at t = 0,
-# 4096, 8192, ...; the block sums are added in block order.
-_LOSS_BLOCK = 4096
 # Cap on the elements of the pass's buffer of steps, (steps, samples) output
 # pre-activations; it holds at least one step.  A fixed 256-step buffer
 # raised grid's peak RSS by 12%.
@@ -74,22 +72,19 @@ def prefix_losses(
     ``w`` maps each weight block of the benchmark predictor, "a", "b",
     "b_s", "c", "d", "b_y" and "s0", to a (weights, m) array, one row per
     weight in row-major order and one column per predictor.  Row k holds
-    the mean loss over the first ``ns[k]`` steps, for ascending ``ns``.  A
-    sample's loss sum restarts at every block of ``_LOSS_BLOCK`` steps, t =
-    0, 4096, 8192, ..., and the row for n in block j is
-    ``(((bs_0 + bs_1) + ...) + bs_{j-1}) + partial_j(n)``, divided by n:
-    the sums bs of the whole blocks before n in block order, then the
-    running sum of block j up to n, each in time order from 0.0.  For n <=
-    4096 that is the plain running sum.  No row depends on the other ns or
-    on the pass's buffer sizes, so each equals a separate pass over its
-    prefix bit for bit.  Elementwise arithmetic over the cloud:
-    deterministic and independent of BLAS threading.  Agrees with
-    per-sample empirical_loss, one running sum, bit for bit up to 4096 steps
-    and to rounding beyond.
+    the mean loss over the first ``ns[k]`` steps, for ascending ``ns``: a
+    sample's running sum of its squared errors in time order from 0.0, up
+    to step n, divided by n.  No row depends on the other ns or on the
+    pass's buffer sizes, so each equals a separate pass over its prefix bit
+    for bit.  Elementwise arithmetic over the cloud: deterministic and
+    independent of BLAS threading.  Per-sample empirical_loss sums by the
+    same rule, and the two agree to rounding, exactly where simulate's
+    products are exact: simulate may fuse a multiply-add through BLAS,
+    and the C step loop never does.
 
     The pass runs in time order, in buffers of at most
-    ``_LOSS_CHUNK_ELEMENTS // m`` steps that end at every prefix offset and
-    block end.  The C step loop forms each element in the order
+    ``_LOSS_CHUNK_ELEMENTS // m`` steps that end at every prefix offset.
+    The C step loop forms each element in the order
     ``((k_s0*s0 + k_s1*s1) + k_x*x) + k_1`` and writes the output
     pre-activations; ``np.tanh`` maps them in place, and the C sum adds each
     squared error to its sample's running sum.
@@ -110,12 +105,11 @@ def prefix_losses(
     np.concatenate([w[name] for name in ("a", "b", "b_s", "c", "d", "b_y")], out=coef)
     state = np.array(w["s0"], dtype=np.float64, order="C")
     out = np.empty((max(1, _LOSS_CHUNK_ELEMENTS // m), m))
-    rows = {n: q for q, n in enumerate(ns)}
     sums = np.empty((len(ns), m))
-    prefix, acc = np.zeros(m), np.zeros(m)
+    acc = np.zeros(m)
     coef_p, state_p, out_p, acc_p = (a.ctypes.data for a in (coef, state, out, acc))
     t = 0
-    for stop in sorted({*ns, *range(_LOSS_BLOCK, ns[-1], _LOSS_BLOCK)}):
+    for q, stop in enumerate(ns):
         for s in range(t, stop, out.shape[0]):
             b = min(out.shape[0], stop - s)
             x = np.ascontiguousarray(inputs[s : s + b, 0])
@@ -124,9 +118,5 @@ def prefix_losses(
             y = np.ascontiguousarray(labels[s : s + b, 0])
             add_squares(b, m, out_p, y.ctypes.data, acc_p)
         t = stop
-        if stop in rows:
-            sums[rows[stop]] = prefix + acc
-        if stop % _LOSS_BLOCK == 0:
-            prefix += acc
-            acc[:] = 0.0
+        sums[q] = acc
     return sums / np.array(ns, dtype=float)[:, None]

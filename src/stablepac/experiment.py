@@ -14,10 +14,10 @@ certificates, one entry per sample, and its losses on every data prefix.
 The cloud is simulated as whole arrays, one entry per distinct state: a
 rejected proposal repeats the chain's state, and each run of identical
 consecutive rows is simulated once.  One simulation pass gives the losses on
-every data prefix (``cloudloss``): each loss sums its steps in fixed blocks
-of 4096, in time order, and a compiled step loop gets the numpy step loop's
-losses bit for bit.  One reduction (``_reduce``) turns the facts into the
-bound's terms at any sequence of (n, lambda) pairs.
+every data prefix (``cloudloss``): each loss is one running sum of its steps
+in time order, the rule of ``empirical_loss``, and a compiled step loop gets
+the numpy step loop's losses bit for bit.  One reduction (``_reduce``) turns
+the facts into the bound's terms at any sequence of (n, lambda) pairs.
 """
 
 from __future__ import annotations
@@ -280,9 +280,10 @@ def _batch_empirical_losses(
     thetas: np.ndarray, inputs: np.ndarray, labels: np.ndarray, ns: Sequence[int]
 ) -> np.ndarray:
     """Mean squared losses of every predictor in the cloud on each data prefix,
-    one row per n of ``ns`` (``cloudloss.prefix_losses``).  They agree with
-    per-sample ``empirical_loss`` bit for bit up to 4096 steps, and to
-    rounding beyond, where the pass sums in blocks of 4096 steps."""
+    one row per n of ``ns`` (``cloudloss.prefix_losses``).  Per-sample
+    ``empirical_loss`` sums by the same rule, one running sum in time order;
+    the two agree to rounding, and exactly where simulate's products are
+    exact, since simulate may fuse a multiply-add through BLAS."""
     return prefix_losses(_cloud_blocks(thetas), inputs, labels, ns)
 
 

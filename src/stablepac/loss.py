@@ -68,7 +68,9 @@ def loss_lipschitz(spec: LossSpec, data: DataConstants, gh: GainPair) -> float:
 
 
 def _mean_loss(spec: LossSpec, outputs: np.ndarray, preds: np.ndarray) -> float:
-    # One running sum in time order, so both losses agree bit for bit on a window.
+    # One running sum in time order, the rule of the cloud loss pass too
+    # (cloudloss.prefix_losses), so both losses here agree bit for bit on a
+    # window.
     acc = 0.0
     for y, yhat in zip(outputs, preds):
         acc += loss_value(spec, y, yhat)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from stablepac import RnnSystem, Trajectory, activation
-from stablepac.cloudloss import _LOSS_BLOCK
 from stablepac.experiment import _PARAM_BLOCKS, _PARAM_SLICES
 
 
@@ -97,30 +96,25 @@ def zero_bias_contractive_predictor(rng, x_sup, n_s=2, n_v=1, n_y=1):
     )
 
 
-def reference_batch_losses(thetas, inputs, labels, block=_LOSS_BLOCK):
+def reference_batch_losses(thetas, inputs, labels):
     """Per-step cloud loop: the reference the cloud loss pass must match bit for bit.
 
-    The loss sum restarts at every ``block`` steps; the block sums are added
-    in block order from 0.0, and the running sum of the last block last.
+    Each loss is one running sum of its squared errors in time order from 0.0.
     """
     x, y = inputs[:, 0], labels[:, 0]
     a00, a01, a10, a11 = thetas[:, 0], thetas[:, 1], thetas[:, 2], thetas[:, 3]
     bb0, bb1, c0, c1 = thetas[:, 4], thetas[:, 5], thetas[:, 6], thetas[:, 7]
     w0, w1, dd, by = thetas[:, 8], thetas[:, 9], thetas[:, 10], thetas[:, 11]
     s0, s1 = thetas[:, 12].copy(), thetas[:, 13].copy()
-    total = np.zeros(thetas.shape[0])
     acc = np.zeros(thetas.shape[0])
     for t in range(x.shape[0]):
-        if t > 0 and t % block == 0:
-            total = total + acc
-            acc = np.zeros(thetas.shape[0])
         yhat = np.tanh(w0 * s0 + w1 * s1 + dd * x[t] + by)
         diff = yhat - y[t]
         acc += diff * diff
         p0 = np.maximum(a00 * s0 + a01 * s1 + bb0 * x[t] + c0, 0.0)
         s1 = np.maximum(a10 * s0 + a11 * s1 + bb1 * x[t] + c1, 0.0)
         s0 = p0
-    return (total + acc) / x.shape[0]
+    return acc / x.shape[0]
 
 
 def reference_final_states(thetas, inputs):

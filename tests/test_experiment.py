@@ -13,6 +13,7 @@ from stablepac import (
     ExperimentConfig,
     LossSpec,
     StabilityConstants,
+    Trajectory,
     build_reference_generator,
     data_constants,
     gain_pair,
@@ -467,8 +468,8 @@ class TestRunExperiment:
             assert batch[i] == pytest.approx(ref, rel=1e-12)
 
     def test_batch_losses_match_reference_evaluator_past_one_block(self):
-        # Over 9000 steps the pass sums three blocks of 4096 steps and the
-        # per-sample evaluator runs one sum: they agree to rounding.
+        # Over 9000 steps the pass and the per-sample evaluator each run one
+        # sum in time order: they agree to rounding.
         from stablepac.experiment import _batch_empirical_losses
         from stablepac.loss import empirical_loss
 
@@ -480,6 +481,21 @@ class TestRunExperiment:
             sys, s0 = benchmark_predictor(thetas[i])
             ref = empirical_loss(LossSpec(kind="square"), sys, s0, data)
             assert batch[i] == pytest.approx(ref, rel=1e-12)
+        # With A = 0 and C's second entry 0, simulate's products round the
+        # same with or without a fused multiply-add, so the two homes of the
+        # empirical loss differ only if their summation rules do: equal bit
+        # for bit at every n.
+        thetas = rng.normal(0, 0.14, size=(20, PARAM_DIM))
+        thetas[:, _PARAM_SLICES["a"]] = 0.0
+        thetas[:, _PARAM_SLICES["c"].start + 1] = 0.0
+        ns = [1000, 4096, 4097, 9000]
+        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        for n, row in zip(ns, rows):
+            prefix = Trajectory(inputs=data.inputs[:n], outputs=data.outputs[:n])
+            for i in range(20):
+                sys, s0 = benchmark_predictor(thetas[i])
+                ref = empirical_loss(LossSpec(kind="square"), sys, s0, prefix)
+                assert row[i].tobytes() == np.float64(ref).tobytes(), (n, i)
 
     @pytest.mark.parametrize(
         "m,n",
@@ -497,9 +513,9 @@ class TestRunExperiment:
         # The pass runs buffers of _LOSS_CHUNK_ELEMENTS // m steps: 6 for
         # 4999 samples and the 5000 of the reference cloud, 25 for 1300, all
         # 3 steps for one sample and one step for more samples than 2**14.
-        # One sample over 9000 steps runs 3 blocks, the last one 808 steps,
-        # and a sum over its steps in one numpy reduction would be pairwise,
-        # not in time order.
+        # One sample over 9000 steps runs one buffer of 9000 steps, and a sum
+        # over its steps in one numpy reduction would be pairwise, not in
+        # time order.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(m)
@@ -528,11 +544,10 @@ class TestRunExperiment:
         assert rows[2].tobytes() == ref.tobytes()
 
     def test_one_sample_prefix_rows_sum_in_time_order(self):
-        # One sample runs 3 blocks of 4096 steps, in buffers that end at the
-        # block ends: n = 1, 5, 17, 392 and 393 inside the first, on its
-        # last step and the next one's first (4096, 4097), on the second's
-        # last step and the third's first (8192, 8193), and n_max.  Each row
-        # must equal the step loop over its prefix.
+        # One sample's buffers hold more than 9000 steps, so each piece
+        # between consecutive n is one buffer: n = 1, 5, 17, 392 and 393,
+        # then 4096 and 4097, 8192 and 8193 (one-step pieces), and n_max.
+        # Each row must equal the step loop over its prefix.
         from stablepac.experiment import _batch_empirical_losses
 
         rng = np.random.default_rng(32)
@@ -546,19 +561,20 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 2049])
     def test_few_sample_prefix_rows_match_step_loop_bytes(self, m):
-        # Over 9000 steps, 1 to 3 samples run 3 blocks of 4096 steps; over
-        # 300 steps, which keeps all of them finite, 2049 samples run
-        # buffers of 15 steps.  The snapshots fall on the first two steps,
-        # inside the first block (or buffer), on the last and the first step
-        # at both of its boundaries (one-row pieces among them), 50 steps
-        # past the second and on the last step.  numpy sums a one-column
-        # block pairwise, so the first three sample counts are where a
-        # reduction over a piece could leave time order.
-        from stablepac.cloudloss import _LOSS_BLOCK, _LOSS_CHUNK_ELEMENTS
+        # Over 9000 steps, 1 to 3 samples run each piece between prefix
+        # offsets as one buffer, and seg = 4096 spaces the offsets; over 300
+        # steps, which keeps all of them finite, 2049 samples run buffers of
+        # seg = 15 steps.  The snapshots fall on the first two steps, inside
+        # the first seg, on the last step of each of the first two segs and
+        # the steps after it (one-row pieces among them), 50 steps past the
+        # second and on the last step.  numpy sums a one-column array
+        # pairwise, so the first three sample counts are where a reduction
+        # over a piece could leave time order.
+        from stablepac.cloudloss import _LOSS_CHUNK_ELEMENTS
         from stablepac.experiment import _batch_empirical_losses
 
         n_max = 9000 if m < 4 else 300
-        seg = _LOSS_BLOCK if m < 4 else _LOSS_CHUNK_ELEMENTS // m
+        seg = 4096 if m < 4 else _LOSS_CHUNK_ELEMENTS // m
         assert n_max > 2 * seg + 50
         ns = sorted(
             {1, 2, 7, seg, seg + 1, seg + 2, 2 * seg, 2 * seg + 1, 2 * seg + 50, n_max}
@@ -863,26 +879,19 @@ def _stable_cloud(rng, m, a_norm=0.3):
 
 
 @pytest.fixture
-def small_blocks(monkeypatch):
-    """Loss blocks small enough for a short series to span several: blocks of
-    40 steps, and buffers of 7 steps for 20 samples, so the buffers end off
-    the blocks."""
+def small_buffers(monkeypatch):
+    """Loss buffers small enough for a short series to span many: buffers of
+    7 steps for 20 samples."""
     import stablepac.cloudloss as cloudloss
 
-    monkeypatch.setattr(cloudloss, "_LOSS_BLOCK", 40)
     monkeypatch.setattr(cloudloss, "_LOSS_CHUNK_ELEMENTS", 20 * 7)
     return cloudloss
 
 
 def _assert_rows_match_step_loop(rows, ns, thetas, data):
-    """Each row is the step loop's over its prefix, in blocks of the pass's
-    block length (the small_blocks fixture sets it)."""
-    import stablepac.cloudloss as cloudloss
-
+    """Each row is the step loop's over its prefix."""
     for n, row in zip(ns, rows):
-        ref = reference_batch_losses(
-            thetas, data.inputs[:n], data.outputs[:n], cloudloss._LOSS_BLOCK
-        )
+        ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
         assert row.tobytes() == ref.tobytes(), n
 
 
@@ -902,13 +911,13 @@ class TestLossRounds:
     @pytest.mark.parametrize(
         "ns",
         [
-            [40, 80, 120, 200, 640],  # on block boundaries
-            [160, 320, 480, 640],  # on every fourth block boundary
-            [1, 2, 37, 41, 100, 161, 333, 639, 640],  # inside blocks
+            [40, 80, 120, 200, 640],  # each piece ends in a short buffer
+            [160, 320, 480, 640],  # long pieces, each of many buffers
+            [1, 2, 37, 41, 100, 161, 333, 639, 640],  # one-step pieces among them
         ],
         ids=["segment-boundary", "round-boundary", "inside-segment"],
     )
-    def test_snapshots_match_step_loop(self, small_blocks, ns):
+    def test_snapshots_match_step_loop(self, small_buffers, ns):
         rng = np.random.default_rng(50)
         data = generate_dataset(9, 640)
         thetas = _stable_cloud(rng, 20)
@@ -918,16 +927,15 @@ class TestLossRounds:
     @pytest.mark.parametrize(
         "m,n_max,steps",
         [
-            (80, 610, 4),  # 16 blocks, the last one 10 steps
-            (80, 490, 4),  # 13 blocks, the last one 10 steps
-            (60, 610, 3),  # buffers of 3 steps, so one step ends each block
+            (80, 610, 4),  # 152 whole buffers, then a one-step piece
+            (80, 490, 4),  # 122 whole buffers, then a one-step piece
+            (60, 610, 3),  # a last buffer of 2 steps, then a one-step piece
         ],
     )
-    def test_short_last_round(self, small_blocks, monkeypatch, m, n_max, steps):
-        # The last block is short, and the buffers of ``steps`` steps end
-        # at its offsets n_max - 1 and n_max.
-        monkeypatch.setattr(small_blocks, "_LOSS_CHUNK_ELEMENTS", m * steps)
-        assert n_max % 40 == 10
+    def test_short_last_round(self, small_buffers, monkeypatch, m, n_max, steps):
+        # The buffers of ``steps`` steps end at the prefix offsets
+        # n_max - 1 and n_max, so the last pieces are short.
+        monkeypatch.setattr(small_buffers, "_LOSS_CHUNK_ELEMENTS", m * steps)
         rng = np.random.default_rng(51)
         data = generate_dataset(10, n_max)
         thetas = _stable_cloud(rng, m)
@@ -936,8 +944,8 @@ class TestLossRounds:
         _assert_rows_match_step_loop(rows, ns, thetas, data)
 
     def test_one_n_passes_equal_the_rows_of_one_pass(self):
-        # No row depends on the other n: passes to single n around the block
-        # boundaries give the rows of one pass to all of them.
+        # No row depends on the other n: passes to single n, among them
+        # consecutive ones, give the rows of one pass to all of them.
         rng = np.random.default_rng(55)
         data = generate_dataset(14, 9000)
         thetas = _stable_cloud(rng, 30)

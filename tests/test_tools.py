@@ -37,7 +37,7 @@ def test_count(suffix, source, code):
     assert _tool("code_lines").count(source, suffix) == (code, len(source.splitlines()))
 
 
-def test_digests_start_with_the_provenance_header(monkeypatch, capsys):
+def test_digests_start_with_the_provenance_header(monkeypatch, capsys, tmp_path):
     import numpy
     import orjson
     from numpy._core import _multiarray_umath as umath
@@ -47,9 +47,23 @@ def test_digests_start_with_the_provenance_header(monkeypatch, capsys):
     assert tool.main(["grid"]) == 0
     header, line = capsys.readouterr().out.splitlines()
     simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]] or ["none"]
+    core = tool.openblas_core()
     assert header.split() == [
-        "#", "numpy", numpy.__version__, "orjson", orjson.__version__, "simd", *simd
+        "#", "numpy", numpy.__version__, "orjson", orjson.__version__,
+        "openblas", core, "simd", *simd,
     ]
+    assert core.isalnum()
+    if list(tool.NUMPY_LIBS.glob("libscipy_openblas64_*.so")):
+        assert core != "unknown"
     assert line.split() == ["grid", "summary.csv", "0123abcd"]
     committed = (ROOT / "tools" / "output_digests.txt").read_text().splitlines()
     assert committed[0].startswith("# numpy ") and not committed[1].startswith("#")
+    assert committed[0].split()[5] == "openblas"
+    # No bundled OpenBLAS, or a library without the core-name symbol (the
+    # ctypes extension module), reads "unknown".
+    import _ctypes
+
+    monkeypatch.setattr(tool, "NUMPY_LIBS", tmp_path)
+    assert tool.openblas_core() == "unknown"
+    (tmp_path / "libscipy_openblas64_none.so").symlink_to(_ctypes.__file__)
+    assert tool.openblas_core() == "unknown"

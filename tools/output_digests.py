@@ -7,10 +7,11 @@ Runs each named configuration the way ``stablepac experiment`` does
 (``run_experiment`` then ``write_outputs``) into a temporary directory and
 prints one line per output file: the configuration, the file name and the
 first 8 hex digits of its sha256.  A header line comes first: the versions
-of numpy and orjson, and the SIMD targets of numpy's runtime dispatch that
-this host enables, on which the output bytes depend.  ``grid``,
-``seed_sweep`` and ``long_series`` are the workloads of
-``perfbench/run.py`` at base seed 0; ``default`` is ``ExperimentConfig()``.
+of numpy and orjson, the core that numpy's bundled OpenBLAS runs on, and the
+SIMD targets of numpy's runtime dispatch that this host enables, on which
+the output bytes depend.  ``grid``, ``seed_sweep`` and ``long_series`` are
+the workloads of ``perfbench/run.py`` at base seed 0; ``default`` is
+``ExperimentConfig()``.
 The package is imported from the ``src`` directory of this checkout.
 """
 
@@ -32,6 +33,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from stablepac.experiment import ExperimentConfig, run_experiment, write_outputs  # noqa: E402
 
 PREFIX_HEX = 8
+# numpy's bundled libraries, the OpenBLAS build among them.
+NUMPY_LIBS = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
 
 
 def _workloads() -> dict[str, dict]:
@@ -51,11 +54,29 @@ def configs() -> dict[str, ExperimentConfig]:
     return out
 
 
+def openblas_core() -> str:
+    """The core that numpy's bundled OpenBLAS picked for this host, such as
+    SkylakeX; "unknown" when the library or its core-name symbol is absent."""
+    import ctypes
+
+    for lib in sorted(NUMPY_LIBS.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def header() -> str:
-    """The provenance line: numpy's and orjson's versions, and numpy's
-    dispatched SIMD targets that this host's CPU enables."""
+    """The provenance line: numpy's and orjson's versions, the OpenBLAS core,
+    and numpy's dispatched SIMD targets that this host's CPU enables."""
     simd = " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
-    return f"# numpy {numpy.__version__} orjson {orjson.__version__} simd {simd or 'none'}"
+    return (
+        f"# numpy {numpy.__version__} orjson {orjson.__version__}"
+        f" openblas {openblas_core()} simd {simd or 'none'}"
+    )
 
 
 def digests(cfg: ExperimentConfig) -> dict[str, str]:
