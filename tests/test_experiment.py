@@ -1291,3 +1291,51 @@ class TestEmitCurves:
     def test_empty_reports_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_curves([], str(tmp_path))
+
+    def test_medians_match_np_median_bits(self, tmp_path):
+        # Totals per n, odd and even counts, in report order.  The posterior
+        # losses are their negations, so each column meets both signs.
+        columns = {
+            1: [-0.0],
+            2: [0.0, -0.0],
+            3: [0.0, -0.0, 0.0],
+            4: [-0.0, 3.0, -0.0, -1e-300],
+            5: [1e300, 2.5e-8, 2.5e-8, 5e-324, 1e-300],
+            6: [1e300, -1e300, 2.5e299, 5e-324, 1e-300, 1e300],
+            7: [0.1, 0.2, 0.1, 0.3],
+            8: [-5e-324, 0.0],
+            9: [-5e-324, 5e-324, -5e-324],
+        }
+        reports = [
+            BoundReport(n=n, seed=seed, lambda_=1.0, delta=0.025, kl=0.0, psi_hat=0.0,
+                        r_n=0.0, post_emp_loss=-total, total=total, z_hat=0.0, n_samples=1)
+            for n, totals in columns.items()
+            for seed, total in enumerate(totals)
+        ]
+        _, summary_path = emit_curves(reports, str(tmp_path))
+        rows = [line.split(",") for line in open(summary_path).read().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(columns)
+        for row, totals in zip(rows, columns.values()):
+            want = (np.median(totals), np.median([-t for t in totals]))
+            got = (float(row[1]), float(row[4]))
+            assert [g.hex() for g in got] == [float(w).hex() for w in want], row
+
+    def test_run_and_write_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.median's first call imports numpy.ma; a run must not pay for it.
+        # conftest puts src first on PYTHONPATH.
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from stablepac.experiment import ExperimentConfig, run_experiment, write_outputs\n"
+            "cfg = ExperimentConfig(n_grid=(5, 20), n_seeds=1, n_f=50)\n"
+            "write_outputs(cfg, run_experiment(cfg), sys.argv[1])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "False"
+        assert (tmp_path / "summary.csv").exists()

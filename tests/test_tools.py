@@ -1,4 +1,4 @@
-"""The code-line rules of ``tools/code_lines.py``."""
+"""The rules of the tools under ``tools/``: code lines and output digests."""
 
 from __future__ import annotations
 
@@ -67,3 +67,36 @@ def test_digests_start_with_the_provenance_header(monkeypatch, capsys, tmp_path)
     assert tool.openblas_core() == "unknown"
     (tmp_path / "libscipy_openblas64_none.so").symlink_to(_ctypes.__file__)
     assert tool.openblas_core() == "unknown"
+
+
+def test_emulate_prints_each_setting_and_its_moved_lines(monkeypatch, capsys):
+    tool = _tool("output_digests")
+    monkeypatch.setattr(tool, "digests", lambda cfg: {"summary.csv": "0123abcd",
+                                                      "generator.json": "8d18b341"})
+    host_header = tool.header()
+    calls = []
+
+    def rerun(names, setting):
+        calls.append((names, setting))
+        moved = "fedc9876" if "OPENBLAS_CORETYPE" in setting else "0123abcd"
+        return [f"# child {len(calls)}",
+                f"{'grid':12s} {'summary.csv':24s} {moved}",
+                f"{'grid':12s} {'generator.json':24s} 8d18b341"]
+
+    monkeypatch.setattr(tool, "rerun", rerun)
+    assert tool.main(["--emulate", "grid"]) == 0
+    assert calls == [(["grid"], setting) for setting in tool.EMULATIONS]
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        host_header.split(),
+        ["grid", "summary.csv", "0123abcd"],
+        ["grid", "generator.json", "8d18b341"],
+        ["#", "child", "1", "under", 'NPY_DISABLE_CPU_FEATURES="X86_V4', "AVX512_ICL",
+         'AVX512_SPR"'],
+        ["#", "child", "2", "under", 'NPY_DISABLE_CPU_FEATURES="X86_V4', "AVX512_ICL",
+         "AVX512_SPR", 'X86_V3"'],
+        ["#", "child", "3", "under", 'OPENBLAS_CORETYPE="Prescott"'],
+        ["grid", "summary.csv", "fedc9876"],
+    ]
+    # Without the flag no child runs.
+    assert tool.main(["grid"]) == 0
+    assert len(calls) == 3

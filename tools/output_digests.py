@@ -2,6 +2,7 @@
 
     python3 tools/output_digests.py                  # all four configurations
     python3 tools/output_digests.py grid long_series
+    python3 tools/output_digests.py --emulate        # also as on older hosts
 
 Runs each named configuration the way ``stablepac experiment`` does
 (``run_experiment`` then ``write_outputs``) into a temporary directory and
@@ -13,12 +14,21 @@ the output bytes depend.  ``grid``, ``seed_sweep`` and ``long_series`` are
 the workloads of ``perfbench/run.py`` at base seed 0; ``default`` is
 ``ExperimentConfig()``.
 The package is imported from the ``src`` directory of this checkout.
+
+``--emulate`` then reruns the same configurations in a child process under
+each setting of ``EMULATIONS``: environment variables that make numpy's SIMD
+dispatch and its OpenBLAS pick the kernels of an older host.  For each it
+prints the child's header line, naming the setting, and the child's lines
+whose digest differs from this run's.  Each rerun of all four configurations
+takes several seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -35,6 +45,14 @@ from stablepac.experiment import ExperimentConfig, run_experiment, write_outputs
 PREFIX_HEX = 8
 # numpy's bundled libraries, the OpenBLAS build among them.
 NUMPY_LIBS = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+# Each acts only on the child process it is set for: an AVX2 host, an SSE4
+# baseline host, and an OpenBLAS that runs its Katmai kernels.
+_NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+EMULATIONS = (
+    {"NPY_DISABLE_CPU_FEATURES": _NO_AVX512},
+    {"NPY_DISABLE_CPU_FEATURES": f"{_NO_AVX512} X86_V3"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+)
 
 
 def _workloads() -> dict[str, dict]:
@@ -89,18 +107,38 @@ def digests(cfg: ExperimentConfig) -> dict[str, str]:
         }
 
 
+def rerun(names: list[str], setting: dict[str, str]) -> list[str]:
+    """This tool's output lines for names, from a child process whose
+    environment adds setting."""
+    proc = subprocess.run(
+        [sys.executable, __file__, *names], env={**os.environ, **setting},
+        stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return proc.stdout.splitlines()
+
+
 def main(argv: list[str]) -> int:
+    emulate = "--emulate" in argv
     known = configs()
-    names = argv or list(known)
+    names = [arg for arg in argv if arg != "--emulate"] or list(known)
     unknown = [name for name in names if name not in known]
     if unknown:
         print(f"unknown configuration {unknown[0]!r}; choose from {', '.join(known)}",
               file=sys.stderr)
         return 2
-    print(header(), flush=True)
+    lines = [header()]
+    print(lines[0], flush=True)
     for name in names:
         for file, digest in digests(known[name]).items():
-            print(f"{name:12s} {file:24s} {digest}", flush=True)
+            lines.append(f"{name:12s} {file:24s} {digest}")
+            print(lines[-1], flush=True)
+    for setting in EMULATIONS if emulate else ():
+        child_header, *child_lines = rerun(names, setting)
+        named = " ".join(f'{key}="{value}"' for key, value in setting.items())
+        print(f"{child_header} under {named}", flush=True)
+        for line in child_lines:
+            if line not in lines:
+                print(line, flush=True)
     return 0
 
 
