@@ -1,7 +1,7 @@
 """The cloud loss pass: every predictor's mean squared loss on each data prefix.
 
 The predictors are the benchmark's ReLU/tanh recurrent networks, two states,
-one input and one output, given as arrays over the cloud
+one input and one output, given as the cloud's parameter rows as sampled
 (``prefix_losses``).  Each loss is one running sum of its steps in time
 order, the rule of ``loss.empirical_loss``.  The step loop runs in C
 (``_cloudloss.c``), compiled on the first pass and cached under
@@ -27,6 +27,8 @@ _LOSS_CHUNK_ELEMENTS = 1 << 15
 # The command that builds the step loop, less its output and source files.
 _COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _SOURCE = Path(__file__).with_name("_cloudloss.c")
+# Parameters per predictor: the step loop's 12 weights, then the two states.
+_PARAMS = 14
 
 
 @functools.cache
@@ -65,16 +67,16 @@ def _kernel():
 
 
 def prefix_losses(
-    w: dict[str, np.ndarray], inputs: np.ndarray, labels: np.ndarray, ns: Sequence[int]
+    thetas: np.ndarray, inputs: np.ndarray, labels: np.ndarray, ns: Sequence[int]
 ) -> np.ndarray:
     """Mean squared losses of every predictor of a cloud on each data prefix.
 
-    ``w`` maps each weight block of the benchmark predictor, "a", "b",
-    "b_s", "c", "d", "b_y" and "s0", to a (weights, m) array, one row per
-    weight in row-major order and one column per predictor.  Row k holds
-    the mean loss over the first ``ns[k]`` steps, for ascending ``ns``: a
-    sample's running sum of its squared errors in time order from 0.0, up
-    to step n, divided by n.  No row depends on the other ns or on the
+    ``thetas`` holds one predictor per row, (m, 14), in the parameter
+    vector's order (``experiment._PARAM_BLOCKS``): A row-major, b, b_s, c,
+    d, b_y, then the initial state s0.  Row k of the result holds the mean
+    loss of each predictor over the first ``ns[k]`` steps, for ascending
+    ``ns``: a sample's running sum of its squared errors in time order from
+    0.0, up to step n, divided by n.  No row depends on the other ns or on the
     pass's buffer sizes, so each equals a separate pass over its prefix bit
     for bit.  Elementwise arithmetic over the cloud: deterministic and
     independent of BLAS threading.  Per-sample empirical_loss sums by the
@@ -89,7 +91,10 @@ def prefix_losses(
     pre-activations; ``np.tanh`` maps them in place, and the C sum adds each
     squared error to its sample's running sum.
     """
-    # The C loop reads ns[-1] inputs and labels: check both lengths here.
+    # The C loop reads 14 rows of m weights and states, and ns[-1] inputs and
+    # labels: check the cloud's shape and both lengths here.
+    if thetas.ndim != 2 or thetas.shape[1] != _PARAMS:
+        raise ValueError(f"cloud must be (samples, {_PARAMS}) rows, got shape {thetas.shape}")
     length = min(inputs.shape[0], labels.shape[0])
     if not ns or ns[0] < 1 or ns[-1] > length or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError(f"prefix lengths {ns} must ascend strictly within 1..{length}")
@@ -100,14 +105,14 @@ def prefix_losses(
             f"inputs and labels must be float64, got {inputs.dtype} and {labels.dtype}"
         )
     step, add_squares = _kernel()
-    m = w["s0"].shape[1]
-    coef = np.empty((12, m))
-    np.concatenate([w[name] for name in ("a", "b", "b_s", "c", "d", "b_y")], out=coef)
-    state = np.array(w["s0"], dtype=np.float64, order="C")
+    m = thetas.shape[0]
+    # One copy, (14, m): the kernel's 12 weight rows, then the two state rows
+    # it advances in place.
+    rows = np.array(thetas.T, dtype=np.float64, order="C")
     out = np.empty((max(1, _LOSS_CHUNK_ELEMENTS // m), m))
     sums = np.empty((len(ns), m))
     acc = np.zeros(m)
-    coef_p, state_p, out_p, acc_p = (a.ctypes.data for a in (coef, state, out, acc))
+    coef_p, state_p, out_p, acc_p = (a.ctypes.data for a in (rows, rows[12:], out, acc))
     t = 0
     for q, stop in enumerate(ns):
         for s in range(t, stop, out.shape[0]):

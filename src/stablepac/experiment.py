@@ -11,12 +11,12 @@ Metropolis-Hastings chain per seed, started at theta = 0.
 
 A seed's facts (``_seed_facts``) depend on neither n nor lambda: the cloud's
 certificates, one entry per sample, and its losses on every data prefix.
-The cloud is simulated as whole arrays, one entry per distinct state: a
-rejected proposal repeats the chain's state, and each run of identical
-consecutive rows is simulated once.  One simulation pass gives the losses on
-every data prefix (``cloudloss``): each loss is one running sum of its steps
-in time order, the rule of ``empirical_loss``, and a compiled step loop gets
-the numpy step loop's losses bit for bit.  One reduction (``_reduce``) turns
+The cloud is simulated as sampled, its parameter rows whole, one row per
+distinct state: a rejected proposal repeats the chain's state, and each run
+of identical consecutive rows is simulated once.  One simulation pass gives
+the losses on every data prefix (``cloudloss``): each loss is one running
+sum of its steps in time order, the rule of ``empirical_loss``, and a
+compiled step loop gets the numpy step loop's losses bit for bit.  One reduction (``_reduce``) turns
 the facts into the bound's terms at any sequence of (n, lambda) pairs.
 """
 
@@ -55,7 +55,8 @@ from .mixing import DataConstants, generator_data_constants
 from .numerics import seeded_rng, spectral_norm, spectral_norm_2x2, truncated_gaussian
 
 # Blocks of the benchmark predictor's parameter vector in order, each row-major:
-# RnnSystem's weights under their field names, then the initial state s0.
+# RnnSystem's weights under their field names, then the initial state s0.  The
+# order is the loss pass's row order (_cloudloss.c), so it takes the rows whole.
 _PARAM_BLOCKS = {"a": (2, 2), "b": (2, 1), "b_s": (2,), "c": (1, 2), "d": (1, 1),
                  "b_y": (1,), "s0": (2,)}
 
@@ -270,27 +271,12 @@ def _prior_cloud(cfg: ExperimentConfig, seed: int) -> np.ndarray:
     return cloud
 
 
-def _cloud_blocks(thetas: np.ndarray) -> dict[str, np.ndarray]:
-    """Every block of a (samples, PARAM_DIM) cloud, one row per weight in
-    row-major order: the rows of "a" are A[0, 0], A[0, 1], A[1, 0], A[1, 1]."""
-    return {name: thetas[:, cols].T for name, cols in _PARAM_SLICES.items()}
-
-
-def _batch_empirical_losses(
-    thetas: np.ndarray, inputs: np.ndarray, labels: np.ndarray, ns: Sequence[int]
-) -> np.ndarray:
-    """Mean squared losses of every predictor in the cloud on each data prefix,
-    one row per n of ``ns`` (``cloudloss.prefix_losses``).  Per-sample
-    ``empirical_loss`` sums by the same rule, one running sum in time order;
-    the two agree to rounding, and exactly where simulate's products are
-    exact, since simulate may fuse a multiply-add through BLAS."""
-    return prefix_losses(_cloud_blocks(thetas), inputs, labels, ns)
-
-
 def _cloud_losses(
     thetas: np.ndarray, inputs: np.ndarray, labels: np.ndarray, ns: Sequence[int]
 ) -> np.ndarray:
-    """``_batch_empirical_losses`` of the cloud, each distinct state simulated once.
+    """Mean squared losses of the cloud's (samples, PARAM_DIM) rows on each
+    data prefix, one row per n of ``ns`` (``cloudloss.prefix_losses``), each
+    distinct state simulated once.
 
     A Metropolis-Hastings chain keeps its state on every rejected proposal,
     so runs of consecutive rows are identical.  Rows are compared as uint64
@@ -302,7 +288,7 @@ def _cloud_losses(
     bits = thetas.view(np.uint64)
     starts = np.ones(thetas.shape[0], dtype=bool)
     np.any(bits[1:] != bits[:-1], axis=1, out=starts[1:])
-    rows = _batch_empirical_losses(thetas[starts], inputs, labels, ns)
+    rows = prefix_losses(thetas[starts], inputs, labels, ns)
     return rows.take(np.cumsum(starts) - 1, axis=1)
 
 
@@ -334,14 +320,12 @@ def _seed_facts(cfg: ExperimentConfig, thetas: np.ndarray, data: Trajectory) -> 
     from one pass over the n grid, each distinct state of the chain once
     (``_cloud_losses``).
     """
-    n_max = cfg.n_grid[-1]
-    if data.length < n_max:
-        raise ValueError(f"data has {data.length} rows, need at least {n_max}")
-    w = _cloud_blocks(thetas)
-    a, b, c, s0 = w["a"], w["b"], w["c"], w["s0"]
+    # Each block's rows, one per weight in row-major order: the rows of "a"
+    # are A[0, 0], A[0, 1], A[1, 0], A[1, 1].
+    a, b, c, d, s0 = (thetas[:, _PARAM_SLICES[k]].T for k in ("a", "b", "c", "d", "s0"))
     consts = block_constants(
         _RELU.lipschitz, _TANH.lipschitz, spectral_norm_2x2(a[0], a[1], a[2], a[3]),
-        np.hypot(b[0], b[1]), np.hypot(c[0], c[1]), np.abs(w["d"][0]),
+        np.hypot(b[0], b[1]), np.hypot(c[0], c[1]), np.abs(d[0]),
     )
     bad = np.flatnonzero(consts.tau >= cfg.tau_max)
     if bad.size:
@@ -390,6 +374,9 @@ def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundRe
     The cloud's facts (``_seed_facts``) depend on neither n nor lambda; only
     their reduction at each (n, lambda) pair does (``_reduce``).
     """
+    n_max = cfg.n_grid[-1]
+    if data.length < n_max:
+        raise ValueError(f"data has {data.length} rows, need at least {n_max}")
     facts = _seed_facts(cfg, _prior_cloud(cfg, seed), data)
     lambdas = [cfg.lambda_for(n) for n in cfg.n_grid]
     columns = _reduce(facts, cfg.n_grid, lambdas, cfg.delta)

@@ -287,7 +287,8 @@ class TestBoundCommand:
 
 
     def test_underflowing_weights_exit_0(self, tmp_path, capsys):
-        from stablepac.experiment import _batch_empirical_losses, _prior_cloud
+        from stablepac.cloudloss import prefix_losses
+        from stablepac.experiment import _prior_cloud
 
         cfg = {"n_f": 50, "chain": {"burn_in": 20}}
         cfg_path = tmp_path / "cfg.json"
@@ -299,7 +300,7 @@ class TestBoundCommand:
         # the cell's own cloud: exp(-1e5 * loss) underflows to 0 on all of it
         cell = ExperimentConfig.from_dict({**cfg, "n_grid": [20], "lambda_rule": 1e5})
         data = generate_dataset(0, 20, cell.e_std, cell.e_inf)
-        (losses,) = _batch_empirical_losses(
+        (losses,) = prefix_losses(
             _prior_cloud(cell, 0), data.inputs, data.outputs, [20]
         )
         assert np.all(np.exp(-1e5 * losses) == 0.0)

@@ -28,13 +28,13 @@ from stablepac import (
 from stablepac.bound import (
     BoundReport, gibbs_log_estimates, pac_bound, pooled_psi, psi1_exponent, psi2_exponent,
 )
+from stablepac.cloudloss import prefix_losses
 from stablepac.errors import ConfigError, KernelBuildError
 from stablepac.experiment import (
     _PARAM_SLICES,
     PARAM_DIM,
     ChainSettings,
     _chain_rng,
-    _batch_empirical_losses,
     _prior_cloud,
     _reduce,
     _seed_facts,
@@ -433,12 +433,11 @@ class TestRunExperiment:
     def test_posterior_loss_containment(self):
         # importance average stays inside the sampled loss range
         from stablepac.bound import gibbs_log_estimates
-        from stablepac.experiment import _batch_empirical_losses
 
         data = generate_dataset(0, 20)
         cfg = ExperimentConfig(n_grid=(20,), n_f=300, chain=ChainSettings(burn_in=50))
         thetas = _prior_cloud(cfg, 0)
-        (losses,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [20])
+        (losses,) = prefix_losses(thetas, data.inputs, data.outputs, [20])
         _, _, post = gibbs_log_estimates(-math.sqrt(20) * losses, losses)
         assert float(np.min(losses)) <= post <= float(np.max(losses))
 
@@ -455,13 +454,12 @@ class TestRunExperiment:
         assert np.all(np.isfinite(psi1)) and np.all(np.isfinite(psi2))
 
     def test_batch_losses_match_reference_evaluator(self):
-        from stablepac.experiment import _batch_empirical_losses
         from stablepac.loss import empirical_loss
 
         rng = np.random.default_rng(8)
         data = generate_dataset(4, 30)
         thetas = rng.normal(0, 0.14, size=(20, PARAM_DIM))
-        (batch,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [30])
+        (batch,) = prefix_losses(thetas, data.inputs, data.outputs, [30])
         for i in range(20):
             sys, s0 = benchmark_predictor(thetas[i])
             ref = empirical_loss(LossSpec(kind="square"), sys, s0, data)
@@ -470,13 +468,12 @@ class TestRunExperiment:
     def test_batch_losses_match_reference_evaluator_past_one_block(self):
         # Over 9000 steps the pass and the per-sample evaluator each run one
         # sum in time order: they agree to rounding.
-        from stablepac.experiment import _batch_empirical_losses
         from stablepac.loss import empirical_loss
 
         rng = np.random.default_rng(9)
         data = generate_dataset(4, 9000)
         thetas = rng.normal(0, 0.14, size=(3, PARAM_DIM))
-        (batch,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [9000])
+        (batch,) = prefix_losses(thetas, data.inputs, data.outputs, [9000])
         for i in range(3):
             sys, s0 = benchmark_predictor(thetas[i])
             ref = empirical_loss(LossSpec(kind="square"), sys, s0, data)
@@ -489,7 +486,7 @@ class TestRunExperiment:
         thetas[:, _PARAM_SLICES["a"]] = 0.0
         thetas[:, _PARAM_SLICES["c"].start + 1] = 0.0
         ns = [1000, 4096, 4097, 9000]
-        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        rows = prefix_losses(thetas, data.inputs, data.outputs, ns)
         for n, row in zip(ns, rows):
             prefix = Trajectory(inputs=data.inputs[:n], outputs=data.outputs[:n])
             for i in range(20):
@@ -516,12 +513,10 @@ class TestRunExperiment:
         # One sample over 9000 steps runs one buffer of 9000 steps, and a sum
         # over its steps in one numpy reduction would be pairwise, not in
         # time order.
-        from stablepac.experiment import _batch_empirical_losses
-
         rng = np.random.default_rng(m)
         data = generate_dataset(5, n)
         thetas = rng.normal(0, 0.5, size=(m, PARAM_DIM))
-        (batch,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [n])
+        (batch,) = prefix_losses(thetas, data.inputs, data.outputs, [n])
         ref = reference_batch_losses(thetas, data.inputs, data.outputs)
         assert batch.tobytes() == ref.tobytes()
 
@@ -529,16 +524,14 @@ class TestRunExperiment:
         # 300 samples run buffers of 109 steps: n = 1, n inside the first
         # buffer (13, 20, 26), two consecutive n inside the third (250, 251),
         # and n_max.
-        from stablepac.experiment import _batch_empirical_losses
-
         rng = np.random.default_rng(31)
         data = generate_dataset(6, 500)
         thetas = rng.normal(0, 0.5, size=(300, PARAM_DIM))
         ns = [1, 13, 20, 26, 250, 251, 500]
-        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        rows = prefix_losses(thetas, data.inputs, data.outputs, ns)
         assert rows.shape == (len(ns), 300)
         for n, row in zip(ns, rows):
-            (alone,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [n])
+            (alone,) = prefix_losses(thetas, data.inputs, data.outputs, [n])
             assert row.tobytes() == alone.tobytes()
         ref = reference_batch_losses(thetas, data.inputs[:20], data.outputs[:20])
         assert rows[2].tobytes() == ref.tobytes()
@@ -548,13 +541,11 @@ class TestRunExperiment:
         # between consecutive n is one buffer: n = 1, 5, 17, 392 and 393,
         # then 4096 and 4097, 8192 and 8193 (one-step pieces), and n_max.
         # Each row must equal the step loop over its prefix.
-        from stablepac.experiment import _batch_empirical_losses
-
         rng = np.random.default_rng(32)
         data = generate_dataset(7, 9000)
         thetas = rng.normal(0, 0.5, size=(1, PARAM_DIM))
         ns = [1, 5, 17, 392, 393, 4096, 4097, 8192, 8193, 9000]
-        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        rows = prefix_losses(thetas, data.inputs, data.outputs, ns)
         for n, row in zip(ns, rows):
             ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
             assert row.tobytes() == ref.tobytes(), n
@@ -571,7 +562,6 @@ class TestRunExperiment:
         # pairwise, so the first three sample counts are where a reduction
         # over a piece could leave time order.
         from stablepac.cloudloss import _LOSS_CHUNK_ELEMENTS
-        from stablepac.experiment import _batch_empirical_losses
 
         n_max = 9000 if m < 4 else 300
         seg = 4096 if m < 4 else _LOSS_CHUNK_ELEMENTS // m
@@ -582,7 +572,7 @@ class TestRunExperiment:
         rng = np.random.default_rng(40 + m)
         data = generate_dataset(8, ns[-1])
         thetas = rng.normal(0, 0.5, size=(m, PARAM_DIM))
-        got = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        got = prefix_losses(thetas, data.inputs, data.outputs, ns)
         assert got.shape == (len(ns), m)
         for n, row in zip(ns, got):
             ref = reference_batch_losses(thetas, data.inputs[:n], data.outputs[:n])
@@ -590,31 +580,25 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("ns", [[], [0, 5], [5, 5], [9, 5], [5, 31]])
     def test_bad_prefix_lengths_rejected(self, ns):
-        from stablepac.experiment import _batch_empirical_losses
-
         data = generate_dataset(6, 30)
         with pytest.raises(ValueError, match="prefix lengths"):
-            _batch_empirical_losses(np.zeros((4, PARAM_DIM)), data.inputs, data.outputs, ns)
+            prefix_losses(np.zeros((4, PARAM_DIM)), data.inputs, data.outputs, ns)
 
     def test_labels_shorter_than_prefix_rejected(self):
         # The compiled loop would read past the labels' end.
-        from stablepac.experiment import _batch_empirical_losses
-
         data = generate_dataset(6, 30)
         with pytest.raises(ValueError, match="prefix lengths"):
-            _batch_empirical_losses(np.zeros((4, PARAM_DIM)), data.inputs, data.outputs[:20], [25])
+            prefix_losses(np.zeros((4, PARAM_DIM)), data.inputs, data.outputs[:20], [25])
 
     def test_underflowing_weights_evaluate(self):
         # lambda = 1e4 underflows exp(-lambda * loss) for every loss above
         # about 0.075; the log-weights still give the Gibbs estimates.
-        from stablepac.experiment import _batch_empirical_losses
-
         cfg = ExperimentConfig(
             n_grid=(20,), n_seeds=1, n_f=40, lambda_rule=1e4,
             chain=ChainSettings(burn_in=20),
         )
         data = generate_dataset(0, 20)
-        (losses,) = _batch_empirical_losses(
+        (losses,) = prefix_losses(
             _prior_cloud(cfg, 0), data.inputs, data.outputs, [20]
         )
         assert np.count_nonzero(np.exp(-1e4 * losses) == 0.0) > 0
@@ -700,13 +684,13 @@ class TestRunExperiment:
         import stablepac.experiment as experiment
 
         simulated = []
-        real = experiment._batch_empirical_losses
+        real = experiment.prefix_losses
 
         def counted(thetas, *args):
             simulated.append(thetas.shape[0])
             return real(thetas, *args)
 
-        monkeypatch.setattr(experiment, "_batch_empirical_losses", counted)
+        monkeypatch.setattr(experiment, "prefix_losses", counted)
         run_experiment(SMALL)
         distinct = []
         for seed in range(SMALL.n_seeds):
@@ -723,7 +707,7 @@ class TestRunExperiment:
         # Its 164 (base seed 0) and 142 distinct rows run buffers of 199
         # and 230 steps, where the full cloud runs buffers of 109; every
         # loss must still be the full cloud's bytes.
-        from stablepac.experiment import _batch_empirical_losses, _cloud_losses
+        from stablepac.experiment import _cloud_losses
 
         cfg = ExperimentConfig(n_grid=(9000,), n_f=300, chain=ChainSettings(base_seed=base_seed))
         cloud = _prior_cloud(cfg, 1)
@@ -732,7 +716,7 @@ class TestRunExperiment:
         data = generate_dataset(1, 9000)
         ns = [1, 13, 20, 27, 500, 4097, 9000]
         got = _cloud_losses(cloud, data.inputs, data.outputs, ns)
-        full = _batch_empirical_losses(cloud, data.inputs, data.outputs, ns)
+        full = prefix_losses(cloud, data.inputs, data.outputs, ns)
         assert got.tobytes() == full.tobytes()
 
     @staticmethod
@@ -763,15 +747,15 @@ class TestRunExperiment:
             base = np.random.default_rng(2).normal(0, 0.3, size=(max(pattern) + 1, PARAM_DIM))
             cloud = base[pattern]
         data = generate_dataset(2, 40)
-        full = experiment._batch_empirical_losses(cloud, data.inputs, data.outputs, [7, 40])
+        full = experiment.prefix_losses(cloud, data.inputs, data.outputs, [7, 40])
         simulated = []
-        real = experiment._batch_empirical_losses
+        real = experiment.prefix_losses
 
         def recorded(thetas, *args):
             simulated.append(thetas.copy())
             return real(thetas, *args)
 
-        monkeypatch.setattr(experiment, "_batch_empirical_losses", recorded)
+        monkeypatch.setattr(experiment, "prefix_losses", recorded)
         got = experiment._cloud_losses(cloud, data.inputs, data.outputs, [7, 40])
         assert len(simulated) == 1
         assert simulated[0].tobytes() == cloud[starts].tobytes()
@@ -810,7 +794,14 @@ class TestRunExperiment:
             assert msg.startswith(f"seed={r.seed} n={r.n} total={r.total:.4f} ")
             assert events.index(("report", r.seed, r.n)) < events.index(("progress", msg))
 
-    def test_run_seed_needs_n_max_rows(self):
+    def test_run_seed_needs_n_max_rows(self, monkeypatch):
+        # The check comes before the prior chain runs.
+        import stablepac.experiment as experiment
+
+        def no_chain(cfg, seed):
+            raise AssertionError("the prior chain ran on a short dataset")
+
+        monkeypatch.setattr(experiment, "_prior_cloud", no_chain)
         with pytest.raises(ValueError, match="need at least 20"):
             run_seed(SMALL, 0, generate_dataset(0, 19))
 
@@ -921,7 +912,7 @@ class TestLossRounds:
         rng = np.random.default_rng(50)
         data = generate_dataset(9, 640)
         thetas = _stable_cloud(rng, 20)
-        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        rows = prefix_losses(thetas, data.inputs, data.outputs, ns)
         _assert_rows_match_step_loop(rows, ns, thetas, data)
 
     @pytest.mark.parametrize(
@@ -940,7 +931,7 @@ class TestLossRounds:
         data = generate_dataset(10, n_max)
         thetas = _stable_cloud(rng, m)
         ns = [1, n_max - 1, n_max]
-        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        rows = prefix_losses(thetas, data.inputs, data.outputs, ns)
         _assert_rows_match_step_loop(rows, ns, thetas, data)
 
     def test_one_n_passes_equal_the_rows_of_one_pass(self):
@@ -950,15 +941,15 @@ class TestLossRounds:
         data = generate_dataset(14, 9000)
         thetas = _stable_cloud(rng, 30)
         ns = [4095, 4096, 4097, 8192, 8193, 9000]
-        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+        rows = prefix_losses(thetas, data.inputs, data.outputs, ns)
         for n, row in zip(ns, rows):
-            (alone,) = _batch_empirical_losses(thetas, data.inputs, data.outputs, [n])
+            (alone,) = prefix_losses(thetas, data.inputs, data.outputs, [n])
             assert alone.tobytes() == row.tobytes(), n
 
     def test_long_series_cloud_losses_match_full_cloud(self):
         # The long_series cloud at base seed 0: its 154 distinct rows give
         # the losses of the 300 rows of the full cloud over 1e4 steps.
-        from stablepac.experiment import _batch_empirical_losses, _cloud_losses
+        from stablepac.experiment import _cloud_losses
 
         cfg = ExperimentConfig(n_grid=(1000, 10000, 100000), n_seeds=1, n_f=300)
         cloud = _prior_cloud(cfg, 0)
@@ -967,7 +958,7 @@ class TestLossRounds:
         data = generate_dataset(0, 10000)
         ns = [1000, 10000]
         got = _cloud_losses(cloud, data.inputs, data.outputs, ns)
-        full = _batch_empirical_losses(cloud, data.inputs, data.outputs, ns)
+        full = prefix_losses(cloud, data.inputs, data.outputs, ns)
         assert got.tobytes() == full.tobytes()
         _assert_rows_match_step_loop(got, ns, cloud, data)
 
@@ -1010,7 +1001,7 @@ class TestLossRounds:
         monkeypatch.setattr(subprocess, "run", no_compiler)
         data = generate_dataset(1, 50)
         thetas = _stable_cloud(np.random.default_rng(57), 4)
-        rows = _batch_empirical_losses(thetas, data.inputs, data.outputs, [50])
+        rows = prefix_losses(thetas, data.inputs, data.outputs, [50])
         _assert_rows_match_step_loop(rows, [50], thetas, data)
         assert [p.name for p in built.parent.iterdir()] == [built.name]
 
@@ -1022,8 +1013,6 @@ class TestLossRounds:
         # once would be 1e4 x 154 doubles, 12 MB.
         import tracemalloc
 
-        from stablepac.experiment import _batch_empirical_losses
-
         rng = np.random.default_rng(54)
         thetas = _stable_cloud(rng, 154)
         data = generate_dataset(13, 10000)
@@ -1031,7 +1020,7 @@ class TestLossRounds:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _batch_empirical_losses(thetas, data.inputs, data.outputs, ns)
+            prefix_losses(thetas, data.inputs, data.outputs, ns)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1053,7 +1042,7 @@ class TestLossRounds:
         gc.collect()
         gc.disable()
         try:
-            _batch_empirical_losses(thetas, data.inputs, data.outputs, [100, 5000])
+            prefix_losses(thetas, data.inputs, data.outputs, [100, 5000])
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -1063,9 +1052,41 @@ class TestLossRounds:
         thetas = _stable_cloud(rng, 4)
         data = generate_dataset(15, 50)
         with pytest.raises(TypeError, match="float64"):
-            _batch_empirical_losses(
+            prefix_losses(
                 thetas, data.inputs, data.outputs.astype(np.float32), [10, 50]
             )
+
+    @pytest.mark.parametrize(
+        "shape", [(4, PARAM_DIM - 1), (4, PARAM_DIM + 1), (PARAM_DIM,), (2, 4, PARAM_DIM)],
+        ids=["narrow", "wide", "1-d", "3-d"],
+    )
+    def test_misshapen_cloud_rejected_before_the_kernel(self, monkeypatch, shape):
+        # The kernel reads 14 rows of m doubles from raw addresses.
+        import stablepac.cloudloss as cloudloss
+
+        def no_kernel():
+            raise AssertionError("the kernel was loaded for a misshapen cloud")
+
+        assert cloudloss._PARAMS == PARAM_DIM
+        monkeypatch.setattr(cloudloss, "_kernel", no_kernel)
+        data = generate_dataset(15, 50)
+        with pytest.raises(ValueError, match="cloud must be"):
+            prefix_losses(np.zeros(shape), data.inputs, data.outputs, [10, 50])
+
+    def test_cloud_layout_does_not_change_the_losses(self):
+        # A Fortran-ordered cloud, whose transpose is C-contiguous, and a
+        # strided view of rows give the bytes of their C-contiguous copies,
+        # and the kernel advances its own copy of the states, not the cloud.
+        thetas = _stable_cloud(np.random.default_rng(58), 40)
+        data = generate_dataset(16, 300)
+        ns = [7, 300]
+        for cloud in (np.asfortranarray(thetas), thetas[::2]):
+            assert not cloud.flags.c_contiguous
+            kept = cloud.copy()
+            got = prefix_losses(cloud, data.inputs, data.outputs, ns)
+            assert cloud.tobytes() == kept.tobytes()
+            want = prefix_losses(np.ascontiguousarray(cloud), data.inputs, data.outputs, ns)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCloudCertificate:
@@ -1230,8 +1251,8 @@ class TestCloudCertificate:
             data = generate_dataset(seed, prefix + n)
             steady[:, s0] = reference_final_states(from_zero, data.inputs[:prefix])
             window = (data.inputs[prefix:], data.outputs[prefix:], [n])
-            (l_hat,) = _batch_empirical_losses(cloud, *window)
-            (v_n,) = _batch_empirical_losses(steady, *window)
+            (l_hat,) = prefix_losses(cloud, *window)
+            (v_n,) = prefix_losses(steady, *window)
             gaps.append(np.abs(l_hat - v_n))
         assert np.all(np.max(gaps, axis=0) <= bound)
 
