@@ -124,4 +124,5 @@ def prefix_losses(
             add_squares(b, m, out_p, y.ctypes.data, acc_p)
         t = stop
         sums[q] = acc
-    return sums / np.array(ns, dtype=float)[:, None]
+    sums /= np.array(ns, dtype=float)[:, None]
+    return sums

@@ -25,10 +25,13 @@ from .numerics import ZERO, check_finite_matrix
 if TYPE_CHECKING:
     from .certify import StabilityConstants
 
-# Rows per chunk wherever a whole trajectory would need large temporaries
-# (simulate's outputs and save_trajectory's row lists), and the most steps
-# in one of simulate's segments.
+# The most steps in one of simulate's segments, and the rows per chunk of
+# its outputs' temporaries.
 _CHUNK_ROWS = 4096
+
+# Rows per chunk of save_trajectory: each chunk's field strings (about 70
+# bytes each) set the writer's peak memory, not the trajectory's length.
+_FILE_ROWS = 1024
 
 # Steps of the zero-state warm-up before each later segment of simulate: on
 # the reference generator's series of 1e5 and 1e6 steps, 64 left 3 of some
@@ -169,12 +172,16 @@ def _lockstep(sys: RnnSystem, prev: np.ndarray, rows: np.ndarray) -> None:
 
 
 def simulate(
-    sys: RnnSystem, s0: np.ndarray, inputs: np.ndarray
+    sys: RnnSystem, s0: np.ndarray, inputs: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the recursion over ``inputs`` and return (states, outputs).
 
     states[t] is the state at time t (states[0] = s0) and outputs[t] the
-    output at time t; both have the same length as the input list.
+    output at time t; both have the same length as the input list.  The
+    outputs are written into ``out`` when it is given: a float64 (n, n_y)
+    array that shares no memory with the inputs, or the float64 inputs
+    array itself (n_y = n_v), since each chunk of outputs is written after
+    its input rows are read for the last time.
 
     The n steps run in k = ceil(n / 4096) equal segments, stepped in
     lockstep, the last one padded with zero B v rows.  Segment 0 starts
@@ -194,6 +201,17 @@ def simulate(
         raise ValueError(f"s0 must have dimension {sys.n_s}, got shape {s.shape}")
     if x.shape[1] != sys.n_v:
         raise ValueError(f"inputs must have dimension {sys.n_v}, got {x.shape[1]}")
+    n = x.shape[0]
+    if out is None:
+        out = np.empty((n, sys.n_y))
+    elif out.shape != (n, sys.n_y) or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be float64 of shape {(n, sys.n_y)}, got {out.dtype} {out.shape}"
+        )
+    elif np.may_share_memory(out, x) and not (
+        out.ctypes.data == x.ctypes.data and out.strides == x.strides
+    ):
+        raise ValueError("out must be the inputs array itself or share no memory with it")
     # Only the state recursion runs step by step.  B v(t), C s(t) and D v(t)
     # are stacked matmuls over all t: they run the same kernel per item as a
     # per-step product, so the result is bit-identical to a step-by-step loop
@@ -201,8 +219,7 @@ def simulate(
     # Row t+1 of ``states`` holds B v(t) until the step overwrites it with the
     # state, and ``rows`` views them as (segment, step); a rerun segment gets
     # its B v rows back first.  The outputs are formed in chunks to bound
-    # their temporaries.
-    n = x.shape[0]
+    # their temporaries, after the last rerun has read its inputs.
     x3 = x[:, :, None]
     k = max(1, -(-n // _CHUNK_ROWS))
     m = -(-n // k)
@@ -224,14 +241,13 @@ def simulate(
             np.matmul(sys.b, x3[j * m : (j + 1) * m], out=seg[0])
             _lockstep(sys, starts[j : j + 1], seg)
     states = states[:n]
-    outputs = np.empty((n, sys.n_y))
     for start in range(0, n, _CHUNK_ROWS):
         stop = start + _CHUNK_ROWS
         pre = np.matmul(sys.c, states[start:stop, :, None])[:, :, 0]
         pre += np.matmul(sys.d, x3[start:stop])[:, :, 0]
         pre += sys.b_y
-        outputs[start:stop] = sys.sigma_g(pre)
-    return states, outputs
+        out[start:stop] = sys.sigma_g(pre)
+    return states, out
 
 
 def simulate_series(
@@ -331,8 +347,8 @@ def save_trajectory(traj: Trajectory, path: str) -> None:
     every other field (0.0, -0.0, subnormals, and whatever ``repr`` writes
     in exponent form, where orjson writes ``1e-5`` for ``1e-05`` and
     ``1e16`` for ``1e+16``) is its ``repr``.  One split per column gives its
-    fields from C; rows are the fields joined by commas.  Chunks bound the
-    memory of those lists.
+    fields from C; rows are the fields joined by commas.  Chunks of 1024
+    rows bound the memory of those lists.
     """
     import orjson
 
@@ -340,8 +356,8 @@ def save_trajectory(traj: Trajectory, path: str) -> None:
     header = ["t"] + [f"x_{i}" for i in range(m)] + [f"y_{i}" for i in range(p)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, traj.length, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, traj.length)
+        for start in range(0, traj.length, _FILE_ROWS):
+            stop = min(start + _FILE_ROWS, traj.length)
             columns = np.hstack((traj.inputs[start:stop], traj.outputs[start:stop])).T.copy()
             magnitude = np.abs(columns)
             outside = (magnitude < 1e-4) | (magnitude >= 1e15)

@@ -219,6 +219,8 @@ def generate_dataset(
     generator runs from the zero state through a burn-in prefix so the
     recorded window approximates the steady-state output process.  The first
     output coordinate is the label y(t), the second the predictor input x(t).
+    The outputs are written over the noise (n_v = n_y = 2), so generation
+    holds two (burn + n, 2) arrays, the noise and the states, not three.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -228,7 +230,7 @@ def generate_dataset(
     noise = truncated_gaussian(rng, e_std, e_inf, (burn + n) * gen.n_v).reshape(
         burn + n, gen.n_v
     )
-    _, outputs = simulate(gen, np.zeros(gen.n_s), noise)
+    _, outputs = simulate(gen, np.zeros(gen.n_s), noise, out=noise)
     window = outputs[burn:]
     return Trajectory(inputs=window[:, 1:2], outputs=window[:, 0:1])
 

@@ -26,7 +26,7 @@ from stablepac import (
 )
 from stablepac import dynsys
 from stablepac.certify import StabilityConstants
-from stablepac.dynsys import _ACTIVATION_TABLE, _CHUNK_ROWS, _WARM_UP_STEPS
+from stablepac.dynsys import _ACTIVATION_TABLE, _CHUNK_ROWS, _FILE_ROWS, _WARM_UP_STEPS
 from stablepac.experiment import _DATA_BURN_IN_TOL
 from helpers import benchmark_predictor, random_contractive_system, read_trajectory
 
@@ -344,6 +344,48 @@ class TestSimulate:
             assert not np.shares_memory(states, inputs)
             assert not np.shares_memory(outputs, inputs)
 
+    @pytest.mark.parametrize("name", ["contractive", "rotation"])
+    def test_outputs_written_over_the_inputs(self, name, lockstep_calls):
+        # out may be the inputs array itself: each output chunk is written
+        # after its input rows are read for the last time, the rotation's
+        # reruns of every later segment included.
+        rng = np.random.default_rng(51)
+        if name == "contractive":
+            sys = contractive_with_kind(rng, "tanh", n_s=2, n_v=2, n_y=2)
+        else:
+            base = never_forgetting_system("rotation")
+            sys = with_kinds(base, "identity", "identity", b=rng.normal(size=(2, 2)),
+                             d=rng.normal(size=(2, 2)))
+        s0 = rng.normal(size=2)
+        inputs = rng.uniform(-1, 1, size=(max(SEGMENT_LENGTHS), 2))
+        for n in SEGMENT_LENGTHS:
+            want_states, want_outputs = simulate(sys, s0, inputs[:n].copy())
+            lockstep_calls.clear()
+            x = inputs[:n].copy()
+            states, outputs = simulate(sys, s0, x, out=x)
+            assert outputs is x
+            assert_same_bits(states, want_states)
+            assert_same_bits(outputs, want_outputs)
+            if name == "rotation" and n > _CHUNK_ROWS:
+                assert len(lockstep_calls) == 2 + (-(-n // _CHUNK_ROWS) - 1)
+
+    def test_out_must_fit_and_not_overlap_the_inputs(self):
+        rng = np.random.default_rng(52)
+        sys = contractive_with_kind(rng, "tanh", n_s=2, n_v=2, n_y=2)
+        buf = rng.uniform(-1, 1, size=(101, 2))
+        x = buf[:100]
+        out = np.empty((100, 2))
+        _, outputs = simulate(sys, np.zeros(2), x, out=out)
+        assert outputs is out
+        assert not np.shares_memory(out, x)
+        # Wrong shapes, the wrong dtype, the inputs shifted by one row, and
+        # the inputs' memory with their columns swapped.
+        bad = [np.empty((99, 2)), np.empty((100, 3)), np.empty((100, 2), dtype=np.float32),
+               buf[1:], x[:, ::-1]]
+        for out in bad:
+            with pytest.raises(ValueError, match="out must"):
+                simulate(sys, np.zeros(2), x, out=out)
+
     def test_series_matches_lockstep_loop(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -626,7 +668,7 @@ class TestModelFiles:
         assert np.array_equal(loaded.outputs, traj.outputs)
         assert np.signbit(loaded.inputs[0, 0])
 
-    @pytest.mark.parametrize("n", [1, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n", [1, _FILE_ROWS + 1])
     def test_trajectory_file_with_one_row_chunk(self, tmp_path, n):
         # A trajectory of one row, and a last chunk of one row.
         rng = np.random.default_rng(11)
@@ -635,6 +677,25 @@ class TestModelFiles:
         save_trajectory(traj, str(path))
         reference_save_trajectory(traj, str(ref_path))
         assert path.read_bytes() == ref_path.read_bytes()
+
+    def test_trajectory_write_peak_is_one_chunk(self, tmp_path):
+        # The writer holds one chunk's column copies and its three lists of
+        # field strings, about 0.43 MB at 1024 rows whatever the length;
+        # 4096-row chunks need about 1.7 MB.
+        import tracemalloc
+
+        rng = np.random.default_rng(12)
+        n = 100_000
+        traj = Trajectory(inputs=rng.normal(size=(n, 1)), outputs=rng.normal(size=(n, 1)))
+        save_trajectory(traj, str(tmp_path / "warm.csv"))  # imports orjson
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_trajectory(traj, str(tmp_path / "traj.csv"))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6e6, peak
 
 
 class TestTrajectoryFloatFormat:

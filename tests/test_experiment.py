@@ -15,6 +15,7 @@ from stablepac import (
     StabilityConstants,
     Trajectory,
     build_reference_generator,
+    burn_in_length,
     data_constants,
     gain_pair,
     generate_dataset,
@@ -31,6 +32,7 @@ from stablepac.bound import (
 from stablepac.cloudloss import prefix_losses
 from stablepac.errors import ConfigError, KernelBuildError
 from stablepac.experiment import (
+    _DATA_BURN_IN_TOL,
     _PARAM_SLICES,
     PARAM_DIM,
     ChainSettings,
@@ -138,6 +140,25 @@ class TestGenerateDataset:
         traj = generate_dataset(1, 37)
         assert traj.length == 37
         assert traj.inputs.shape == (37, 1) and traj.outputs.shape == (37, 1)
+
+    def test_peak_allocation_is_two_arrays(self):
+        # The noise and the states, each (n + burn, 2) doubles: the outputs
+        # are written over the noise, and their chunk temporaries, the
+        # rejection sampler's blocks and the warm-up rows are small beside
+        # them.  A separate outputs array makes three.
+        import tracemalloc
+
+        n = 100_000
+        burn = burn_in_length(rnn_constants(build_reference_generator()), 0.0,
+                              _DATA_BURN_IN_TOL)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            generate_dataset(0, n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * (n + burn) * 2 * 8, peak
 
 
 class TestParameterVector:

@@ -100,3 +100,16 @@ def test_emulate_prints_each_setting_and_its_moved_lines(monkeypatch, capsys):
     # Without the flag no child runs.
     assert tool.main(["grid"]) == 0
     assert len(calls) == 3
+
+
+def test_workload_outputs_match_the_committed_digests(capsys):
+    # The benchmark workloads' output files keep the bytes committed in
+    # tools/output_digests.txt, where the host's header matches its first line.
+    tool = _tool("output_digests")
+    committed = (ROOT / "tools" / "output_digests.txt").read_text().splitlines()
+    if tool.header() != committed[0]:
+        pytest.skip(f"digests were committed on {committed[0]!r}; this host is {tool.header()!r}")
+    names = ["grid", "seed_sweep", "long_series"]
+    assert tool.main(names) == 0
+    want = [committed[0]] + [line for line in committed[1:] if line.split()[0] in names]
+    assert capsys.readouterr().out.splitlines() == want
