@@ -36,8 +36,8 @@ def _kernel():
     """The step loop's C functions (step, add_squares), built once per source
     and compile command and cached by their SHA-256; a build writes a
     temporary file and renames it into place."""
-    import ctypes
     import hashlib
+    from ctypes import CDLL, c_long, c_void_p
 
     source = _SOURCE.read_bytes()
     key = hashlib.sha256(source + "\0".join(_COMPILE).encode()).hexdigest()[:16]
@@ -59,9 +59,9 @@ def _kernel():
                 f"{' '.join(cmd)} failed ({proc.returncode}): {proc.stderr.strip()!r}"
             )
         os.replace(tmp, lib)
-    dll = ctypes.CDLL(str(lib))
-    dll.step.argtypes = [ctypes.c_long, ctypes.c_long] + [ctypes.c_void_p] * 4
-    dll.add_squares.argtypes = [ctypes.c_long, ctypes.c_long] + [ctypes.c_void_p] * 3
+    dll = CDLL(str(lib))
+    dll.step.argtypes = [c_long, c_long, c_void_p, c_long, c_void_p, c_void_p, c_void_p]
+    dll.add_squares.argtypes = [c_long, c_long, c_void_p, c_void_p, c_long, c_void_p]
     dll.step.restype = dll.add_squares.restype = None
     return dll.step, dll.add_squares
 
@@ -84,45 +84,63 @@ def prefix_losses(
     products are exact: simulate may fuse a multiply-add through BLAS,
     and the C step loop never does.
 
+    A Metropolis-Hastings chain keeps its state on every rejected proposal,
+    so runs of consecutive rows are often equal.  Rows are compared as uint64
+    words (so -0.0 and 0.0 differ); the first row of each run is gathered
+    into the kernel's one copy of the cloud, (14, distinct rows), and its
+    losses fill the run's columns once the pass's buffers are freed.  Every
+    column is the one a pass over all m rows gives, bit for bit.
+
     The pass runs in time order, in buffers of at most
-    ``_LOSS_CHUNK_ELEMENTS // m`` steps that end at every prefix offset.
-    The C step loop forms each element in the order
+    ``_LOSS_CHUNK_ELEMENTS // distinct rows`` steps that end at every prefix
+    offset.  The C step loop reads the inputs and labels in place, through
+    their strides, forms each element in the order
     ``((k_s0*s0 + k_s1*s1) + k_x*x) + k_1`` and writes the output
     pre-activations; ``np.tanh`` maps them in place, and the C sum adds each
     squared error to its sample's running sum.
     """
-    # The C loop reads 14 rows of m weights and states, and ns[-1] inputs and
+    # The C loop reads 14 rows of weights and states, and ns[-1] inputs and
     # labels: check the cloud's shape and both lengths here.
     if thetas.ndim != 2 or thetas.shape[1] != _PARAMS:
         raise ValueError(f"cloud must be (samples, {_PARAMS}) rows, got shape {thetas.shape}")
     length = min(inputs.shape[0], labels.shape[0])
     if not ns or ns[0] < 1 or ns[-1] > length or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError(f"prefix lengths {ns} must ascend strictly within 1..{length}")
-    # The C functions take raw addresses: every array they read or write is
-    # float64, checked here or made so below, and C-contiguous.
+    # The C functions take raw addresses: the cloud copy and the buffers are
+    # C-contiguous float64, and the inputs and labels are read in place as
+    # aligned float64s, row strides in whole doubles, checked here.
     if inputs.dtype != np.float64 or labels.dtype != np.float64:
         raise TypeError(
             f"inputs and labels must be float64, got {inputs.dtype} and {labels.dtype}"
         )
-    step, add_squares = _kernel()
-    m = thetas.shape[0]
-    # One copy, (14, m): the kernel's 12 weight rows, then the two state rows
-    # it advances in place.
-    rows = np.array(thetas.T, dtype=np.float64, order="C")
+    x, y = inputs[:, 0], labels[:, 0]
+    xs, ys = x.strides[0], y.strides[0]
+    if not (x.flags.aligned and y.flags.aligned):
+        raise ValueError(f"inputs and labels must be aligned float64s, row strides {xs} and {ys}")
+    bits = np.asarray(thetas, dtype=np.float64).view(np.uint64)
+    starts = np.ones(bits.shape[0], dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=starts[1:])
+    # The one copy, (14, distinct rows), gathered straight into the kernel's
+    # layout: its 12 weight rows, then the two state rows it advances in
+    # place.  (take or compress along the transpose's columns would first copy
+    # the whole cloud C-contiguous.)
+    rows = bits[np.flatnonzero(starts), np.arange(_PARAMS)[:, None]].view(np.float64)
+    m = rows.shape[1]
     out = np.empty((max(1, _LOSS_CHUNK_ELEMENTS // m), m))
     sums = np.empty((len(ns), m))
     acc = np.zeros(m)
+    step, add_squares = _kernel()
     coef_p, state_p, out_p, acc_p = (a.ctypes.data for a in (rows, rows[12:], out, acc))
+    x_p, y_p = x.ctypes.data, y.ctypes.data
     t = 0
     for q, stop in enumerate(ns):
         for s in range(t, stop, out.shape[0]):
             b = min(out.shape[0], stop - s)
-            x = np.ascontiguousarray(inputs[s : s + b, 0])
-            step(b, m, x.ctypes.data, coef_p, state_p, out_p)
+            step(b, m, x_p + s * xs, xs // 8, coef_p, state_p, out_p)
             np.tanh(out[:b], out[:b])
-            y = np.ascontiguousarray(labels[s : s + b, 0])
-            add_squares(b, m, out_p, y.ctypes.data, acc_p)
+            add_squares(b, m, out_p, y_p + s * ys, ys // 8, acc_p)
         t = stop
         sums[q] = acc
+    del rows, out, acc
     sums /= np.array(ns, dtype=float)[:, None]
-    return sums
+    return sums.take(np.cumsum(starts) - 1, axis=1)

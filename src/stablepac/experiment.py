@@ -11,13 +11,13 @@ Metropolis-Hastings chain per seed, started at theta = 0.
 
 A seed's facts (``_seed_facts``) depend on neither n nor lambda: the cloud's
 certificates, one entry per sample, and its losses on every data prefix.
-The cloud is simulated as sampled, its parameter rows whole, one row per
-distinct state: a rejected proposal repeats the chain's state, and each run
-of identical consecutive rows is simulated once.  One simulation pass gives
-the losses on every data prefix (``cloudloss``): each loss is one running
-sum of its steps in time order, the rule of ``empirical_loss``, and a
-compiled step loop gets the numpy step loop's losses bit for bit.  One reduction (``_reduce``) turns
-the facts into the bound's terms at any sequence of (n, lambda) pairs.
+One simulation pass over the cloud as sampled gives the losses on every
+data prefix (``cloudloss.prefix_losses``), stepping each run of identical
+consecutive rows once: a rejected proposal repeats the chain's state.  Each
+loss is one running sum of its steps in time order, the rule of
+``empirical_loss``, and a compiled step loop gets the numpy step loop's
+losses bit for bit.  One reduction (``_reduce``) turns the facts into the
+bound's terms at any sequence of (n, lambda) pairs.
 """
 
 from __future__ import annotations
@@ -273,27 +273,6 @@ def _prior_cloud(cfg: ExperimentConfig, seed: int) -> np.ndarray:
     return cloud
 
 
-def _cloud_losses(
-    thetas: np.ndarray, inputs: np.ndarray, labels: np.ndarray, ns: Sequence[int]
-) -> np.ndarray:
-    """Mean squared losses of the cloud's (samples, PARAM_DIM) rows on each
-    data prefix, one row per n of ``ns`` (``cloudloss.prefix_losses``), each
-    distinct state simulated once.
-
-    A Metropolis-Hastings chain keeps its state on every rejected proposal,
-    so runs of consecutive rows are identical.  Rows are compared as uint64
-    words (so -0.0 and 0.0 differ), only the first row of each run is
-    simulated, and its losses fill the run's columns.  The loss pass is
-    elementwise over samples, so every column equals the full cloud's bit
-    for bit.
-    """
-    bits = thetas.view(np.uint64)
-    starts = np.ones(thetas.shape[0], dtype=bool)
-    np.any(bits[1:] != bits[:-1], axis=1, out=starts[1:])
-    rows = prefix_losses(thetas[starts], inputs, labels, ns)
-    return rows.take(np.cumsum(starts) - 1, axis=1)
-
-
 @dataclass(frozen=True)
 class _SeedFacts:
     """What one seed's cloud and data give the bound, whatever n and lambda.
@@ -319,8 +298,8 @@ def _seed_facts(cfg: ExperimentConfig, thetas: np.ndarray, data: Trajectory) -> 
     C of the benchmark predictor are vectors and D is a scalar, so their
     spectral norms are Euclidean norms and an absolute value; ||A||_2 has a
     closed form.  Every sample must satisfy tau < tau_max.  The losses come
-    from one pass over the n grid, each distinct state of the chain once
-    (``_cloud_losses``).
+    from one pass over the n grid on the cloud as sampled, which steps each
+    distinct state of the chain once (``cloudloss.prefix_losses``).
     """
     # Each block's rows, one per weight in row-major order: the rows of "a"
     # are A[0, 0], A[0, 1], A[1, 0], A[1, 1].
@@ -340,7 +319,7 @@ def _seed_facts(cfg: ExperimentConfig, thetas: np.ndarray, data: Trajectory) -> 
     return _SeedFacts(
         ns=cfg.n_grid, data=dc, constants=consts, gains=gh,
         l_ell=loss_lipschitz(_SQUARE_LOSS, dc, gh), s0_norm=np.hypot(s0[0], s0[1]),
-        losses=_cloud_losses(thetas, data.inputs, data.outputs, cfg.n_grid),
+        losses=prefix_losses(thetas, data.inputs, data.outputs, cfg.n_grid),
     )
 
 

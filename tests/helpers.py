@@ -100,21 +100,16 @@ def reference_batch_losses(thetas, inputs, labels):
     """Per-step cloud loop: the reference the cloud loss pass must match bit for bit.
 
     Each loss is one running sum of its squared errors in time order from 0.0.
+    The blocks are read by name, each as one row per weight.
     """
-    x, y = inputs[:, 0], labels[:, 0]
-    a00, a01, a10, a11 = thetas[:, 0], thetas[:, 1], thetas[:, 2], thetas[:, 3]
-    bb0, bb1, c0, c1 = thetas[:, 4], thetas[:, 5], thetas[:, 6], thetas[:, 7]
-    w0, w1, dd, by = thetas[:, 8], thetas[:, 9], thetas[:, 10], thetas[:, 11]
-    s0, s1 = thetas[:, 12].copy(), thetas[:, 13].copy()
+    w = {name: thetas[:, cols].T for name, cols in _PARAM_SLICES.items()}
+    a, c, s = w["a"].reshape(2, 2, -1), w["c"], w["s0"]
     acc = np.zeros(thetas.shape[0])
-    for t in range(x.shape[0]):
-        yhat = np.tanh(w0 * s0 + w1 * s1 + dd * x[t] + by)
-        diff = yhat - y[t]
+    for x, y in zip(inputs[:, 0], labels[:, 0]):
+        diff = np.tanh(c[0] * s[0] + c[1] * s[1] + w["d"][0] * x + w["b_y"][0]) - y
         acc += diff * diff
-        p0 = np.maximum(a00 * s0 + a01 * s1 + bb0 * x[t] + c0, 0.0)
-        s1 = np.maximum(a10 * s0 + a11 * s1 + bb1 * x[t] + c1, 0.0)
-        s0 = p0
-    return acc / x.shape[0]
+        s = np.maximum(a[:, 0] * s[0] + a[:, 1] * s[1] + w["b"] * x + w["b_s"], 0.0)
+    return acc / inputs.shape[0]
 
 
 def reference_final_states(thetas, inputs):

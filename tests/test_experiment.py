@@ -698,21 +698,12 @@ class TestRunExperiment:
         run_experiment(SMALL)
         assert clouds == [SMALL.n_f] * SMALL.n_seeds
 
-    def test_one_loss_pass_per_distinct_state(self, monkeypatch):
+    def test_one_loss_pass_per_distinct_state(self, kernel_columns):
         # The chain keeps its state on every rejected proposal; each run of
         # identical consecutive rows is simulated once, while the whole
         # cloud is certified (test_one_certification_per_seed).
-        import stablepac.experiment as experiment
-
-        simulated = []
-        real = experiment.prefix_losses
-
-        def counted(thetas, *args):
-            simulated.append(thetas.shape[0])
-            return real(thetas, *args)
-
-        monkeypatch.setattr(experiment, "prefix_losses", counted)
         run_experiment(SMALL)
+        simulated = [columns.shape[1] for columns in kernel_columns]
         distinct = []
         for seed in range(SMALL.n_seeds):
             cloud = _prior_cloud(SMALL, seed)
@@ -723,22 +714,20 @@ class TestRunExperiment:
         assert max(distinct) < SMALL.n_f
 
     @pytest.mark.parametrize("base_seed", [0, 3000])
-    def test_distinct_state_losses_match_full_cloud(self, base_seed):
+    def test_distinct_state_losses_match_full_cloud(self, kernel_columns, base_seed):
         # About half of a 300-row chain cloud repeats the row before it.
         # Its 164 (base seed 0) and 142 distinct rows run buffers of 199
-        # and 230 steps, where the full cloud runs buffers of 109; every
-        # loss must still be the full cloud's bytes.
-        from stablepac.experiment import _cloud_losses
-
+        # and 230 steps, where the full cloud would run buffers of 109; every
+        # loss must still be the step loop's bytes over the full cloud.
         cfg = ExperimentConfig(n_grid=(9000,), n_f=300, chain=ChainSettings(base_seed=base_seed))
         cloud = _prior_cloud(cfg, 1)
         distinct = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(cloud[1:], cloud[:-1]))
         assert distinct == (164 if base_seed == 0 else 142)
         data = generate_dataset(1, 9000)
         ns = [1, 13, 20, 27, 500, 4097, 9000]
-        got = _cloud_losses(cloud, data.inputs, data.outputs, ns)
-        full = prefix_losses(cloud, data.inputs, data.outputs, ns)
-        assert got.tobytes() == full.tobytes()
+        got = prefix_losses(cloud, data.inputs, data.outputs, ns)
+        assert [columns.shape[1] for columns in kernel_columns] == [distinct]
+        _assert_rows_match_step_loop(got, ns, cloud, data)
 
     @staticmethod
     def _signed_zero_pair():
@@ -759,28 +748,19 @@ class TestRunExperiment:
             (None, [0, 1]),  # equal under == but not in a signed zero
         ],
     )
-    def test_each_run_of_equal_rows_simulated_once(self, monkeypatch, pattern, starts):
-        import stablepac.experiment as experiment
-
+    def test_each_run_of_equal_rows_simulated_once(self, kernel_columns, pattern, starts):
+        # The kernel steps the first row of each run, in the cloud's order,
+        # and every row gets the step loop's losses.
         if pattern is None:
             cloud = self._signed_zero_pair()
         else:
             base = np.random.default_rng(2).normal(0, 0.3, size=(max(pattern) + 1, PARAM_DIM))
             cloud = base[pattern]
         data = generate_dataset(2, 40)
-        full = experiment.prefix_losses(cloud, data.inputs, data.outputs, [7, 40])
-        simulated = []
-        real = experiment.prefix_losses
-
-        def recorded(thetas, *args):
-            simulated.append(thetas.copy())
-            return real(thetas, *args)
-
-        monkeypatch.setattr(experiment, "prefix_losses", recorded)
-        got = experiment._cloud_losses(cloud, data.inputs, data.outputs, [7, 40])
-        assert len(simulated) == 1
-        assert simulated[0].tobytes() == cloud[starts].tobytes()
-        assert got.tobytes() == full.tobytes()
+        got = prefix_losses(cloud, data.inputs, data.outputs, [7, 40])
+        assert len(kernel_columns) == 1
+        assert kernel_columns[0].tobytes() == cloud[starts].T.tobytes()
+        _assert_rows_match_step_loop(got, [7, 40], cloud, data)
 
     def test_reports_match_per_cell_reference(self, reports):
         # Every cell equals the per-cell evaluation with its own chain: the
@@ -919,6 +899,35 @@ def fresh_kernel(monkeypatch, tmp_path):
     cloudloss._kernel.cache_clear()
 
 
+@pytest.fixture
+def kernel_columns(monkeypatch):
+    """The columns each loss pass hands the kernel, one (14, m) array per
+    pass: its 12 weight rows and its two state rows as the first step reads
+    them."""
+    import ctypes
+
+    import stablepac.cloudloss as cloudloss
+
+    passes, real = [], cloudloss._kernel
+
+    def kernel():
+        step, add_squares = real()
+        index = len(passes)
+        passes.append(None)
+
+        def recorded(n, m, x, xs, w, s, out):
+            if passes[index] is None:
+                rows = [np.frombuffer((ctypes.c_double * (k * m)).from_address(a)).reshape(k, m)
+                        for a, k in ((w, 12), (s, 2))]
+                passes[index] = np.vstack(rows)
+            step(n, m, x, xs, w, s, out)
+
+        return recorded, add_squares
+
+    monkeypatch.setattr(cloudloss, "_kernel", kernel)
+    return passes
+
+
 class TestLossRounds:
     @pytest.mark.parametrize(
         "ns",
@@ -967,20 +976,17 @@ class TestLossRounds:
             (alone,) = prefix_losses(thetas, data.inputs, data.outputs, [n])
             assert alone.tobytes() == row.tobytes(), n
 
-    def test_long_series_cloud_losses_match_full_cloud(self):
+    def test_long_series_cloud_losses_match_full_cloud(self, kernel_columns):
         # The long_series cloud at base seed 0: its 154 distinct rows give
         # the losses of the 300 rows of the full cloud over 1e4 steps.
-        from stablepac.experiment import _cloud_losses
-
         cfg = ExperimentConfig(n_grid=(1000, 10000, 100000), n_seeds=1, n_f=300)
         cloud = _prior_cloud(cfg, 0)
         distinct = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(cloud[1:], cloud[:-1]))
         assert distinct == 154
         data = generate_dataset(0, 10000)
         ns = [1000, 10000]
-        got = _cloud_losses(cloud, data.inputs, data.outputs, ns)
-        full = prefix_losses(cloud, data.inputs, data.outputs, ns)
-        assert got.tobytes() == full.tobytes()
+        got = prefix_losses(cloud, data.inputs, data.outputs, ns)
+        assert [columns.shape[1] for columns in kernel_columns] == [distinct]
         _assert_rows_match_step_loop(got, ns, cloud, data)
 
     def test_relu_maps_negative_zero_to_positive_zero(self):
@@ -995,7 +1001,7 @@ class TestLossRounds:
         w[[0, 1, 4]] = -0.0
         w[6] = bs0
         x, state, out = np.ones(1), np.zeros((2, bs0.size)), np.empty((1, bs0.size))
-        step(1, bs0.size, *(a.ctypes.data for a in (x, w, state, out)))
+        step(1, bs0.size, x.ctypes.data, 1, *(a.ctypes.data for a in (w, state, out)))
         assert np.maximum(-0.0, 0.0).tobytes() == np.float64(0.0).tobytes()
         assert state[0].tobytes() == np.maximum(bs0, 0.0).tobytes()
 
@@ -1108,6 +1114,73 @@ class TestLossRounds:
             assert cloud.tobytes() == kept.tobytes()
             want = prefix_losses(np.ascontiguousarray(cloud), data.inputs, data.outputs, ns)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("view", ["columns", "reversed", "every-other-row"])
+    def test_strided_data_give_the_contiguous_bytes(self, small_buffers, view):
+        # The kernel reads the inputs and labels in place through their row
+        # strides, over buffers of 3 steps here: generate_dataset's column
+        # views of one (n, 2) array, 16 bytes apart, those views reversed,
+        # and every other row of them.
+        thetas = _stable_cloud(np.random.default_rng(59), 40)
+        data = generate_dataset(17, 600)
+        inputs, labels = {
+            "columns": (data.inputs, data.outputs),
+            "reversed": (data.inputs[::-1], data.outputs[::-1]),
+            "every-other-row": (data.inputs[::2], data.outputs[::2]),
+        }[view]
+        assert not inputs.flags.c_contiguous and not labels.flags.c_contiguous
+        ns = [1, 7, 250, 300]
+        got = prefix_losses(thetas, inputs, labels, ns)
+        want = prefix_losses(
+            thetas, np.ascontiguousarray(inputs), np.ascontiguousarray(labels), ns
+        )
+        assert got.tobytes() == want.tobytes()
+
+    def test_misaligned_data_rejected_before_the_kernel(self, monkeypatch):
+        # The kernel reads the inputs and labels as doubles in place: a row
+        # stride of 12 bytes would read across float64s, and so would a
+        # column that starts 4 bytes into its buffer.
+        import stablepac.cloudloss as cloudloss
+
+        def no_kernel():
+            raise AssertionError("the kernel was loaded for misaligned data")
+
+        monkeypatch.setattr(cloudloss, "_kernel", no_kernel)
+        thetas = _stable_cloud(np.random.default_rng(60), 4)
+        data = generate_dataset(15, 50)
+        buf = np.zeros(1000, dtype=np.uint8)
+        for offset, stride in ((0, 12), (4, 16)):
+            skewed = np.ndarray((50, 1), dtype=np.float64, buffer=buf, offset=offset,
+                                strides=(stride, 8))
+            for inputs, labels in ((skewed, data.outputs), (data.inputs, skewed)):
+                with pytest.raises(ValueError, match="aligned float64s"):
+                    prefix_losses(thetas, inputs, labels, [10, 50])
+
+    def test_peak_holds_one_copy_of_the_distinct_rows(self):
+        # Seed 0's default cloud: 5000 chain rows, 2608 of them distinct.
+        # The pass gathers the distinct rows once into the kernel's (14, m)
+        # layout and reads the data in place, so its peak is that copy, the
+        # buffer of steps (at most 2**15 doubles), the sums of each n and the
+        # running sums, one double per distinct row each, and one row more
+        # for the run flags, the gather's index and Python objects.  A second
+        # (14, m) copy, a copy of all 5000 rows, or the 8 x 5000 result made
+        # while the buffers live would each pass the cap.
+        import tracemalloc
+
+        cfg = ExperimentConfig()
+        cloud = _prior_cloud(cfg, 0)
+        data = generate_dataset(0, cfg.n_grid[-1])
+        m = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(cloud[1:], cloud[:-1]))
+        assert m == 2608
+        prefix_losses(cloud[:2], data.inputs, data.outputs, [5])  # load the kernel
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prefix_losses(cloud, data.inputs, data.outputs, cfg.n_grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * ((1 << 15) + (PARAM_DIM + len(cfg.n_grid) + 2) * m), peak
 
 
 class TestCloudCertificate:

@@ -1,8 +1,9 @@
-"""The rules of the tools under ``tools/``: code lines and output digests."""
+"""The rules of the tools under ``tools/``: code lines, output digests and output values."""
 
 from __future__ import annotations
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -102,14 +103,53 @@ def test_emulate_prints_each_setting_and_its_moved_lines(monkeypatch, capsys):
     assert len(calls) == 3
 
 
-def test_workload_outputs_match_the_committed_digests(capsys):
+# The perfbench workloads, run once for both checks of their output files.
+WORKLOADS = ["grid", "seed_sweep", "long_series"]
+# Largest relative move of an output value that counts as the same value:
+# 40 times the largest move measured under another host's SIMD or BLAS
+# dispatch (2.3e-15, ROADMAP item 19).  It stays fixed: a change that needs it
+# wider has changed the numbers.
+VALUE_REL_TOL = 1e-13
+
+
+@pytest.fixture(scope="module")
+def workload_outputs():
+    tool = _tool("output_digests")
+    configs = tool.configs()
+    return tool, {name: tool.outputs(configs[name]) for name in WORKLOADS}
+
+
+def test_workload_outputs_match_the_committed_digests(workload_outputs):
     # The benchmark workloads' output files keep the bytes committed in
     # tools/output_digests.txt, where the host's header matches its first line.
-    tool = _tool("output_digests")
+    tool, outputs = workload_outputs
     committed = (ROOT / "tools" / "output_digests.txt").read_text().splitlines()
     if tool.header() != committed[0]:
         pytest.skip(f"digests were committed on {committed[0]!r}; this host is {tool.header()!r}")
-    names = ["grid", "seed_sweep", "long_series"]
-    assert tool.main(names) == 0
-    want = [committed[0]] + [line for line in committed[1:] if line.split()[0] in names]
-    assert capsys.readouterr().out.splitlines() == want
+    got = [[name, file, tool.digest(data)] for name, files in outputs.items()
+           for file, data in files.items()]
+    assert got == [line.split() for line in committed[1:] if line.split()[0] in WORKLOADS]
+
+
+def _same_value(got: str, want: str) -> bool:
+    """Equal text, or two numbers within VALUE_REL_TOL of each other."""
+    try:
+        return got == want or math.isclose(float(got), float(want), rel_tol=VALUE_REL_TOL)
+    except ValueError:
+        return False
+
+
+def test_workload_outputs_match_the_committed_values(workload_outputs):
+    # On every host, the workloads' output values are those committed in
+    # tools/output_values.txt, each within VALUE_REL_TOL.
+    tool, outputs = workload_outputs
+    committed = (ROOT / "tools" / "output_values.txt").read_text().splitlines()
+    want = [line.split() for line in committed[1:] if line.split()[0] in WORKLOADS]
+    got = [line.split() for name, files in outputs.items() for file, data in files.items()
+           for line in tool.value_lines(name, file, data)]
+    assert [(g[:3], len(g)) for g in got] == [(w[:3], len(w)) for w in want]
+    moved = [
+        (g[:3], i, a, b) for g, w in zip(got, want) for i, (a, b) in enumerate(zip(g[3:], w[3:]))
+        if not _same_value(a, b)
+    ]
+    assert not moved, f"{len(moved)} values moved, the first: {moved[:5]}"

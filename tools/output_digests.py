@@ -3,6 +3,7 @@
     python3 tools/output_digests.py                  # all four configurations
     python3 tools/output_digests.py grid long_series
     python3 tools/output_digests.py --emulate        # also as on older hosts
+    python3 tools/output_digests.py --values > tools/output_values.txt
 
 Runs each named configuration the way ``stablepac experiment`` does
 (``run_experiment`` then ``write_outputs``) into a temporary directory and
@@ -14,6 +15,17 @@ the output bytes depend.  ``grid``, ``seed_sweep`` and ``long_series`` are
 the workloads of ``perfbench/run.py`` at base seed 0; ``default`` is
 ``ExperimentConfig()``.
 The package is imported from the ``src`` directory of this checkout.
+
+``--values`` prints the values of the same files in place of their digests,
+one line per record: the configuration, the file name, the record's key and
+its fields as the file writes them.  A CSV file's records are its lines,
+keyed by line number from 0 for the header; a trajectory file gives every
+``TRAJECTORY_STRIDE``-th line only.  A JSON file's records are its keys,
+each with its value's numbers or text in order.  Where another host's SIMD
+or BLAS kernels move values in their last bits, the digests differ but these
+lines differ only within a small relative tolerance, so a test compares them
+with ``tools/output_values.txt`` on every host.  With ``--emulate``, the
+children print values too, and their moved lines are value lines.
 
 ``--emulate`` then reruns the same configurations in a child process under
 each setting of ``EMULATIONS``: environment variables that make numpy's SIMD
@@ -27,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -43,6 +56,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from stablepac.experiment import ExperimentConfig, run_experiment, write_outputs  # noqa: E402
 
 PREFIX_HEX = 8
+# Lines of a trajectory file kept by --values: the header, then every 97th
+# row, at offsets that vary within the writer's 1024-row chunks.
+TRAJECTORY_STRIDE = 97
 # numpy's bundled libraries, the OpenBLAS build among them.
 NUMPY_LIBS = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
 # Each acts only on the child process it is set for: an AVX2 host, an SSE4
@@ -97,14 +113,37 @@ def header() -> str:
     )
 
 
-def digests(cfg: ExperimentConfig) -> dict[str, str]:
-    """sha256 prefix of each output file of one experiment, by file name."""
+def outputs(cfg: ExperimentConfig) -> dict[str, bytes]:
+    """The bytes of each output file of one experiment, by file name."""
     with tempfile.TemporaryDirectory() as out:
         write_outputs(cfg, run_experiment(cfg), out)
-        return {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:PREFIX_HEX]
-            for path in sorted(Path(out).iterdir())
-        }
+        return {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:PREFIX_HEX]
+
+
+def digests(cfg: ExperimentConfig) -> dict[str, str]:
+    """sha256 prefix of each output file of one experiment, by file name."""
+    return {file: digest(data) for file, data in outputs(cfg).items()}
+
+
+def _leaves(value) -> list:
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def value_lines(name: str, file: str, data: bytes) -> list[str]:
+    """The --values lines of one output file of configuration name."""
+    if file.endswith(".json"):
+        records = [(key, _leaves(value)) for key, value in json.loads(data).items()]
+    else:
+        rows = data.decode().splitlines()
+        step = TRAJECTORY_STRIDE if file.startswith("trajectory") else 1
+        records = [(i, rows[i].split(",")) for i in range(0, len(rows), step)]
+    return [" ".join(map(str, [name, file, key, *fields])) for key, fields in records]
 
 
 def rerun(names: list[str], setting: dict[str, str]) -> list[str]:
@@ -118,9 +157,9 @@ def rerun(names: list[str], setting: dict[str, str]) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    emulate = "--emulate" in argv
+    emulate, values = "--emulate" in argv, "--values" in argv
     known = configs()
-    names = [arg for arg in argv if arg != "--emulate"] or list(known)
+    names = [arg for arg in argv if arg not in ("--emulate", "--values")] or list(known)
     unknown = [name for name in names if name not in known]
     if unknown:
         print(f"unknown configuration {unknown[0]!r}; choose from {', '.join(known)}",
@@ -129,11 +168,15 @@ def main(argv: list[str]) -> int:
     lines = [header()]
     print(lines[0], flush=True)
     for name in names:
-        for file, digest in digests(known[name]).items():
-            lines.append(f"{name:12s} {file:24s} {digest}")
-            print(lines[-1], flush=True)
+        if values:
+            new = [line for file, data in outputs(known[name]).items()
+                   for line in value_lines(name, file, data)]
+        else:
+            new = [f"{name:12s} {file:24s} {d}" for file, d in digests(known[name]).items()]
+        print("\n".join(new), flush=True)
+        lines += new
     for setting in EMULATIONS if emulate else ():
-        child_header, *child_lines = rerun(names, setting)
+        child_header, *child_lines = rerun(names + ["--values"] * values, setting)
         named = " ".join(f'{key}="{value}"' for key, value in setting.items())
         print(f"{child_header} under {named}", flush=True)
         for line in child_lines:
