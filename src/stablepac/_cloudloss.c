@@ -6,10 +6,10 @@
 
 /* Step m predictors over the n inputs x.  w, (12, m), holds the rows a00
    a01 a10 a11 b0 b1 bs0 bs1 c0 c1 d by, the order of the parameter vector's
-   blocks (experiment._PARAM_BLOCKS); the states s, (2, m), the vector's last
-   two rows, advance in place; out[t*m + j] receives predictor j's output
-   pre-activation at step t.  The ReLU is np.maximum(p, 0.0): NaN stays NaN,
-   -0.0 becomes +0.0. */
+   blocks (cloudloss.PARAM_BLOCKS); the states s, (2, m), the vector's last
+   two rows (block s0), advance in place; out[t*m + j] receives predictor j's
+   output pre-activation at step t.  The ReLU is np.maximum(p, 0.0): NaN stays
+   NaN, -0.0 becomes +0.0. */
 void step(long n, long m, const double *x, long xs, const double *w, double *s, double *out)
 {
     for (long t = 0; t < n; t++)

@@ -2,16 +2,18 @@
 
 The predictors are the benchmark's ReLU/tanh recurrent networks, two states,
 one input and one output, given as the cloud's parameter rows as sampled
-(``prefix_losses``).  Each loss is one running sum of its steps in time
-order, the rule of ``loss.empirical_loss``.  The step loop runs in C
-(``_cloudloss.c``), compiled on the first pass and cached under
-``$XDG_CACHE_HOME/stablepac`` (default ``~/.cache/stablepac``); the tanh
-stays numpy's.
+(``prefix_losses``) in the order of the named blocks of ``PARAM_BLOCKS``,
+declared here because it is the step loop's row order.  Each loss is one
+running sum of its steps in time order, the rule of ``loss.empirical_loss``.
+The step loop runs in C (``_cloudloss.c``), compiled on the first pass and
+cached under ``$XDG_CACHE_HOME/stablepac`` (default ``~/.cache/stablepac``);
+the tanh stays numpy's.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 from pathlib import Path
 from typing import Sequence
@@ -27,8 +29,23 @@ _LOSS_CHUNK_ELEMENTS = 1 << 15
 # The command that builds the step loop, less its output and source files.
 _COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _SOURCE = Path(__file__).with_name("_cloudloss.c")
-# Parameters per predictor: the step loop's 12 weights, then the two states.
-_PARAMS = 14
+# Blocks of the benchmark predictor's parameter vector in order, each row-major:
+# RnnSystem's weights under their field names, then the initial state s0.  The
+# order is the step loop's row order (_cloudloss.c), so it takes the rows whole.
+PARAM_BLOCKS = {"a": (2, 2), "b": (2, 1), "b_s": (2,), "c": (1, 2), "d": (1, 1),
+                "b_y": (1,), "s0": (2,)}
+
+
+def _block_slices(shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, slice], int]:
+    """Consecutive slices of named blocks in table order, and their total size."""
+    slices, stop = {}, 0
+    for name, shape in shapes.items():
+        slices[name] = slice(stop, stop + math.prod(shape))
+        stop = slices[name].stop
+    return slices, stop
+
+
+PARAM_SLICES, PARAM_DIM = _block_slices(PARAM_BLOCKS)
 
 
 @functools.cache
@@ -71,25 +88,25 @@ def prefix_losses(
 ) -> np.ndarray:
     """Mean squared losses of every predictor of a cloud on each data prefix.
 
-    ``thetas`` holds one predictor per row, (m, 14), in the parameter
-    vector's order (``experiment._PARAM_BLOCKS``): A row-major, b, b_s, c,
-    d, b_y, then the initial state s0.  Row k of the result holds the mean
-    loss of each predictor over the first ``ns[k]`` steps, for ascending
-    ``ns``: a sample's running sum of its squared errors in time order from
-    0.0, up to step n, divided by n.  No row depends on the other ns or on the
-    pass's buffer sizes, so each equals a separate pass over its prefix bit
-    for bit.  Elementwise arithmetic over the cloud: deterministic and
-    independent of BLAS threading.  Per-sample empirical_loss sums by the
-    same rule, and the two agree to rounding, exactly where simulate's
-    products are exact: simulate may fuse a multiply-add through BLAS,
-    and the C step loop never does.
+    ``thetas`` holds one predictor per row, (m, PARAM_DIM) with m >= 1, in
+    the order of ``PARAM_BLOCKS``: A row-major, b, b_s, c, d, b_y, then the
+    initial state s0.  ``inputs`` and ``labels`` are (steps, 1) float64
+    columns.  Row k of the result holds the mean loss of each predictor over
+    the first ``ns[k]`` steps, for ascending ``ns``: a sample's running sum
+    of its squared errors in time order from 0.0, up to step n, divided by
+    n.  No row depends on the other ns or on the pass's buffer sizes, so
+    each equals a separate pass over its prefix bit for bit.  Elementwise
+    arithmetic over the cloud: deterministic and independent of BLAS
+    threading.  Per-sample empirical_loss sums by the same rule, and the two
+    agree to rounding, exactly where simulate's products are exact: simulate
+    may fuse a multiply-add through BLAS, and the C step loop never does.
 
     A Metropolis-Hastings chain keeps its state on every rejected proposal,
     so runs of consecutive rows are often equal.  Rows are compared as uint64
     words (so -0.0 and 0.0 differ); the first row of each run is gathered
-    into the kernel's one copy of the cloud, (14, distinct rows), and its
-    losses fill the run's columns once the pass's buffers are freed.  Every
-    column is the one a pass over all m rows gives, bit for bit.
+    into the kernel's one copy of the cloud, (PARAM_DIM, distinct rows), and
+    its losses fill the run's columns once the pass's buffers are freed.
+    Every column is the one a pass over all m rows gives, bit for bit.
 
     The pass runs in time order, in buffers of at most
     ``_LOSS_CHUNK_ELEMENTS // distinct rows`` steps that end at every prefix
@@ -99,10 +116,13 @@ def prefix_losses(
     pre-activations; ``np.tanh`` maps them in place, and the C sum adds each
     squared error to its sample's running sum.
     """
-    # The C loop reads 14 rows of weights and states, and ns[-1] inputs and
-    # labels: check the cloud's shape and both lengths here.
-    if thetas.ndim != 2 or thetas.shape[1] != _PARAMS:
-        raise ValueError(f"cloud must be (samples, {_PARAMS}) rows, got shape {thetas.shape}")
+    # The C loop reads PARAM_DIM rows of weights and states of at least one
+    # sample, and ns[-1] rows of one input and one label column: check the
+    # shapes and both lengths here.
+    if thetas.ndim != 2 or thetas.shape[1] != PARAM_DIM or not thetas.shape[0]:
+        raise ValueError(f"cloud must be (m >= 1, {PARAM_DIM}), got shape {thetas.shape}")
+    if inputs.shape[1:] != (1,) or labels.shape[1:] != (1,):
+        raise ValueError(f"data must be (n, 1) columns, got {inputs.shape} and {labels.shape}")
     length = min(inputs.shape[0], labels.shape[0])
     if not ns or ns[0] < 1 or ns[-1] > length or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError(f"prefix lengths {ns} must ascend strictly within 1..{length}")
@@ -120,18 +140,18 @@ def prefix_losses(
     bits = np.asarray(thetas, dtype=np.float64).view(np.uint64)
     starts = np.ones(bits.shape[0], dtype=bool)
     np.any(bits[1:] != bits[:-1], axis=1, out=starts[1:])
-    # The one copy, (14, distinct rows), gathered straight into the kernel's
-    # layout: its 12 weight rows, then the two state rows it advances in
+    # The one copy, (PARAM_DIM, distinct rows), gathered straight into the
+    # kernel's layout: its weight rows, then the state rows it advances in
     # place.  (take or compress along the transpose's columns would first copy
     # the whole cloud C-contiguous.)
-    rows = bits[np.flatnonzero(starts), np.arange(_PARAMS)[:, None]].view(np.float64)
+    rows = bits[np.flatnonzero(starts), np.arange(PARAM_DIM)[:, None]].view(np.float64)
     m = rows.shape[1]
     out = np.empty((max(1, _LOSS_CHUNK_ELEMENTS // m), m))
     sums = np.empty((len(ns), m))
     acc = np.zeros(m)
     step, add_squares = _kernel()
-    coef_p, state_p, out_p, acc_p = (a.ctypes.data for a in (rows, rows[12:], out, acc))
-    x_p, y_p = x.ctypes.data, y.ctypes.data
+    coef_p, out_p, acc_p, x_p, y_p = (a.ctypes.data for a in (rows, out, acc, x, y))
+    state_p = rows[PARAM_SLICES["s0"]].ctypes.data
     t = 0
     for q, stop in enumerate(ns):
         for s in range(t, stop, out.shape[0]):

@@ -39,7 +39,7 @@ from .bound import (
     psi2_exponent,
 )
 from .certify import GainPair, StabilityConstants, block_constants, gain_pair, rnn_constants
-from .cloudloss import prefix_losses
+from .cloudloss import PARAM_BLOCKS, PARAM_DIM, PARAM_SLICES, prefix_losses
 from .dynsys import (
     RnnSystem,
     Trajectory,
@@ -53,24 +53,6 @@ from .errors import ConfigError
 from .loss import LossSpec, loss_lipschitz
 from .mixing import DataConstants, generator_data_constants
 from .numerics import seeded_rng, spectral_norm, spectral_norm_2x2, truncated_gaussian
-
-# Blocks of the benchmark predictor's parameter vector in order, each row-major:
-# RnnSystem's weights under their field names, then the initial state s0.  The
-# order is the loss pass's row order (_cloudloss.c), so it takes the rows whole.
-_PARAM_BLOCKS = {"a": (2, 2), "b": (2, 1), "b_s": (2,), "c": (1, 2), "d": (1, 1),
-                 "b_y": (1,), "s0": (2,)}
-
-
-def _block_slices(shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, slice], int]:
-    """Consecutive slices of named blocks in table order, and their total size."""
-    slices, stop = {}, 0
-    for name, shape in shapes.items():
-        slices[name] = slice(stop, stop + math.prod(shape))
-        stop = slices[name].stop
-    return slices, stop
-
-
-_PARAM_SLICES, PARAM_DIM = _block_slices(_PARAM_BLOCKS)
 
 # Steady-state approximation tolerance used when generating data.
 _DATA_BURN_IN_TOL = 1e-9
@@ -255,7 +237,7 @@ def _prior_cloud(cfg: ExperimentConfig, seed: int) -> np.ndarray:
     """
     chain = cfg.chain
     rng = _chain_rng(chain.base_seed, seed)
-    a_cols, a_shape = _PARAM_SLICES["a"], _PARAM_BLOCKS["a"]
+    a_cols, a_shape = PARAM_SLICES["a"], PARAM_BLOCKS["a"]
     theta = np.zeros(PARAM_DIM)
     log_p = 0.0
     cloud = np.empty((cfg.n_f, PARAM_DIM))
@@ -303,7 +285,7 @@ def _seed_facts(cfg: ExperimentConfig, thetas: np.ndarray, data: Trajectory) -> 
     """
     # Each block's rows, one per weight in row-major order: the rows of "a"
     # are A[0, 0], A[0, 1], A[1, 0], A[1, 1].
-    a, b, c, d, s0 = (thetas[:, _PARAM_SLICES[k]].T for k in ("a", "b", "c", "d", "s0"))
+    a, b, c, d, s0 = (thetas[:, PARAM_SLICES[k]].T for k in ("a", "b", "c", "d", "s0"))
     consts = block_constants(
         _RELU.lipschitz, _TANH.lipschitz, spectral_norm_2x2(a[0], a[1], a[2], a[3]),
         np.hypot(b[0], b[1]), np.hypot(c[0], c[1]), np.abs(d[0]),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from stablepac import RnnSystem, Trajectory, activation
-from stablepac.experiment import _PARAM_BLOCKS, _PARAM_SLICES
+from stablepac.cloudloss import PARAM_BLOCKS, PARAM_SLICES
 
 
 def eig_spectral_norm(m):
@@ -17,8 +17,8 @@ def eig_spectral_norm(m):
 def benchmark_predictor(theta):
     """The benchmark's ReLU/tanh predictor and initial state from a parameter vector."""
     blocks = {
-        name: theta[_PARAM_SLICES[name]].reshape(shape)
-        for name, shape in _PARAM_BLOCKS.items()
+        name: theta[PARAM_SLICES[name]].reshape(shape)
+        for name, shape in PARAM_BLOCKS.items()
     }
     s0 = blocks.pop("s0")
     return RnnSystem(**blocks, sigma_f=activation("relu"), sigma_g=activation("tanh")), s0
@@ -102,7 +102,7 @@ def reference_batch_losses(thetas, inputs, labels):
     Each loss is one running sum of its squared errors in time order from 0.0.
     The blocks are read by name, each as one row per weight.
     """
-    w = {name: thetas[:, cols].T for name, cols in _PARAM_SLICES.items()}
+    w = {name: thetas[:, cols].T for name, cols in PARAM_SLICES.items()}
     a, c, s = w["a"].reshape(2, 2, -1), w["c"], w["s0"]
     acc = np.zeros(thetas.shape[0])
     for x, y in zip(inputs[:, 0], labels[:, 0]):
@@ -115,7 +115,7 @@ def reference_batch_losses(thetas, inputs, labels):
 def reference_final_states(thetas, inputs):
     """Step loop: the state of every predictor of the cloud after the inputs,
     each started from its own s0, as a (samples, 2) array."""
-    w = {name: thetas[:, cols].T for name, cols in _PARAM_SLICES.items()}
+    w = {name: thetas[:, cols].T for name, cols in PARAM_SLICES.items()}
     a, s = w["a"].reshape(2, 2, -1), w["s0"]
     for x in inputs[:, 0]:
         s = np.maximum(a[:, 0] * s[0] + a[:, 1] * s[1] + w["b"] * x + w["b_s"], 0.0)

@@ -29,12 +29,10 @@ from stablepac import (
 from stablepac.bound import (
     BoundReport, gibbs_log_estimates, pac_bound, pooled_psi, psi1_exponent, psi2_exponent,
 )
-from stablepac.cloudloss import prefix_losses
+from stablepac.cloudloss import PARAM_DIM, PARAM_SLICES, prefix_losses
 from stablepac.errors import ConfigError, KernelBuildError
 from stablepac.experiment import (
     _DATA_BURN_IN_TOL,
-    _PARAM_SLICES,
-    PARAM_DIM,
     ChainSettings,
     _chain_rng,
     _prior_cloud,
@@ -181,9 +179,11 @@ class TestParameterVector:
         assert np.array_equal(sys.b_y, [11.0])
         assert np.array_equal(s0, [12.0, 13.0])
 
-    def test_experiment_reads_blocks_only_through_the_table(self):
-        # A hand-written index into a parameter vector would fix a second
-        # copy of the layout; every block is read through _PARAM_SLICES.
+    @pytest.mark.parametrize("module", ["experiment.py", "cloudloss.py"])
+    def test_module_reads_blocks_only_through_the_table(self, module):
+        # A hand-written index into a parameter vector, or into the loss
+        # kernel's rows, would fix a second copy of the layout; every block is
+        # read through PARAM_SLICES.
         def int_literal(node):
             try:
                 return isinstance(ast.literal_eval(node), int)
@@ -198,7 +198,7 @@ class TestParameterVector:
                 return any(b is not None and int_literal(b) for b in bounds)
             return int_literal(node)
 
-        path = Path(__file__).resolve().parent.parent / "src" / "stablepac" / "experiment.py"
+        path = Path(__file__).resolve().parent.parent / "src" / "stablepac" / module
         source = path.read_text(encoding="utf-8")
         sites = []
         for node in ast.walk(ast.parse(source)):
@@ -209,7 +209,7 @@ class TestParameterVector:
                 vector = vector.value
             if (
                 isinstance(vector, ast.Name)
-                and vector.id in {"theta", "thetas", "th", "prop"}
+                and vector.id in {"theta", "thetas", "th", "prop", "rows"}
                 and literal_index(node.slice)
             ):
                 sites.append(f"{node.lineno}: {ast.get_source_segment(source, node)}")
@@ -504,8 +504,8 @@ class TestRunExperiment:
         # empirical loss differ only if their summation rules do: equal bit
         # for bit at every n.
         thetas = rng.normal(0, 0.14, size=(20, PARAM_DIM))
-        thetas[:, _PARAM_SLICES["a"]] = 0.0
-        thetas[:, _PARAM_SLICES["c"].start + 1] = 0.0
+        thetas[:, PARAM_SLICES["a"]] = 0.0
+        thetas[:, PARAM_SLICES["c"].start + 1] = 0.0
         ns = [1000, 4096, 4097, 9000]
         rows = prefix_losses(thetas, data.inputs, data.outputs, ns)
         for n, row in zip(ns, rows):
@@ -865,7 +865,7 @@ class TestRunExperiment:
 def _stable_cloud(rng, m, a_norm=0.3):
     """m predictors at the prior's scale with ||A||_2 = a_norm each."""
     thetas = rng.normal(0, 0.3, size=(m, PARAM_DIM))
-    a = thetas[:, _PARAM_SLICES["a"]]
+    a = thetas[:, PARAM_SLICES["a"]]
     a *= (a_norm / spectral_norm_2x2(*a.T))[:, None]
     return thetas
 
@@ -897,6 +897,18 @@ def fresh_kernel(monkeypatch, tmp_path):
     cloudloss._kernel.cache_clear()
     yield cloudloss
     cloudloss._kernel.cache_clear()
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """A loss pass that fails the test if it loads the kernel: for inputs it
+    must reject first, since the kernel reads them from raw addresses."""
+    import stablepac.cloudloss as cloudloss
+
+    def kernel():
+        raise AssertionError("the kernel was loaded for a misshapen input")
+
+    monkeypatch.setattr(cloudloss, "_kernel", kernel)
 
 
 @pytest.fixture
@@ -1084,21 +1096,25 @@ class TestLossRounds:
             )
 
     @pytest.mark.parametrize(
-        "shape", [(4, PARAM_DIM - 1), (4, PARAM_DIM + 1), (PARAM_DIM,), (2, 4, PARAM_DIM)],
-        ids=["narrow", "wide", "1-d", "3-d"],
+        "shape",
+        [(4, PARAM_DIM - 1), (4, PARAM_DIM + 1), (PARAM_DIM,), (2, 4, PARAM_DIM), (0, PARAM_DIM)],
+        ids=["narrow", "wide", "1-d", "3-d", "empty"],
     )
-    def test_misshapen_cloud_rejected_before_the_kernel(self, monkeypatch, shape):
-        # The kernel reads 14 rows of m doubles from raw addresses.
-        import stablepac.cloudloss as cloudloss
-
-        def no_kernel():
-            raise AssertionError("the kernel was loaded for a misshapen cloud")
-
-        assert cloudloss._PARAMS == PARAM_DIM
-        monkeypatch.setattr(cloudloss, "_kernel", no_kernel)
+    def test_misshapen_cloud_rejected_before_the_kernel(self, no_kernel, shape):
+        # The kernel reads PARAM_DIM rows of m >= 1 doubles.
         data = generate_dataset(15, 50)
-        with pytest.raises(ValueError, match="cloud must be"):
+        with pytest.raises(ValueError, match=r"cloud must be .*" + re.escape(str(shape))):
             prefix_losses(np.zeros(shape), data.inputs, data.outputs, [10, 50])
+
+    @pytest.mark.parametrize("which", ["inputs", "labels"])
+    @pytest.mark.parametrize("shape", [(50, 2), (50,)], ids=["two-columns", "1-d"])
+    def test_misshapen_data_rejected_before_the_kernel(self, no_kernel, shape, which):
+        # The kernel reads one column through its row stride: a second column
+        # would go unread, and a 1-D array has no column.
+        data = generate_dataset(15, 50)
+        args = {"inputs": data.inputs, "labels": data.outputs, which: np.zeros(shape)}
+        with pytest.raises(ValueError, match=r"data must be \(n, 1\).*" + re.escape(str(shape))):
+            prefix_losses(np.zeros((4, PARAM_DIM)), args["inputs"], args["labels"], [10, 50])
 
     def test_cloud_layout_does_not_change_the_losses(self):
         # A Fortran-ordered cloud, whose transpose is C-contiguous, and a
@@ -1306,7 +1322,7 @@ class TestCloudCertificate:
         cfg = ExperimentConfig()
         rows = np.random.default_rng(10).choice(cfg.n_f, 400, replace=False)
         cloud = _prior_cloud(cfg, 0)[rows]
-        taus = spectral_norm_2x2(*cloud[:, _PARAM_SLICES["a"]].T)
+        taus = spectral_norm_2x2(*cloud[:, PARAM_SLICES["a"]].T)
         offsets = np.random.default_rng(11).normal(size=(cloud.shape[0], 2))
         inputs = generate_dataset(0, 200).inputs
         powers = np.arange(inputs.shape[0])
@@ -1337,7 +1353,7 @@ class TestCloudCertificate:
         bound = transient_gap_bound(
             facts.constants, facts.l_ell, facts.data.b_q, facts.s0_norm, n
         )
-        s0 = _PARAM_SLICES["s0"]
+        s0 = PARAM_SLICES["s0"]
         from_zero, steady = cloud.copy(), cloud.copy()
         from_zero[:, s0] = 0.0
         gaps = []
