@@ -16,8 +16,8 @@ data prefix (``cloudloss.prefix_losses``), stepping each run of identical
 consecutive rows once: a rejected proposal repeats the chain's state.  Each
 loss is one running sum of its steps in time order, the rule of
 ``empirical_loss``, and a compiled step loop gets the numpy step loop's
-losses bit for bit.  One reduction (``_reduce``) turns the facts into the
-bound's terms at any sequence of (n, lambda) pairs.
+losses bit for bit.  One function (``_cell``) turns the facts and one loss
+row into the report of an (n, lambda) cell.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -260,11 +260,10 @@ class _SeedFacts:
     """What one seed's cloud and data give the bound, whatever n and lambda.
 
     ``constants``, ``gains``, ``l_ell`` and ``s0_norm`` hold one array entry
-    per sample; ``losses`` holds one row per n of ``ns``, the cloud's mean
+    per sample; ``losses`` holds one row per n of the grid, the cloud's mean
     losses on that data prefix.
     """
 
-    ns: tuple[int, ...]
     data: DataConstants
     constants: StabilityConstants
     gains: GainPair
@@ -299,34 +298,32 @@ def _seed_facts(cfg: ExperimentConfig, thetas: np.ndarray, data: Trajectory) -> 
     gh = gain_pair(consts)
     dc = generator_data_constants(build_reference_generator(), cfg.e_inf)
     return _SeedFacts(
-        ns=cfg.n_grid, data=dc, constants=consts, gains=gh,
+        data=dc, constants=consts, gains=gh,
         l_ell=loss_lipschitz(_SQUARE_LOSS, dc, gh), s0_norm=np.hypot(s0[0], s0[1]),
         losses=prefix_losses(thetas, data.inputs, data.outputs, cfg.n_grid),
     )
 
 
-def _reduce(
-    facts: _SeedFacts, ns: Sequence[int], lambdas: Sequence[float], delta: float
-) -> tuple[tuple[float, ...], ...]:
-    """Columns ``(psi, kl, post_emp_loss, z_hat, r_n)``, one entry per (n, lambda) pair.
+def _cell(
+    facts: _SeedFacts, seed: int, n: int, losses: np.ndarray, lambda_: float, delta: float
+) -> BoundReport:
+    """The report of one (n, lambda) cell: the seed's facts and the cloud's losses at n.
 
-    Each pair reads the loss row of its n and reduces it with the scalar
-    functions, one pair at a time.  The exponents and log-weights of all
-    pairs as (pairs, samples) arrays give the same bytes, but raised the
-    peak RSS of the 8-pair, 5000-sample reference grid from 38.75 to 39.25
-    MB (three runs each on one CPU).
+    One cell at a time: the exponents and log-weights of all cells as
+    (cells, samples) arrays give the same bytes, but raised the peak RSS of
+    the 8-cell, 5000-sample reference grid from 38.75 to 39.25 MB (three runs
+    each on one CPU).
     """
-    terms = []
-    for n, lambda_ in zip(ns, lambdas):
-        losses = facts.losses[facts.ns.index(n)]
-        psi = pooled_psi(
-            psi1_exponent(lambda_, n, facts.l_ell, facts.data, facts.gains),
-            psi2_exponent(lambda_, n, facts.l_ell, facts.constants, facts.data.b_q,
-                          facts.gains, facts.s0_norm),
-        )
-        z_hat, kl, post = gibbs_log_estimates(-lambda_ * losses, losses)
-        terms.append((psi, kl, post, z_hat, pac_bound(lambda_, delta, kl, psi)))
-    return tuple(zip(*terms))
+    psi = pooled_psi(
+        psi1_exponent(lambda_, n, facts.l_ell, facts.data, facts.gains),
+        psi2_exponent(lambda_, n, facts.l_ell, facts.constants, facts.data.b_q,
+                      facts.gains, facts.s0_norm),
+    )
+    z_hat, kl, post = gibbs_log_estimates(-lambda_ * losses, losses)
+    r_n = pac_bound(lambda_, delta, kl, psi)
+    return BoundReport(n=n, seed=seed, lambda_=lambda_, delta=delta, kl=kl, psi_hat=psi,
+                       r_n=r_n, post_emp_loss=post, total=post + r_n, z_hat=z_hat,
+                       n_samples=losses.size)
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundReport]:
@@ -335,20 +332,14 @@ def run_seed(cfg: ExperimentConfig, seed: int, data: Trajectory) -> list[BoundRe
     One prior cloud serves every n: the prior depends on neither the data nor
     n, so each per-n bound stays valid and equals the report of a one-n grid.
     The cloud's facts (``_seed_facts``) depend on neither n nor lambda; only
-    their reduction at each (n, lambda) pair does (``_reduce``).
+    each (n, lambda) cell's report does (``_cell``).
     """
     n_max = cfg.n_grid[-1]
     if data.length < n_max:
         raise ValueError(f"data has {data.length} rows, need at least {n_max}")
     facts = _seed_facts(cfg, _prior_cloud(cfg, seed), data)
-    lambdas = [cfg.lambda_for(n) for n in cfg.n_grid]
-    columns = _reduce(facts, cfg.n_grid, lambdas, cfg.delta)
-    return [
-        BoundReport(n=n, seed=seed, lambda_=lambda_, delta=cfg.delta, kl=kl, psi_hat=ph,
-                    r_n=r_n, post_emp_loss=post, total=post + r_n, z_hat=z_hat,
-                    n_samples=cfg.n_f)
-        for n, lambda_, ph, kl, post, z_hat, r_n in zip(cfg.n_grid, lambdas, *columns)
-    ]
+    return [_cell(facts, seed, n, losses, cfg.lambda_for(n), cfg.delta)
+            for n, losses in zip(cfg.n_grid, facts.losses)]
 
 
 class ExperimentReports(list):

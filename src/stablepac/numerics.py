@@ -54,7 +54,7 @@ def check_finite_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _power_iterate(gram: np.ndarray, v: np.ndarray) -> float:
-    """Largest eigenvalue estimate of a symmetric PSD matrix from one start vector.
+    """Largest eigenvalue estimate of a symmetric PSD matrix from one nonzero start vector.
 
     One Gram product per iteration: ``w = gram @ v`` of the Rayleigh quotient
     is the next iteration's unnormalised iterate.  ``v`` and ``w`` are this
@@ -62,10 +62,7 @@ def _power_iterate(gram: np.ndarray, v: np.ndarray) -> float:
     ``gram.dot(v, w)`` runs the gemv of ``np.matmul(gram, v, out=w)`` with
     less dispatch.
     """
-    nrm = math.sqrt(v.dot(v))
-    if nrm == 0.0:
-        return 0.0
-    v = v / nrm
+    v = v / math.sqrt(v.dot(v))
     w = gram @ v
     gram_dot, v_dot, w_dot, divide = gram.dot, v.dot, w.dot, np.divide
     lam = 0.0
@@ -159,7 +156,7 @@ def truncated_gaussian(
     for a given generator state.  The values are the stream's first n
     accepted draws, whatever the block size.
     """
-    if std <= 0 or bound <= 0:
+    if not (std > 0 and bound > 0):
         raise ValueError("std and bound must be positive")
     if n <= 0:
         raise ValueError("n must be a positive integer")

@@ -309,6 +309,16 @@ class TestBoundCommand:
         assert math.isfinite(doc["r_n"]) and math.isfinite(doc["total"])
         assert doc["z_hat"] > 0.0 and not math.isnan(doc["z_hat"])
 
+    def test_sqrt_n_lambda_is_the_default(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_f": 50, "chain": {"burn_in": 20}}))
+        argv = ["bound", "--config", str(cfg_path), "--n", "20"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--lambda", "sqrt_n"]) == 0
+        assert capsys.readouterr().out == default
+        assert json.loads(default)["lambda_"] == math.sqrt(20)
+
     def test_bad_lambda_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--n", "5", "--lambda", "abc"])
@@ -344,6 +354,7 @@ def test_bad_seed_is_usage_error(command, seed, generator_path, tmp_path, capsys
         ("generate-data", "--e-inf", "-1"),
         ("generate-data", "--e-std", "0"),
         ("generate-data", "--e-std", "nan"),
+        ("generate-data", "--e-std", "abc"),
         ("simulate", "--n", "0"),
         ("simulate", "--e-inf", "0"),
         ("simulate", "--e-std", "-1"),
@@ -377,8 +388,10 @@ def test_nonpositive_number_is_usage_error(
         (["check-stability", "--model"], {"sigma_f": "gelu"}, "activation"),
         (["data-constants", "--model"], "{", "Expecting"),
         (["experiment", "--config"], None, "No such file"),
+        (["experiment", "--config"], "{", "is not JSON"),
     ],
-    ids=["missing", "no-B", "non-square", "gelu", "not-json", "missing-config"],
+    ids=["missing", "no-B", "non-square", "gelu", "not-json", "missing-config",
+         "not-json-config"],
 )
 def test_bad_input_file_is_usage_error(
     argv, content, message, generator_path, tmp_path, capsys

@@ -515,6 +515,23 @@ class TestBurnInLength:
             if t > 0:
                 assert factor * consts.tau ** (t - 1) > tol
 
+    @pytest.mark.parametrize(
+        "tau,c,tol,closed_form,want",
+        [
+            # the closed form rounds up past the boundary: the first loop steps down
+            (0.31172977773756705, 4.687999145318424, 2.200146522960962e-12, 27, 26),
+            # the closed form falls short of the boundary: the second loop steps up
+            (0.5472790249554259, 2.8501381328086923, 1.375226127857626e-07, 31, 32),
+        ],
+    )
+    def test_closed_form_settled_at_the_boundary(self, tau, c, tol, closed_form, want):
+        consts = StabilityConstants(c=c, tau=tau, l_v=1.0, l_gs=1.0, l_gv=1.0)
+        factor = c * (c / (1 - tau))
+        assert math.ceil(math.log(tol / factor) / math.log(tau)) == closed_form
+        t = burn_in_length(consts, 0.0, tol)
+        assert t == want
+        assert factor * tau**t <= tol < factor * tau ** (t - 1)
+
     def test_unstable_certificate_unrepresentable(self):
         # the certificate type itself rejects tau >= 1, so burn_in_length can
         # never be reached with a non-contractive certificate

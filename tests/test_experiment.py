@@ -34,9 +34,9 @@ from stablepac.errors import ConfigError, KernelBuildError
 from stablepac.experiment import (
     _DATA_BURN_IN_TOL,
     ChainSettings,
+    _cell,
     _chain_rng,
     _prior_cloud,
-    _reduce,
     _seed_facts,
     emit_curves,
     write_outputs,
@@ -133,6 +133,17 @@ class TestGenerateDataset:
         a = generate_dataset(3, 50)
         b = generate_dataset(3, 80)
         assert np.array_equal(a.inputs, b.inputs[:50])
+
+    @pytest.mark.parametrize(
+        "n,e_std,message",
+        [
+            (0, 1.0, "n must be a positive integer"),
+            (10, math.nan, "std and bound must be positive"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, n, e_std, message):
+        with pytest.raises(ValueError, match=message):
+            generate_dataset(0, n, e_std=e_std)
 
     def test_length_and_shapes(self):
         traj = generate_dataset(1, 37)
@@ -1367,21 +1378,19 @@ class TestCloudCertificate:
         assert np.all(np.max(gaps, axis=0) <= bound)
 
 
-class TestReduce:
-    def test_pairs_equal_the_scalar_calls(self):
+class TestCell:
+    def test_cells_equal_the_scalar_calls(self):
         # Seed 0's default cloud; at (1000, 1000) exp(-lambda * loss)
         # underflows for some samples.
         cfg = ExperimentConfig(n_grid=(5, 1000), n_seeds=1)
         facts = _seed_facts(cfg, _prior_cloud(cfg, 0), generate_dataset(0, 1000))
         assert np.count_nonzero(np.exp(-1000.0 * facts.losses[1]) == 0.0) > 0
-        pairs = [(5, math.sqrt(5)), (5, 1000.0), (1000, 1000.0)]
-        ns, lambdas = zip(*pairs)
-        got = _reduce(facts, ns, lambdas, cfg.delta)
-        assert all(len(column) == len(pairs) for column in got)
-        for i, (n, lambda_) in enumerate(pairs):
+        for n, lambda_ in [(5, math.sqrt(5)), (5, 1000.0), (1000, 1000.0)]:
             losses = facts.losses[cfg.n_grid.index(n)]
+            got = _cell(facts, 0, n, losses, lambda_, cfg.delta)
             want = scalar_terms(facts, n, lambda_, losses, cfg.delta)
-            assert [column[i].hex() for column in got] == [w.hex() for w in want]
+            assert [got.psi_hat.hex(), got.kl.hex(), got.post_emp_loss.hex(),
+                    got.z_hat.hex(), got.r_n.hex()] == [w.hex() for w in want]
 
 
 class TestEmitCurves:

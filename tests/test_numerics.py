@@ -260,6 +260,13 @@ class TestTruncatedGaussian:
         b = truncated_gaussian(seeded_rng(42), 2.0, 3.0, 1000)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "std,bound", [(0.0, 1.27), (1.0, -1.0), (math.nan, 1.27), (1.0, math.nan)]
+    )
+    def test_nonpositive_or_nan_scale_rejected(self, std, bound):
+        with pytest.raises(ValueError, match="std and bound must be positive"):
+            truncated_gaussian(seeded_rng(0), std, bound, 10)
+
     def test_degenerate_truncation_rejected(self):
         with pytest.raises(DegenerateTruncationError):
             truncated_gaussian(seeded_rng(0), 1.0, 1e-7, 10)
