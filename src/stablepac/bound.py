@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import GainPair, StabilityConstants, transient_bracket
-from .errors import InvalidConfidenceError
+from .errors import INT, NONNEGATIVE, POSITIVE, REAL, InvalidConfidenceError, check
 from .mixing import DataConstants
 from .numerics import log_mean_exp, shifted_exp
 
@@ -37,10 +37,9 @@ class SampleRecord:
     psi2_exp: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.psi1_exp) and math.isfinite(self.psi2_exp)):
-            raise ValueError("moment exponents must be finite")
-        if self.emp_loss < 0:
-            raise ValueError("empirical loss must be nonnegative")
+        check("psi1_exp", self.psi1_exp, REAL)
+        check("psi2_exp", self.psi2_exp, REAL)
+        check("emp_loss", self.emp_loss, REAL, NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,8 @@ def psi1_exponent(
 
         (2 * lambda^2 * l_ell^2 / n) * (b_q*(g+h) + theta_bar*g)^2
     """
-    if lambda_ <= 0 or n < 1:
-        raise ValueError("lambda must be positive and n >= 1")
+    check("lambda_", lambda_, REAL, POSITIVE)
+    check("n", n, INT, POSITIVE)
     inner = data.b_q * (gh.g + gh.h) + data.theta_bar * gh.g
     return (2.0 * lambda_ * lambda_ * l_ell * l_ell / n) * inner * inner
 
@@ -89,8 +88,8 @@ def psi2_exponent(
     2*lambda times transient_gap_bound: the log-MGF bound, at s = 2*lambda,
     of a term bounded deterministically.
     """
-    if lambda_ <= 0 or n < 1:
-        raise ValueError("lambda must be positive and n >= 1")
+    check("lambda_", lambda_, REAL, POSITIVE)
+    check("n", n, INT, POSITIVE)
     return (2.0 * lambda_ * l_ell * c.c / n) * transient_bracket(c, gh, b_q, s0_norm)
 
 
@@ -154,8 +153,8 @@ def gibbs_estimates(beta: np.ndarray, losses: np.ndarray) -> tuple[float, float,
 
 def pac_bound(lambda_: float, delta: float, kl: float, psi_hat_val: float) -> float:
     """Gap bound r_n = (kl + ln(1/delta) + psi_hat) / lambda."""
-    if lambda_ <= 0:
-        raise ValueError("lambda must be positive")
+    check("lambda_", lambda_, REAL, POSITIVE)
     if not 0.0 < delta <= 0.5:
         raise InvalidConfidenceError(f"delta must lie in (0, 0.5], got {delta}")
-    return (kl + math.log(1.0 / delta) + psi_hat_val) / lambda_
+    # -ln(delta), not ln(1/delta): 1/delta overflows for a subnormal delta.
+    return (kl - math.log(delta) + psi_hat_val) / lambda_

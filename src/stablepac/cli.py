@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -17,7 +16,9 @@ import numpy as np
 
 from .certify import rnn_constants
 from .dynsys import Trajectory, load_model, save_trajectory, simulate
-from .errors import ConfigError, NotStableError, StablepacError
+from .errors import (
+    INT, NONNEGATIVE, POSITIVE, REAL, ConfigError, NotStableError, StablepacError, check,
+)
 from .experiment import (
     ExperimentConfig,
     emit_curves,
@@ -34,28 +35,24 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _seed(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"seed must be a nonnegative integer, got {text!r}"
-        )
-    return int(text)
+def _checked(name: str, *rules):
+    """An argparse type: the text read as an int under the INT rule, else as a
+    float, and checked as ``name``; text that does not parse fails that rule.
+    The rule's message becomes the usage error."""
+    parse = int if INT in rules else float
 
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = text
+        try:
+            check(name, value, *rules)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-        if math.isfinite(value) and value > 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return convert
 
 
 def _lambda(text: str) -> str | float:
@@ -168,11 +165,14 @@ def _build_parser() -> argparse.ArgumentParser:
     # Options of several subcommands, each declared once and taken in as
     # parents; the noise defaults are ExperimentConfig's.
     model, noise, e_inf, out = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    seed = _checked("seed", INT, NONNEGATIVE)
     model.add_argument("--model", required=True)
-    noise.add_argument("--seed", type=_seed, default=0)
-    noise.add_argument("--n", type=_positive_int, required=True)
-    noise.add_argument("--e-std", type=_positive_float, default=ExperimentConfig.e_std)
-    e_inf.add_argument("--e-inf", type=_positive_float, default=ExperimentConfig.e_inf)
+    noise.add_argument("--seed", type=seed, default=0)
+    noise.add_argument("--n", type=_checked("n", INT, POSITIVE), required=True)
+    noise.add_argument("--e-std", type=_checked("e_std", REAL, POSITIVE),
+                       default=ExperimentConfig.e_std)
+    e_inf.add_argument("--e-inf", type=_checked("e_inf", REAL, POSITIVE),
+                       default=ExperimentConfig.e_inf)
     out.add_argument("--out", required=True)
     trajectory = [noise, e_inf, out]
 
@@ -191,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate the bound for one (seed, n) cell")
     p.add_argument("--config")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lambda_", type=_lambda, default=None,
                    help="'sqrt_n' or a fixed positive value")

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import NONNEGATIVE, POSITIVE, REAL, ConfigError, check
 from .numerics import ZERO, check_finite_matrix
 
 if TYPE_CHECKING:
@@ -277,10 +277,8 @@ def burn_in_length(consts: "StabilityConstants", s0_bound: float, tol: float) ->
     ``s0_bound`` of the origin and the steady-state trajectory, whose norm is
     at most c/(1-tau) for unit-bounded inputs.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if s0_bound < 0:
-        raise ValueError("s0_bound must be nonnegative")
+    check("tol", tol, REAL, POSITIVE)
+    check("s0_bound", s0_bound, REAL, NONNEGATIVE)
     factor = consts.c * (s0_bound + consts.c / (1.0 - consts.tau))
     if factor <= tol:
         return 0

@@ -1,4 +1,29 @@
-"""Domain-specific exceptions shared across the package."""
+"""Domain-specific exceptions shared across the package, and ``check``, the
+one checker of scalar arguments and configuration values."""
+
+import math
+import numbers
+
+# A scalar's rules, each a (test, condition) pair that ``check`` tries in
+# order.  A count such as 5.7 must not be truncated silently, and a string or
+# None must not fail in a comparison that names no argument; bool is an
+# Integral too, but True/False for a number is a typo.
+INT = (lambda v: not isinstance(v, bool) and isinstance(v, numbers.Integral), "an integer")
+REAL = (
+    lambda v: not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v),
+    "a finite number",
+)
+POSITIVE = (lambda v: v > 0, "> 0")
+NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+
+
+def check(name: str, value, *rules, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` and the value at the first rule it fails:
+    ``<name> must be <condition>, got <value>``."""
+    for test, condition in rules:
+        if not test(value):
+            raise error(f"{name} must be {condition}, got {value!r}")
 
 
 class StablepacError(ValueError):

@@ -23,7 +23,6 @@ row into the report of an (n, lambda) cell.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -49,7 +48,7 @@ from .dynsys import (
     save_trajectory,
     simulate,
 )
-from .errors import ConfigError
+from .errors import AT_LEAST_ONE, INT, NONNEGATIVE, POSITIVE, REAL, ConfigError, check
 from .loss import LossSpec, loss_lipschitz
 from .mixing import DataConstants, generator_data_constants
 from .numerics import seeded_rng, spectral_norm, spectral_norm_2x2, truncated_gaussian
@@ -82,35 +81,15 @@ def build_reference_generator() -> RnnSystem:
     )
 
 
-# A config key's rules, each a (test, condition) pair, checked in order.  A
-# count such as 5.7 must not be truncated silently, and a string or null must
-# not fail in a comparison that names no key; bool is an Integral too, but
-# true/false for a number is a typo.
-_INT = (lambda v: not isinstance(v, bool) and isinstance(v, numbers.Integral), "an integer")
-_REAL = (
-    lambda v: not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v),
-    "a finite number",
-)
-_POSITIVE = (lambda v: v > 0, "> 0")
-_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
-_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
-
-
 def _key(default, *rules):
     """A config field with its default and the rules its values must pass."""
     return field(default=default, metadata={"rules": rules})
 
 
-def _check(key: str, value, *rules) -> None:
-    """Raise ConfigError naming the key and the value at the first rule it fails."""
-    for test, condition in rules:
-        if not test(value):
-            raise ConfigError(f"{key} must be {condition}, got {value!r}")
-
-
 def _check_fields(cfg, prefix: str = "") -> None:
     for f in fields(cfg):
-        _check(prefix + f.name, getattr(cfg, f.name), *f.metadata.get("rules", ()))
+        check(prefix + f.name, getattr(cfg, f.name), *f.metadata.get("rules", ()),
+              error=ConfigError)
 
 
 def _check_keys(cls, doc: dict, prefix: str = "") -> None:
@@ -129,10 +108,10 @@ class ChainSettings:
     thin >= 1 already give it a step and a burn-in shorter than the chain.
     """
 
-    proposal_std: float = _key(0.05, _REAL, _POSITIVE)
-    burn_in: int = _key(500, _INT, _NONNEGATIVE)
-    thin: int = _key(1, _INT, _AT_LEAST_ONE)
-    base_seed: int = _key(0, _INT, _NONNEGATIVE)
+    proposal_std: float = _key(0.05, REAL, POSITIVE)
+    burn_in: int = _key(500, INT, NONNEGATIVE)
+    thin: int = _key(1, INT, AT_LEAST_ONE)
+    base_seed: int = _key(0, INT, NONNEGATIVE)
 
     def __post_init__(self):
         _check_fields(self, "chain.")
@@ -147,32 +126,34 @@ class ExperimentConfig:
     """
 
     n_grid: tuple[int, ...] = (5, 9, 20, 50, 100, 200, 500, 1000)
-    n_seeds: int = _key(10, _INT, _AT_LEAST_ONE)
-    prior_sigma2: float = _key(0.02, _REAL, _POSITIVE)
+    n_seeds: int = _key(10, INT, AT_LEAST_ONE)
+    prior_sigma2: float = _key(0.02, REAL, POSITIVE)
     lambda_rule: str | float = "sqrt_n"
-    delta: float = _key(0.025, _REAL, (lambda v: 0 < v <= 0.5, "in (0, 0.5]"))
-    n_f: int = _key(5000, _INT, _AT_LEAST_ONE)
+    delta: float = _key(0.025, REAL, (lambda v: 0 < v <= 0.5, "in (0, 0.5]"))
+    n_f: int = _key(5000, INT, AT_LEAST_ONE)
     chain: ChainSettings = field(default_factory=ChainSettings)
-    e_inf: float = _key(1.27, _REAL, _POSITIVE)
-    e_std: float = _key(1.0, _REAL, _POSITIVE)
-    tau_max: float = _key(0.995, _REAL, (lambda v: 0 < v < 1, "in (0, 1)"))
+    e_inf: float = _key(1.27, REAL, POSITIVE)
+    e_std: float = _key(1.0, REAL, POSITIVE)
+    tau_max: float = _key(0.995, REAL, (lambda v: 0 < v < 1, "in (0, 1)"))
 
     def __post_init__(self):
         grid = self.n_grid
-        _check("n_grid", grid, (lambda v: isinstance(v, (tuple, list)), "a list of integers"))
+        check("n_grid", grid, (lambda v: isinstance(v, (tuple, list)), "a list of integers"),
+              error=ConfigError)
         for i, n in enumerate(grid):
-            _check(f"n_grid[{i}]", n, _INT)
-        _check("n_grid", grid, (
+            check(f"n_grid[{i}]", n, INT, error=ConfigError)
+        check("n_grid", grid, (
             lambda v: v and v[0] >= 1 and all(a < b for a, b in zip(v, v[1:])),
             "a nonempty strictly ascending list of integers >= 1",
-        ))
+        ), error=ConfigError)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
-        _check("chain", self.chain, (lambda v: isinstance(v, ChainSettings), "an object"))
+        check("chain", self.chain, (lambda v: isinstance(v, ChainSettings), "an object"),
+              error=ConfigError)
         if isinstance(self.lambda_rule, str):
-            _check("lambda_rule", self.lambda_rule,
-                   (lambda v: v == "sqrt_n", "'sqrt_n' or a number > 0"))
+            check("lambda_rule", self.lambda_rule,
+                  (lambda v: v == "sqrt_n", "'sqrt_n' or a number > 0"), error=ConfigError)
         else:
-            _check("lambda_rule", self.lambda_rule, _REAL, _POSITIVE)
+            check("lambda_rule", self.lambda_rule, REAL, POSITIVE, error=ConfigError)
         _check_fields(self)
 
     def lambda_for(self, n: int) -> float:
@@ -182,7 +163,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        _check("config", doc, (lambda v: isinstance(v, dict), "an object"))
+        check("config", doc, (lambda v: isinstance(v, dict), "an object"), error=ConfigError)
         _check_keys(cls, doc)
         doc = dict(doc)
         if isinstance(doc.get("chain"), dict):
@@ -203,9 +184,12 @@ def generate_dataset(
     output coordinate is the label y(t), the second the predictor input x(t).
     The outputs are written over the noise (n_v = n_y = 2), so generation
     holds two (burn + n, 2) arrays, the noise and the states, not three.
+    Each argument is checked under its own name before any draw.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check("seed", seed, INT, NONNEGATIVE)
+    check("n", n, INT, POSITIVE)
+    check("e_std", e_std, REAL, POSITIVE)
+    check("e_inf", e_inf, REAL, POSITIVE)
     gen = build_reference_generator()
     burn = burn_in_length(rnn_constants(gen), 0.0, _DATA_BURN_IN_TOL)
     rng = seeded_rng(seed)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certify import GainPair, StabilityConstants, gain_pair, transient_bracket
 from .dynsys import RnnSystem, Trajectory, simulate
-from .errors import ConfigError
+from .errors import INT, NONNEGATIVE, POSITIVE, ConfigError, check
 from .mixing import DataConstants
 
 
@@ -30,8 +30,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in ("square", "softmax_xent"):
             raise ConfigError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "softmax_xent" and self.classes < 2:
-            raise ConfigError("softmax cross-entropy needs classes >= 2")
+        if self.kind == "softmax_xent":
+            check("classes", self.classes, INT, (lambda v: v >= 2, ">= 2"), error=ConfigError)
 
 
 def loss_value(spec: LossSpec, y: np.ndarray, yhat: np.ndarray) -> float:
@@ -96,8 +96,9 @@ def infinite_horizon_loss(
     averages only over the window after the burn-in prefix, which
     approximates the loss of the steady-state prediction trajectory.
     """
-    if burn_in < 0 or burn_in >= data_with_prefix.length:
-        raise ValueError("burn_in must satisfy 0 <= burn_in < trajectory length")
+    length = data_with_prefix.length
+    check("burn_in", burn_in, INT, NONNEGATIVE,
+          (lambda v: v < length, f"< the trajectory length {length}"))
     if data_with_prefix.inputs.shape[1] != pred_sys.n_v:
         raise ValueError("predictor input dimension does not match trajectory")
     _, preds = simulate(pred_sys, np.zeros(pred_sys.n_s), data_with_prefix.inputs)
@@ -114,6 +115,5 @@ def transient_gap_bound(
     loss; with the pipeline's l_ell it does not (README "Known-red",
     ROADMAP item 9).
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check("n", n, INT, POSITIVE)
     return (l_ell * c.c / n) * transient_bracket(c, gain_pair(c), b_q, s0_norm)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 from .certify import StabilityConstants, gain_pair, rnn_constants
 from .dynsys import RnnSystem
+from .errors import NONNEGATIVE, POSITIVE, REAL, check
 
 
 @dataclass(frozen=True)
@@ -24,12 +25,10 @@ class DataConstants:
     e_inf: float
 
     def __post_init__(self):
-        if not (self.b_q > 0 and math.isfinite(self.b_q)):
-            raise ValueError(f"b_q must be positive and finite, got {self.b_q}")
-        if not (self.theta_bar >= 0 and math.isfinite(self.theta_bar)):
-            raise ValueError(f"theta_bar must be nonnegative, got {self.theta_bar}")
-        if not (self.e_inf > 0 and math.isfinite(self.e_inf)):
-            raise ValueError(f"e_inf must be positive and finite, got {self.e_inf}")
+        # e_inf first: data_constants' b_q and theta_bar are multiples of it.
+        check("e_inf", self.e_inf, REAL, POSITIVE)
+        check("b_q", self.b_q, REAL, POSITIVE)
+        check("theta_bar", self.theta_bar, REAL, NONNEGATIVE)
 
 
 def data_constants(gen: StabilityConstants, e_inf: float) -> DataConstants:
@@ -38,10 +37,9 @@ def data_constants(gen: StabilityConstants, e_inf: float) -> DataConstants:
         b_q       = 2 * e_inf * g
         theta_bar = 2 * e_inf * h
 
-    where g and h are the generator's gain pair (see certify.gain_pair).
+    where g and h are the generator's gain pair (see certify.gain_pair);
+    DataConstants checks e_inf.
     """
-    if e_inf <= 0:
-        raise ValueError("e_inf must be positive")
     gh = gain_pair(gen)
     return DataConstants(b_q=2.0 * e_inf * gh.g, theta_bar=2.0 * e_inf * gh.h, e_inf=e_inf)
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateTruncationError, InstabilityError
+from .errors import INT, POSITIVE, REAL, DegenerateTruncationError, InstabilityError, check
 
 # A read-only 0-d zero for np.maximum's ReLU: numpy converts a Python 0.0
 # operand anew on every call, which doubles the cost of a ufunc call on a
@@ -156,10 +156,9 @@ def truncated_gaussian(
     for a given generator state.  The values are the stream's first n
     accepted draws, whatever the block size.
     """
-    if not (std > 0 and bound > 0):
-        raise ValueError("std and bound must be positive")
-    if n <= 0:
-        raise ValueError("n must be a positive integer")
+    check("std", std, REAL, POSITIVE)
+    check("bound", bound, REAL, POSITIVE)
+    check("n", n, INT, POSITIVE)
     if bound / std < 1e-6:
         raise DegenerateTruncationError(
             f"bound/std = {bound / std:.3e} is too small; rejection would stall"

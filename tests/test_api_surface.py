@@ -12,7 +12,9 @@ and result types of the functions checked here.  Exported error classes
 must be raised somewhere in the package: an exception that nothing raises
 is dead weight too.  Every name a package module imports must be used in
 that module, and no package module imports another's private (underscore)
-name: what two modules share is public in its one home.
+name: what two modules share is public in its one home.  No module but
+``errors`` guards a scalar argument by hand: ``errors.check`` and its rules
+decide every such guard, NaN, bool and non-integral values included.
 """
 
 import ast
@@ -20,6 +22,8 @@ import inspect
 import re
 import tomllib
 from pathlib import Path
+
+import pytest
 
 import stablepac
 from stablepac.errors import StablepacError
@@ -113,3 +117,68 @@ def test_no_private_name_imported_across_modules():
                     f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")
                 ]
     assert not private, f"private names imported from another package module: {private}"
+
+
+def _number_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _raises_value_error(body):
+    for node in ast.walk(ast.Module(body=body, type_ignores=[])):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "ConfigError"):
+                return True
+    return False
+
+
+def _scalar_guards(source):
+    """Lines of each ``if`` that compares a bare parameter of its function, or
+    ``self.<field>`` inside ``__post_init__``, with a number literal and
+    raises ValueError or ConfigError.  Only comparisons joined by and, or and
+    not count: one inside a call such as ``np.all(...)`` is elementwise over
+    an array, which ``check`` does not cover."""
+    sites = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        args = func.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs} - {"self"}
+
+        def bare(node):
+            if isinstance(node, ast.Name):
+                return node.id in params
+            return (
+                func.name == "__post_init__"
+                and isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            )
+
+        def guard(test):
+            if isinstance(test, ast.BoolOp):
+                return any(guard(v) for v in test.values)
+            if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+                return guard(test.operand)
+            if isinstance(test, ast.Compare):
+                operands = [test.left, *test.comparators]
+                return any(map(bare, operands)) and any(map(_number_literal, operands))
+            return False
+
+        for node in ast.walk(func):
+            if isinstance(node, ast.If) and guard(node.test) and _raises_value_error(node.body):
+                sites.add((node.lineno, ast.get_source_segment(source, node.test)))
+    return [f"{line}: {test}" for line, test in sorted(sites)]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "errors.py")
+)
+def test_scalar_arguments_checked_only_by_errors_check(module):
+    # A hand-written guard decides NaN, bool and non-integral values for
+    # itself; errors.check's rules decide them once for every argument.
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    sites = _scalar_guards(source)
+    assert not sites, f"scalar guarded by hand instead of errors.check: {sites}"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,24 @@ class TestPsiExponents:
         assert psi1_exponent(1e-9, 10, 1.0, DC_UNIT, gh) == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(ValueError):
             psi1_exponent(0.0, 10, 1.0, DC_UNIT, gh)
+
+    @pytest.mark.parametrize("psi", ["psi1", "psi2"])
+    @pytest.mark.parametrize(
+        "lambda_,n,message",
+        [
+            (math.nan, 10, "lambda_ must be a finite number, got nan"),
+            (1.0, 2.5, "n must be an integer, got 2.5"),
+        ],
+        ids=["lambda_=nan", "n=2.5"],
+    )
+    def test_bad_scalars_rejected(self, psi, lambda_, n, message):
+        c = StabilityConstants(c=1.0, tau=0.5, l_v=0.25, l_gs=1.0, l_gv=0.0)
+        gh = gain_pair(c)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if psi == "psi1":
+                psi1_exponent(lambda_, n, 1.0, DC_UNIT, gh)
+            else:
+                psi2_exponent(lambda_, n, 1.0, c, 1.0, gh, 1.0)
 
     def test_psi1_sqrt_n_rule_cancels_n(self):
         gh = GainPair(g=0.7, h=0.3)
@@ -182,6 +201,20 @@ class TestPsiHat:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             psi_hat([])
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("emp_loss", math.nan, "emp_loss must be a finite number, got nan"),
+            ("emp_loss", -0.5, "emp_loss must be >= 0, got -0.5"),
+            ("psi1_exp", math.inf, "psi1_exp must be a finite number, got inf"),
+        ],
+        ids=["emp_loss=nan", "emp_loss=-0.5", "psi1_exp=inf"],
+    )
+    def test_bad_record_rejected(self, field, value, message):
+        record = self._record_with_exponents(0.0, 0.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(record, **{field: value})
 
     def test_records_pool_like_arrays(self):
         rng = np.random.default_rng(12)
@@ -305,6 +338,16 @@ class TestPacBound:
         assert pac_bound(4.0, 0.1, 2.0, 1.0) == pytest.approx(
             pac_bound(2.0, 0.1, 2.0, 1.0) / 2.0, rel=1e-15
         )
+
+    def test_nan_lambda_rejected(self):
+        with pytest.raises(ValueError, match=r"^lambda_ must be a finite number, got nan$"):
+            pac_bound(math.nan, 0.025, 0.0, 0.0)
+
+    def test_subnormal_delta_stays_finite(self):
+        # ln(1/delta) as -ln(delta): 1/1e-320 overflows to inf.
+        assert pac_bound(1.0, 1e-320, 0.0, 0.0) == pytest.approx(736.8272408909739, rel=1e-15)
+        assert pac_bound(2.0, 1e-320, 1.0, 3.0) == pytest.approx(740.8272408909739 / 2.0,
+                                                                 rel=1e-15)
 
     def test_confidence_range(self):
         for delta in (0.0, -0.1, 0.6, 1.0):

@@ -341,7 +341,8 @@ def test_bad_seed_is_usage_error(command, seed, generator_path, tmp_path, capsys
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "error: argument --seed" in capsys.readouterr().err
+    # The rule's message, not int()'s "invalid literal".
+    assert "error: argument --seed: seed must be " in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -375,7 +376,8 @@ def test_nonpositive_number_is_usage_error(
     with pytest.raises(SystemExit) as exc:
         main(argv + [option, value])
     assert exc.value.code == 2
-    assert f"error: argument {option}" in capsys.readouterr().err
+    name = option[2:].replace("-", "_")
+    assert f"error: argument {option}: {name} must be " in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import subprocess
 import sys
 
@@ -531,6 +532,19 @@ class TestBurnInLength:
         t = burn_in_length(consts, 0.0, tol)
         assert t == want
         assert factor * tau**t <= tol < factor * tau ** (t - 1)
+
+    @pytest.mark.parametrize(
+        "s0_bound,tol,message",
+        [
+            (0.0, math.nan, "tol must be a finite number, got nan"),
+            (math.inf, 1e-9, "s0_bound must be a finite number, got inf"),
+        ],
+        ids=["tol=nan", "s0_bound=inf"],
+    )
+    def test_bad_arguments_rejected(self, s0_bound, tol, message):
+        consts = StabilityConstants(c=1.0, tau=0.5, l_v=1.0, l_gs=1.0, l_gv=1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            burn_in_length(consts, s0_bound, tol)
 
     def test_unstable_certificate_unrepresentable(self):
         # the certificate type itself rejects tau >= 1, so burn_in_length can

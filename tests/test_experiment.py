@@ -135,15 +135,22 @@ class TestGenerateDataset:
         assert np.array_equal(a.inputs, b.inputs[:50])
 
     @pytest.mark.parametrize(
-        "n,e_std,message",
+        "seed,n,e_std,e_inf,message",
         [
-            (0, 1.0, "n must be a positive integer"),
-            (10, math.nan, "std and bound must be positive"),
+            (0, 0, 1.0, 1.27, "n must be > 0, got 0"),
+            (0, 10, math.nan, 1.27, "e_std must be a finite number, got nan"),
+            (0, 2.5, 1.0, 1.27, "n must be an integer, got 2.5"),
+            (0, True, 1.0, 1.27, "n must be an integer, got True"),
+            (1.5, 10, 1.0, 1.27, "seed must be an integer, got 1.5"),
+            (-1, 10, 1.0, 1.27, "seed must be >= 0, got -1"),
+            (0, 10, 1.0, math.inf, "e_inf must be a finite number, got inf"),
         ],
+        ids=["n=0", "e_std=nan", "n=2.5", "n=True", "seed=1.5", "seed=-1", "e_inf=inf"],
     )
-    def test_bad_arguments_rejected(self, n, e_std, message):
-        with pytest.raises(ValueError, match=message):
-            generate_dataset(0, n, e_std=e_std)
+    def test_bad_arguments_rejected(self, seed, n, e_std, e_inf, message):
+        # Each is checked under its own name before any draw.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_dataset(seed, n, e_std=e_std, e_inf=e_inf)
 
     def test_length_and_shapes(self):
         traj = generate_dataset(1, 37)

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from stablepac import (
+    ConfigError,
     DataConstants,
     GainPair,
     LossSpec,
@@ -56,6 +58,10 @@ class TestLossValue:
     def test_softmax_needs_two_classes(self):
         with pytest.raises(ValueError):
             LossSpec(kind="softmax_xent", classes=1)
+
+    def test_softmax_classes_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match=r"^classes must be an integer, got 2\.5$"):
+            LossSpec(kind="softmax_xent", classes=2.5)
 
 
 class TestLossLipschitz:
@@ -129,6 +135,20 @@ class TestInfiniteHorizonLoss:
             SQUARE, sys, np.zeros(2), data
         )
 
+    @pytest.mark.parametrize(
+        "burn_in,message",
+        [
+            (-1, "burn_in must be >= 0, got -1"),
+            (1.5, "burn_in must be an integer, got 1.5"),
+            (50, "burn_in must be < the trajectory length 50, got 50"),
+        ],
+        ids=["burn_in=-1", "burn_in=1.5", "burn_in=50"],
+    )
+    def test_bad_burn_in_rejected(self, burn_in, message):
+        sys, _ = benchmark_predictor(np.zeros(14))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            infinite_horizon_loss(SQUARE, sys, generate_dataset(5, 50), burn_in)
+
     def test_steady_state_start_closes_the_gap(self):
         data = generate_dataset(6, 120)
         rng = np.random.default_rng(20)
@@ -178,6 +198,16 @@ class TestTransientGapBound:
         assert transient_gap_bound(c, 2.0, 1.5, 0.8, 40) == pytest.approx(
             transient_gap_bound(c, 2.0, 1.5, 0.8, 20) / 2.0, rel=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [(0, "n must be > 0, got 0"), (2.5, "n must be an integer, got 2.5")],
+        ids=["n=0", "n=2.5"],
+    )
+    def test_bad_n_rejected(self, n, message):
+        c = StabilityConstants(c=1.2, tau=0.3, l_v=0.7, l_gs=0.9, l_gv=0.1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            transient_gap_bound(c, 2.0, 1.5, 0.8, n)
 
 
 class TestLossLipschitzChecks:
