@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import GainPair, StabilityConstants, transient_bracket
-from .errors import INT, NONNEGATIVE, POSITIVE, REAL, InvalidConfidenceError, check
+from .errors import CONFIDENCE, INT, NONNEGATIVE, POSITIVE, REAL, InvalidConfidenceError, check
 from .mixing import DataConstants
 from .numerics import log_mean_exp, shifted_exp
 
@@ -154,7 +154,6 @@ def gibbs_estimates(beta: np.ndarray, losses: np.ndarray) -> tuple[float, float,
 def pac_bound(lambda_: float, delta: float, kl: float, psi_hat_val: float) -> float:
     """Gap bound r_n = (kl + ln(1/delta) + psi_hat) / lambda."""
     check("lambda_", lambda_, REAL, POSITIVE)
-    if not 0.0 < delta <= 0.5:
-        raise InvalidConfidenceError(f"delta must lie in (0, 0.5], got {delta}")
+    check("delta", delta, REAL, CONFIDENCE, error=InvalidConfidenceError)
     # -ln(delta), not ln(1/delta): 1/delta overflows for a subnormal delta.
     return (kl - math.log(delta) + psi_hat_val) / lambda_

@@ -17,7 +17,8 @@ import numpy as np
 from .certify import rnn_constants
 from .dynsys import Trajectory, load_model, save_trajectory, simulate
 from .errors import (
-    INT, NONNEGATIVE, POSITIVE, REAL, ConfigError, NotStableError, StablepacError, check,
+    INT, NONNEGATIVE, POSITIVE, REAL, ConfigError, InstabilityError, NotStableError,
+    StablepacError, check,
 )
 from .experiment import (
     ExperimentConfig,
@@ -113,7 +114,10 @@ def _cmd_simulate(args) -> int:
     rng = seeded_rng(args.seed)
     inputs = truncated_gaussian(rng, args.e_std, args.e_inf, args.n * sys_.n_v)
     inputs = inputs.reshape(args.n, sys_.n_v)
-    _, outputs = simulate(sys_, np.zeros(sys_.n_s), inputs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, outputs = simulate(sys_, np.zeros(sys_.n_s), inputs)
+    if not np.isfinite(outputs).all():
+        raise InstabilityError(f"outputs overflow within {args.n} steps: the states diverge")
     traj = Trajectory(inputs=inputs, outputs=outputs)
     save_trajectory(traj, args.out)
     print(f"wrote {args.n} rows to {args.out}")

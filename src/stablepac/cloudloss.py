@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import KernelBuildError
+from .errors import INT, KernelBuildError, check
 
 # Cap on the elements of the pass's buffer of steps, (steps, samples) output
 # pre-activations; it holds at least one step.  A fixed 256-step buffer
@@ -124,7 +124,9 @@ def prefix_losses(
     if inputs.shape[1:] != (1,) or labels.shape[1:] != (1,):
         raise ValueError(f"data must be (n, 1) columns, got {inputs.shape} and {labels.shape}")
     length = min(inputs.shape[0], labels.shape[0])
-    if not ns or ns[0] < 1 or ns[-1] > length or any(a >= b for a, b in zip(ns, ns[1:])):
+    for i, n in enumerate(ns):
+        check(f"ns[{i}]", n, INT)
+    if not len(ns) or ns[0] < 1 or ns[-1] > length or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError(f"prefix lengths {ns} must ascend strictly within 1..{length}")
     # The C functions take raw addresses: the cloud copy and the buffers are
     # C-contiguous float64, and the inputs and labels are read in place as

@@ -16,6 +16,8 @@ REAL = (
 POSITIVE = (lambda v: v > 0, "> 0")
 NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+# The PAC-Bayes confidence delta.
+CONFIDENCE = (lambda v: 0 < v <= 0.5, "in (0, 0.5]")
 
 
 def check(name: str, value, *rules, error: type[Exception] = ValueError) -> None:
@@ -48,7 +50,8 @@ class GainOverflowError(StablepacError):
 
 
 class InstabilityError(StablepacError):
-    """A Lyapunov series or matrix power sequence diverges (spectral radius >= 1)."""
+    """A Lyapunov series or matrix power sequence diverges (spectral radius >= 1),
+    or a simulated trajectory overflows."""
 
 
 class DegenerateTruncationError(StablepacError):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -48,7 +48,9 @@ from .dynsys import (
     save_trajectory,
     simulate,
 )
-from .errors import AT_LEAST_ONE, INT, NONNEGATIVE, POSITIVE, REAL, ConfigError, check
+from .errors import (
+    AT_LEAST_ONE, CONFIDENCE, INT, NONNEGATIVE, POSITIVE, REAL, ConfigError, check,
+)
 from .loss import LossSpec, loss_lipschitz
 from .mixing import DataConstants, generator_data_constants
 from .numerics import seeded_rng, spectral_norm, spectral_norm_2x2, truncated_gaussian
@@ -129,7 +131,7 @@ class ExperimentConfig:
     n_seeds: int = _key(10, INT, AT_LEAST_ONE)
     prior_sigma2: float = _key(0.02, REAL, POSITIVE)
     lambda_rule: str | float = "sqrt_n"
-    delta: float = _key(0.025, REAL, (lambda v: 0 < v <= 0.5, "in (0, 0.5]"))
+    delta: float = _key(0.025, REAL, CONFIDENCE)
     n_f: int = _key(5000, INT, AT_LEAST_ONE)
     chain: ChainSettings = field(default_factory=ChainSettings)
     e_inf: float = _key(1.27, REAL, POSITIVE)
@@ -365,34 +367,22 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 # Report files
 
-REPORT_COLUMNS = [
-    "N",
-    "seed",
-    "lambda",
-    "delta",
-    "kl",
-    "psi_hat",
-    "r_N",
-    "post_emp_loss",
-    "total_bound",
-    "z_hat",
-    "n_samples",
-]
-
-SUMMARY_COLUMNS = [
-    "N",
-    "total_median",
-    "total_min",
-    "total_max",
-    "post_emp_loss_median",
-    "post_emp_loss_min",
-    "post_emp_loss_max",
-    "vacuity_level",
-]
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+# bound_reports.csv holds BoundReport's fields in declaration order, each
+# headed by its name but for these, and written as digits where declared int,
+# else as a float's repr (so a float field holding 2 reads 2.0).  summary.csv
+# holds N, a median, a min and a max of each summarised field, and the
+# vacuity level.
+_HEADERS = {"n": "N", "lambda_": "lambda", "r_n": "r_N", "total": "total_bound"}
+_REPORT_FIELDS = [(name, str if kind is int else _fmt)
+                  for name, kind in get_type_hints(BoundReport).items()]
+_SUMMARISED = ("total", "post_emp_loss")
+REPORT_COLUMNS = [_HEADERS.get(name, name) for name, _ in _REPORT_FIELDS]
+SUMMARY_COLUMNS = ["N", *(f"{name}_{stat}" for name in _SUMMARISED
+                          for stat in ("median", "min", "max")), "vacuity_level"]
 
 
 def _sorted_median(xs: list[float]) -> float:
@@ -415,20 +405,17 @@ def emit_curves(reports: list[BoundReport], out_dir: str) -> tuple[str, str]:
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
         for r in sorted(reports, key=lambda r: (r.seed, r.n)):
-            reals = (r.lambda_, r.delta, r.kl, r.psi_hat, r.r_n,
-                     r.post_emp_loss, r.total, r.z_hat)
-            row = [str(r.n), str(r.seed), *map(_fmt, reals), str(r.n_samples)]
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(write(getattr(r, name)) for name, write in _REPORT_FIELDS) + "\n")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(SUMMARY_COLUMNS) + "\n")
         for n in sorted({r.n for r in reports}):
             # Medians taken here rather than by np.median, whose first call
             # imports numpy.ma (about 15 ms and 1 MB resident).
-            totals = sorted(r.total for r in reports if r.n == n)
-            posts = sorted(r.post_emp_loss for r in reports if r.n == n)
-            stats = (_sorted_median(totals), totals[0], totals[-1],
-                     _sorted_median(posts), posts[0], posts[-1], VACUITY_LEVEL)
-            fh.write(",".join([str(n), *map(_fmt, stats)]) + "\n")
+            stats = []
+            for name in _SUMMARISED:
+                xs = sorted(getattr(r, name) for r in reports if r.n == n)
+                stats += [_sorted_median(xs), xs[0], xs[-1]]
+            fh.write(",".join([str(n), *map(_fmt, [*stats, VACUITY_LEVEL])]) + "\n")
     return report_path, summary_path
 
 

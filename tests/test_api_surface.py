@@ -76,7 +76,8 @@ def test_every_exported_error_is_raised():
         obj = getattr(stablepac, name)
         if not inspect.isclass(obj) or not issubclass(obj, StablepacError):
             continue
-        if obj is not StablepacError and not re.search(rf"\braise {name}\b", text):
+        # check(..., error=Name) raises Name too.
+        if obj is not StablepacError and not re.search(rf"(\braise |\berror=){name}\b", text):
             never_raised.append(name)
     assert not never_raised, f"exported but never raised in the package: {never_raised}"
 
@@ -125,11 +126,11 @@ def _number_literal(node):
     return isinstance(node, ast.Constant) and type(node.value) in (int, float)
 
 
-def _raises_value_error(body):
+def _raises_error(body):
     for node in ast.walk(ast.Module(body=body, type_ignores=[])):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "ConfigError"):
+            if isinstance(exc, ast.Name) and exc.id.endswith("Error"):
                 return True
     return False
 
@@ -137,7 +138,7 @@ def _raises_value_error(body):
 def _scalar_guards(source):
     """Lines of each ``if`` that compares a bare parameter of its function, or
     ``self.<field>`` inside ``__post_init__``, with a number literal and
-    raises ValueError or ConfigError.  Only comparisons joined by and, or and
+    raises a named ``*Error``.  Only comparisons joined by and, or and
     not count: one inside a call such as ``np.all(...)`` is elementwise over
     an array, which ``check`` does not cover."""
     sites = set()
@@ -168,7 +169,7 @@ def _scalar_guards(source):
             return False
 
         for node in ast.walk(func):
-            if isinstance(node, ast.If) and guard(node.test) and _raises_value_error(node.body):
+            if isinstance(node, ast.If) and guard(node.test) and _raises_error(node.body):
                 sites.add((node.lineno, ast.get_source_segment(source, node.test)))
     return [f"{line}: {test}" for line, test in sorted(sites)]
 

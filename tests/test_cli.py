@@ -15,6 +15,7 @@ from stablepac import (
     rnn_constants,
     save_model,
 )
+from stablepac.bound import BoundReport
 from stablepac.cli import main
 from stablepac.dynsys import RnnSystem, activation
 from stablepac.errors import GainOverflowError, NotStableError
@@ -206,6 +207,27 @@ class TestTrajectoryCommands:
         assert traj.length == 25
         assert traj.inputs.shape == (25, 2) and traj.outputs.shape == (25, 2)
 
+    def test_simulate_overflow_is_a_typed_error(self, tmp_path, capsys):
+        # A = 2 I doubles the ReLU states every step: they overflow before step 2000.
+        sys = RnnSystem(
+            a=2.0 * np.eye(2),
+            b=np.ones((2, 1)),
+            b_s=np.ones(2),
+            c=np.ones((1, 2)),
+            d=np.zeros((1, 1)),
+            b_y=np.zeros(1),
+            sigma_f=activation("relu"),
+            sigma_g=activation("identity"),
+        )
+        out = tmp_path / "sim.csv"
+        assert main(
+            ["simulate", "--model", _system_path(tmp_path, sys), "--n", "2000",
+             "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == "error: outputs overflow within 2000 steps: the states diverge\n"
+        assert not out.exists()
+
     def test_generate_data_writes_csv(self, tmp_path):
         out = tmp_path / "data.csv"
         assert main(["generate-data", "--seed", "0", "--n", "40", "--out", str(out)]) == 0
@@ -275,11 +297,11 @@ class TestBoundCommand:
         lines = (out_dir / "bound_reports.csv").read_text().splitlines()
         assert lines[0].split(",") == REPORT_COLUMNS
         (row,) = [r.split(",") for r in lines[1:] if r.startswith("50,1,")]
-        keys = ["n", "seed", "lambda_", "delta", "kl", "psi_hat", "r_n",
-                "post_emp_loss", "total", "z_hat", "n_samples"]
+        keys = [f.name for f in dataclasses.fields(BoundReport)]
         assert sorted(doc) == sorted(keys)
-        for key, text in zip(keys, row):
-            assert doc[key] == (int(text) if key in ("n", "seed", "n_samples") else float(text))
+        for key, text in zip(keys, row, strict=True):
+            # an int field is written as digits, which int() alone reads
+            assert doc[key] == type(doc[key])(text)
 
     def test_nonpositive_n_fails_before_sampling(self, capsys):
         assert main(["bound", "--n", "0"]) == 2

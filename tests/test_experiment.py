@@ -623,6 +623,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="prefix lengths"):
             prefix_losses(np.zeros((4, PARAM_DIM)), data.inputs, data.outputs, ns)
 
+    def test_array_prefix_lengths_match_a_list(self):
+        data = generate_dataset(6, 30)
+        thetas = np.random.default_rng(3).normal(0.0, 0.1, (6, PARAM_DIM))
+        got = prefix_losses(thetas, data.inputs, data.outputs, np.array([5, 10]))
+        want = prefix_losses(thetas, data.inputs, data.outputs, [5, 10])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ns", [[2.5], [5, 10.0]])
+    def test_non_integer_prefix_length_rejected(self, ns):
+        data = generate_dataset(6, 30)
+        with pytest.raises(ValueError, match=rf"ns\[{len(ns) - 1}\] must be an integer"):
+            prefix_losses(np.zeros((4, PARAM_DIM)), data.inputs, data.outputs, ns)
+
     def test_labels_shorter_than_prefix_rejected(self):
         # The compiled loop would read past the labels' end.
         data = generate_dataset(6, 30)
@@ -1416,6 +1429,19 @@ class TestEmitCurves:
             "post_emp_loss_min,post_emp_loss_max,vacuity_level"
         )
         assert summary_lines[1].split(",")[-1] == "1.0"
+
+    def test_fields_written_by_declared_type(self, tmp_path):
+        # A float field holding an int reads as a float, an int field as digits.
+        report = BoundReport(n=7, seed=3, lambda_=2, delta=0.25, kl=0, psi_hat=1, r_n=0.5,
+                             post_emp_loss=0.125, total=0.625, z_hat=1, n_samples=40)
+        report_path, summary_path = emit_curves([report], str(tmp_path))
+        assert open(report_path).read().splitlines() == [
+            "N,seed,lambda,delta,kl,psi_hat,r_N,post_emp_loss,total_bound,z_hat,n_samples",
+            "7,3,2.0,0.25,0.0,1.0,0.5,0.125,0.625,1.0,40",
+        ]
+        assert open(summary_path).read().splitlines()[1] == (
+            "7,0.625,0.625,0.625,0.125,0.125,0.125,1.0"
+        )
 
     def test_rerun_byte_identical(self, tmp_path):
         reports = run_experiment(SMALL)
