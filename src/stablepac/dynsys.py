@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import NONNEGATIVE, POSITIVE, REAL, ConfigError, check
+from .errors import NONNEGATIVE, POSITIVE, REAL, ConfigError, InstabilityError, check
 from .numerics import ZERO, check_finite_matrix
 
 if TYPE_CHECKING:
@@ -194,11 +194,17 @@ def simulate(
     repeats the step loop's arithmetic, so by induction from segment 0
     every row is the step loop's, bit for bit, whether or not the system
     forgets.  For n <= 4096 there is one segment and no warm-up.
+
+    Non-finite inputs or s0 raise ValueError before any step.  Outputs that
+    are not finite can then only come from states that overflow, and raise
+    InstabilityError.
     """
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
+    x = check_finite_matrix(np.atleast_2d(inputs), "inputs")
     s = np.asarray(s0, dtype=float)
     if s.shape != (sys.n_s,):
         raise ValueError(f"s0 must have dimension {sys.n_s}, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("s0 contains non-finite entries")
     if x.shape[1] != sys.n_v:
         raise ValueError(f"inputs must have dimension {sys.n_v}, got {x.shape[1]}")
     n = x.shape[0]
@@ -225,28 +231,31 @@ def simulate(
     m = -(-n // k)
     states = np.zeros((k * m + 1, sys.n_s))
     states[0] = s
-    np.matmul(sys.b, x3, out=states[1 : n + 1, :, None])
-    rows = states[1:].reshape(k, m, sys.n_s, 1)
-    starts = np.zeros((k, sys.n_s, 1))
-    starts[0, :, 0] = s
-    if k > 1:
-        warm = rows[:-1, -_WARM_UP_STEPS:].copy()
-        _lockstep(sys, starts[1:], warm)
-        starts[1:] = warm[:, -1]
-    _lockstep(sys, starts, rows)
-    for j in range(1, k):
-        if starts[j].tobytes() != rows[j - 1, -1].tobytes():
-            starts[j] = rows[j - 1, -1]
-            seg = rows[j : j + 1, : n - j * m]
-            np.matmul(sys.b, x3[j * m : (j + 1) * m], out=seg[0])
-            _lockstep(sys, starts[j : j + 1], seg)
-    states = states[:n]
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        pre = np.matmul(sys.c, states[start:stop, :, None])[:, :, 0]
-        pre += np.matmul(sys.d, x3[start:stop])[:, :, 0]
-        pre += sys.b_y
-        out[start:stop] = sys.sigma_g(pre)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(sys.b, x3, out=states[1 : n + 1, :, None])
+        rows = states[1:].reshape(k, m, sys.n_s, 1)
+        starts = np.zeros((k, sys.n_s, 1))
+        starts[0, :, 0] = s
+        if k > 1:
+            warm = rows[:-1, -_WARM_UP_STEPS:].copy()
+            _lockstep(sys, starts[1:], warm)
+            starts[1:] = warm[:, -1]
+        _lockstep(sys, starts, rows)
+        for j in range(1, k):
+            if starts[j].tobytes() != rows[j - 1, -1].tobytes():
+                starts[j] = rows[j - 1, -1]
+                seg = rows[j : j + 1, : n - j * m]
+                np.matmul(sys.b, x3[j * m : (j + 1) * m], out=seg[0])
+                _lockstep(sys, starts[j : j + 1], seg)
+        states = states[:n]
+        for start in range(0, n, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            pre = np.matmul(sys.c, states[start:stop, :, None])[:, :, 0]
+            pre += np.matmul(sys.d, x3[start:stop])[:, :, 0]
+            pre += sys.b_y
+            out[start:stop] = sys.sigma_g(pre)
+    if not np.isfinite(out).all():
+        raise InstabilityError(f"outputs overflow within {n} steps: the states diverge")
     return states, out
 
 

@@ -88,6 +88,11 @@ def _key(default, *rules):
     return field(default=default, metadata={"rules": rules})
 
 
+def _or_sqrt_n(test, condition):
+    """A rule that the string "sqrt_n" passes and any other string fails."""
+    return (lambda v: v == "sqrt_n" if isinstance(v, str) else test(v)), condition
+
+
 def _check_fields(cfg, prefix: str = "") -> None:
     for f in fields(cfg):
         check(prefix + f.name, getattr(cfg, f.name), *f.metadata.get("rules", ()),
@@ -123,14 +128,17 @@ class ChainSettings:
 class ExperimentConfig:
     """Full benchmark configuration; defaults reproduce the reference setup.
 
-    Every scalar key carries its rules; ``n_grid``, ``lambda_rule`` and
-    ``chain`` are checked by ``__post_init__``.
+    Every scalar key carries its rules; ``n_grid`` and ``chain`` are checked
+    by ``__post_init__``.
     """
 
     n_grid: tuple[int, ...] = (5, 9, 20, 50, 100, 200, 500, 1000)
     n_seeds: int = _key(10, INT, AT_LEAST_ONE)
     prior_sigma2: float = _key(0.02, REAL, POSITIVE)
-    lambda_rule: str | float = "sqrt_n"
+    # lambda = sqrt(n) in each cell, or one fixed number > 0 for all.
+    lambda_rule: str | float = _key(
+        "sqrt_n", _or_sqrt_n(REAL[0], "a finite number or 'sqrt_n'"), _or_sqrt_n(*POSITIVE)
+    )
     delta: float = _key(0.025, REAL, CONFIDENCE)
     n_f: int = _key(5000, INT, AT_LEAST_ONE)
     chain: ChainSettings = field(default_factory=ChainSettings)
@@ -151,11 +159,6 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
         check("chain", self.chain, (lambda v: isinstance(v, ChainSettings), "an object"),
               error=ConfigError)
-        if isinstance(self.lambda_rule, str):
-            check("lambda_rule", self.lambda_rule,
-                  (lambda v: v == "sqrt_n", "'sqrt_n' or a number > 0"), error=ConfigError)
-        else:
-            check("lambda_rule", self.lambda_rule, REAL, POSITIVE, error=ConfigError)
         _check_fields(self)
 
     def lambda_for(self, n: int) -> float:

@@ -24,6 +24,21 @@ def benchmark_predictor(theta):
     return RnnSystem(**blocks, sigma_f=activation("relu"), sigma_g=activation("tanh")), s0
 
 
+def doubling_system():
+    """A = 2 I doubles the ReLU states every step: from the zero state they
+    overflow after about a thousand steps."""
+    return RnnSystem(
+        a=2.0 * np.eye(2),
+        b=np.ones((2, 1)),
+        b_s=np.ones(2),
+        c=np.ones((1, 2)),
+        d=np.zeros((1, 1)),
+        b_y=np.zeros(1),
+        sigma_f=activation("relu"),
+        sigma_g=activation("identity"),
+    )
+
+
 def read_trajectory(path):
     """A trajectory CSV read back: the columns after t, split at the count of
     x_ columns in the header."""

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -16,10 +17,10 @@ from stablepac import (
     save_model,
 )
 from stablepac.bound import BoundReport
-from stablepac.cli import main
+from stablepac.cli import _build_parser, main
 from stablepac.dynsys import RnnSystem, activation
 from stablepac.errors import GainOverflowError, NotStableError
-from helpers import random_contractive_system, read_trajectory
+from helpers import doubling_system, random_contractive_system, read_trajectory
 
 
 @pytest.fixture()
@@ -208,20 +209,10 @@ class TestTrajectoryCommands:
         assert traj.inputs.shape == (25, 2) and traj.outputs.shape == (25, 2)
 
     def test_simulate_overflow_is_a_typed_error(self, tmp_path, capsys):
-        # A = 2 I doubles the ReLU states every step: they overflow before step 2000.
-        sys = RnnSystem(
-            a=2.0 * np.eye(2),
-            b=np.ones((2, 1)),
-            b_s=np.ones(2),
-            c=np.ones((1, 2)),
-            d=np.zeros((1, 1)),
-            b_y=np.zeros(1),
-            sigma_f=activation("relu"),
-            sigma_g=activation("identity"),
-        )
+        # The states overflow before step 2000.
         out = tmp_path / "sim.csv"
         assert main(
-            ["simulate", "--model", _system_path(tmp_path, sys), "--n", "2000",
+            ["simulate", "--model", _system_path(tmp_path, doubling_system()), "--n", "2000",
              "--out", str(out)]
         ) == 2
         err = capsys.readouterr().err
@@ -304,9 +295,11 @@ class TestBoundCommand:
             assert doc[key] == type(doc[key])(text)
 
     def test_nonpositive_n_fails_before_sampling(self, capsys):
-        assert main(["bound", "--n", "0"]) == 2
-        assert capsys.readouterr().err.startswith("error: n_grid")
-
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--n", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "stablepac bound: error: argument --n: n must be > 0, got 0"
 
     def test_underflowing_weights_exit_0(self, tmp_path, capsys):
         from stablepac.cloudloss import prefix_losses
@@ -348,8 +341,11 @@ class TestBoundCommand:
         assert "error: argument --lambda" in capsys.readouterr().err
 
     def test_nonpositive_lambda_fails_before_sampling(self, capsys):
-        assert main(["bound", "--n", "5", "--lambda", "0"]) == 2
-        assert capsys.readouterr().err.startswith("error: lambda_rule")
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--n", "5", "--lambda", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "stablepac bound: error: argument --lambda: lambda_rule must be > 0, got 0.0"
 
 
 @pytest.mark.parametrize("command", ["bound", "generate-data", "simulate"])
@@ -368,39 +364,60 @@ def test_bad_seed_is_usage_error(command, seed, generator_path, tmp_path, capsys
     assert not (tmp_path / "out.csv").exists()
 
 
+# (command, option, value, the name the usage error gives)
+BAD_NUMBERS = [
+    ("generate-data", "--n", "0", "n"),
+    ("generate-data", "--n", "-3", "n"),
+    ("generate-data", "--n", "2.5", "n"),
+    ("generate-data", "--e-inf", "-1", "e_inf"),
+    ("generate-data", "--e-std", "0", "e_std"),
+    ("generate-data", "--e-std", "nan", "e_std"),
+    ("generate-data", "--e-std", "abc", "e_std"),
+    ("simulate", "--n", "0", "n"),
+    ("simulate", "--e-inf", "0", "e_inf"),
+    ("simulate", "--e-std", "-1", "e_std"),
+    ("data-constants", "--e-inf", "0", "e_inf"),
+    ("data-constants", "--e-inf", "inf", "e_inf"),
+    ("bound", "--n", "2.5", "n"),
+    ("bound", "--delta", "abc", "delta"),
+    ("bound", "--delta", "0.6", "delta"),
+    ("bound", "--lambda", "abc", "lambda_rule"),
+    ("bound", "--lambda", "nan", "lambda_rule"),
+]
+
+
 @pytest.mark.parametrize(
-    "command,option,value",
-    [
-        ("generate-data", "--n", "0"),
-        ("generate-data", "--n", "-3"),
-        ("generate-data", "--n", "2.5"),
-        ("generate-data", "--e-inf", "-1"),
-        ("generate-data", "--e-std", "0"),
-        ("generate-data", "--e-std", "nan"),
-        ("generate-data", "--e-std", "abc"),
-        ("simulate", "--n", "0"),
-        ("simulate", "--e-inf", "0"),
-        ("simulate", "--e-std", "-1"),
-        ("data-constants", "--e-inf", "0"),
-        ("data-constants", "--e-inf", "inf"),
-    ],
+    "command,option,value,name", BAD_NUMBERS, ids=["-".join(c[:3]) for c in BAD_NUMBERS]
 )
 def test_nonpositive_number_is_usage_error(
-    command, option, value, generator_path, tmp_path, capsys
+    command, option, value, name, generator_path, tmp_path, capsys
 ):
     argv = [command]
-    if command != "data-constants":
+    if command not in ("data-constants", "bound"):
         argv += ["--out", str(tmp_path / "out.csv")]
-    if command != "generate-data":
+    if command not in ("generate-data", "bound"):
         argv += ["--model", generator_path]
     if option != "--n" and command != "data-constants":
         argv += ["--n", "5"]
     with pytest.raises(SystemExit) as exc:
         main(argv + [option, value])
     assert exc.value.code == 2
-    name = option[2:].replace("-", "_")
     assert f"error: argument {option}: {name} must be " in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_no_option_parses_with_a_bare_int_or_float():
+    # A bare type lets through what the option's rule rejects (nan, inf, 0):
+    # every number is read by an errors.check rule instead.
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    bare = [
+        f"{command} {action.option_strings[0]}"
+        for command, p in sub.choices.items()
+        for action in p._actions
+        if action.type in (int, float)
+    ]
+    assert not bare, f"options parsed by a bare int or float: {bare}"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import re
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from stablepac import (
     ConfigError,
+    InstabilityError,
     LossSpec,
     RnnSystem,
     Trajectory,
@@ -29,7 +31,9 @@ from stablepac import dynsys
 from stablepac.certify import StabilityConstants
 from stablepac.dynsys import _ACTIVATION_TABLE, _CHUNK_ROWS, _FILE_ROWS, _WARM_UP_STEPS
 from stablepac.experiment import _DATA_BURN_IN_TOL
-from helpers import benchmark_predictor, random_contractive_system, read_trajectory
+from helpers import (
+    benchmark_predictor, doubling_system, random_contractive_system, read_trajectory,
+)
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 
@@ -407,6 +411,31 @@ class TestSimulate:
         sys2 = random_contractive_system(rng, n_v=3)
         with pytest.raises(ValueError):
             simulate_series(gen, sys2, np.zeros(2), np.zeros(sys2.n_s), np.zeros((5, 2)))
+
+    def test_overflow_is_a_typed_error(self):
+        # Under the suite's warnings-as-errors filter: no RuntimeWarning
+        # from the overflow itself, and no nan outputs returned.
+        message = r"^outputs overflow within 2000 steps: the states diverge$"
+        with pytest.raises(InstabilityError, match=message):
+            simulate(doubling_system(), np.zeros(2), np.ones((2000, 1)))
+
+    @pytest.mark.parametrize("diverging", [0, 1])
+    def test_series_overflow_is_a_typed_error(self, diverging):
+        # Either block's overflow; the stable block halves its states.
+        blocks = [dataclasses.replace(doubling_system(), a=0.5 * np.eye(2))] * 2
+        blocks[diverging] = doubling_system()
+        with pytest.raises(InstabilityError, match="^outputs overflow within 2000 steps"):
+            simulate_series(*blocks, np.zeros(2), np.zeros(2), np.ones((2000, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_or_s0_rejected(self, bad):
+        gen = build_reference_generator()
+        inputs = np.zeros((5, 2))
+        inputs[3, 1] = bad
+        with pytest.raises(ValueError, match="^inputs contains non-finite entries$"):
+            simulate(gen, np.zeros(2), inputs)
+        with pytest.raises(ValueError, match="^s0 contains non-finite entries$"):
+            simulate(gen, np.array([0.0, bad]), np.zeros((5, 2)))
 
     def test_dimension_mismatch_rejected(self):
         gen = build_reference_generator()

@@ -8,6 +8,7 @@ from stablepac import (
     ConfigError,
     DataConstants,
     GainPair,
+    InstabilityError,
     LossSpec,
     RnnSystem,
     StabilityConstants,
@@ -23,9 +24,13 @@ from stablepac import (
     transient_gap_bound,
 )
 
-from helpers import benchmark_predictor, zero_bias_contractive_predictor
+from helpers import benchmark_predictor, doubling_system, zero_bias_contractive_predictor
 
 SQUARE = LossSpec(kind="square")
+
+# Finite data on which doubling_system's predictions overflow.
+DIVERGING_DATA = Trajectory(inputs=np.ones((2000, 1)), outputs=np.zeros((2000, 1)))
+OVERFLOW = r"^outputs overflow within 2000 steps: the states diverge$"
 
 
 class TestLossValue:
@@ -125,6 +130,11 @@ class TestEmpiricalLoss:
         with pytest.raises(ValueError):
             empirical_loss(SQUARE, self._zero_predictor(), np.zeros(2), traj)
 
+    def test_diverging_predictor_is_a_typed_error(self):
+        # Not nan, and no RuntimeWarning under the suite's warnings-as-errors filter.
+        with pytest.raises(InstabilityError, match=OVERFLOW):
+            empirical_loss(SQUARE, doubling_system(), np.zeros(2), DIVERGING_DATA)
+
 
 class TestInfiniteHorizonLoss:
     def test_zero_burn_in_equals_empirical_from_origin(self):
@@ -148,6 +158,10 @@ class TestInfiniteHorizonLoss:
         sys, _ = benchmark_predictor(np.zeros(14))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             infinite_horizon_loss(SQUARE, sys, generate_dataset(5, 50), burn_in)
+
+    def test_diverging_predictor_is_a_typed_error(self):
+        with pytest.raises(InstabilityError, match=OVERFLOW):
+            infinite_horizon_loss(SQUARE, doubling_system(), DIVERGING_DATA, 1000)
 
     def test_steady_state_start_closes_the_gap(self):
         data = generate_dataset(6, 120)
