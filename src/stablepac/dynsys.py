@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import NONNEGATIVE, POSITIVE, REAL, ConfigError, InstabilityError, check
-from .numerics import ZERO, check_finite_matrix
+from .errors import NONNEGATIVE, OBJECT, POSITIVE, REAL, ConfigError, InstabilityError, check
+from .numerics import ZERO, check_finite_array
 
 if TYPE_CHECKING:
     from .certify import StabilityConstants
@@ -79,12 +79,20 @@ def activation(kind: str) -> Activation:
     return Activation(kind)
 
 
+# Each array field of RnnSystem, in model-file order: its key in a model
+# file and its axes, named by the dimension each must match.
+_MODEL_ARRAYS = {
+    "a": ("A", ("n_s", "n_s")), "b": ("B", ("n_s", "n_v")), "b_s": ("b_s", ("n_s",)),
+    "c": ("C", ("n_y", "n_s")), "d": ("D", ("n_y", "n_v")), "b_y": ("b_y", ("n_y",)),
+}
+
+
 @dataclass(frozen=True)
 class RnnSystem:
     """One affine-then-activation state-space block.
 
-    Shapes: a (n_s, n_s), b (n_s, n_v), b_s (n_s,), c (n_y, n_s),
-    d (n_y, n_v), b_y (n_y,).
+    Shapes (``_MODEL_ARRAYS``): a (n_s, n_s), b (n_s, n_v), b_s (n_s,),
+    c (n_y, n_s), d (n_y, n_v), b_y (n_y,).
     """
 
     a: np.ndarray
@@ -97,27 +105,12 @@ class RnnSystem:
     sigma_g: Activation
 
     def __post_init__(self):
-        a = check_finite_matrix(self.a, "a")
-        b = check_finite_matrix(self.b, "b")
-        c = check_finite_matrix(self.c, "c")
-        d = check_finite_matrix(self.d, "d")
-        b_s = np.asarray(self.b_s, dtype=float)
-        b_y = np.asarray(self.b_y, dtype=float)
-        if not (np.all(np.isfinite(b_s)) and np.all(np.isfinite(b_y))):
-            raise ValueError("bias vectors contain non-finite entries")
-        n_s, n_v, n_y = a.shape[0], b.shape[1], c.shape[0]
-        if a.shape != (n_s, n_s):
-            raise ValueError("a must be square")
-        if b.shape != (n_s, n_v) or b_s.shape != (n_s,):
-            raise ValueError("b / b_s dimensions inconsistent with a")
-        if c.shape != (n_y, n_s) or d.shape != (n_y, n_v) or b_y.shape != (n_y,):
-            raise ValueError("c / d / b_y dimensions inconsistent")
-        object.__setattr__(self, "a", np.ascontiguousarray(a))
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "b_s", b_s)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "b_y", b_y)
+        a, b, c = (check_finite_array(getattr(self, f), f, (None, None)) for f in "abc")
+        dims = {"n_s": a.shape[0], "n_v": b.shape[1], "n_y": c.shape[0]}
+        for field, (_, axes) in _MODEL_ARRAYS.items():
+            arr = check_finite_array(getattr(self, field), field, tuple(map(dims.get, axes)))
+            object.__setattr__(self, field, arr)
+        object.__setattr__(self, "a", np.ascontiguousarray(self.a))
 
     @property
     def n_s(self) -> int:
@@ -140,8 +133,8 @@ class Trajectory:
     outputs: np.ndarray
 
     def __post_init__(self):
-        inputs = check_finite_matrix(self.inputs, "inputs")
-        outputs = check_finite_matrix(self.outputs, "outputs")
+        inputs = check_finite_array(self.inputs, "inputs", (None, None))
+        outputs = check_finite_array(self.outputs, "outputs", (None, None))
         if inputs.shape[0] != outputs.shape[0]:
             raise ValueError("inputs and outputs must have the same length")
         if inputs.shape[0] == 0:
@@ -199,14 +192,8 @@ def simulate(
     are not finite can then only come from states that overflow, and raise
     InstabilityError.
     """
-    x = check_finite_matrix(np.atleast_2d(inputs), "inputs")
-    s = np.asarray(s0, dtype=float)
-    if s.shape != (sys.n_s,):
-        raise ValueError(f"s0 must have dimension {sys.n_s}, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise ValueError("s0 contains non-finite entries")
-    if x.shape[1] != sys.n_v:
-        raise ValueError(f"inputs must have dimension {sys.n_v}, got {x.shape[1]}")
+    x = check_finite_array(np.atleast_2d(inputs), "inputs", (None, sys.n_v))
+    s = check_finite_array(s0, "s0", (sys.n_s,))
     n = x.shape[0]
     if out is None:
         out = np.empty((n, sys.n_y))
@@ -306,27 +293,25 @@ def burn_in_length(consts: "StabilityConstants", s0_bound: float, tol: float) ->
 # Model and trajectory files
 
 
-# Model-file key of each array field of RnnSystem, in file order.
-_MODEL_ARRAYS = {"a": "A", "b": "B", "b_s": "b_s", "c": "C", "d": "D", "b_y": "b_y"}
-
-
 def save_model(sys: RnnSystem, path: str) -> None:
     doc = {"n_s": sys.n_s, "n_v": sys.n_v, "n_y": sys.n_y,
            "sigma_f": sys.sigma_f.kind, "sigma_g": sys.sigma_g.kind}
-    doc.update((key, getattr(sys, field).tolist()) for field, key in _MODEL_ARRAYS.items())
+    doc.update((key, getattr(sys, field).tolist()) for field, (key, _) in _MODEL_ARRAYS.items())
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def load_model(path: str) -> RnnSystem:
-    """Read a model file; one that cannot be read or built, or whose declared
-    n_s, n_v or n_y does not match its matrices, raises ConfigError."""
+    """Read a model file; one that cannot be read, is not a JSON object or
+    describes no valid system, or whose declared n_s, n_v or n_y does not
+    match its matrices, raises ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        check("model", doc, OBJECT)
         sys = RnnSystem(
-            **{field: np.array(doc[key], dtype=float) for field, key in _MODEL_ARRAYS.items()},
+            **{field: doc[key] for field, (key, _) in _MODEL_ARRAYS.items()},
             sigma_f=activation(doc["sigma_f"]),
             sigma_g=activation(doc["sigma_g"]),
         )

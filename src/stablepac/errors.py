@@ -16,6 +16,8 @@ REAL = (
 POSITIVE = (lambda v: v > 0, "> 0")
 NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+# A JSON document or section read as a mapping of keys.
+OBJECT = (lambda v: isinstance(v, dict), "an object")
 # The PAC-Bayes confidence delta.
 CONFIDENCE = (lambda v: 0 < v <= 0.5, "in (0, 0.5]")
 
@@ -51,7 +53,9 @@ class GainOverflowError(StablepacError):
 
 class InstabilityError(StablepacError):
     """A Lyapunov series or matrix power sequence diverges (spectral radius >= 1),
-    or a simulated trajectory overflows."""
+    a simulated trajectory overflows, or a fixed lambda is so large that a
+    cell's moment exponents (which grow like lambda^2) or log-weights
+    -lambda*loss overflow (lambda^2 alone does above about 1.3e154)."""
 
 
 class DegenerateTruncationError(StablepacError):

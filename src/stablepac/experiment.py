@@ -49,7 +49,8 @@ from .dynsys import (
     simulate,
 )
 from .errors import (
-    AT_LEAST_ONE, CONFIDENCE, INT, NONNEGATIVE, POSITIVE, REAL, ConfigError, check,
+    AT_LEAST_ONE, CONFIDENCE, INT, NONNEGATIVE, OBJECT, POSITIVE, REAL, ConfigError,
+    InstabilityError, check,
 )
 from .loss import LossSpec, loss_lipschitz
 from .mixing import DataConstants, generator_data_constants
@@ -168,7 +169,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        check("config", doc, (lambda v: isinstance(v, dict), "an object"), error=ConfigError)
+        check("config", doc, OBJECT, error=ConfigError)
         _check_keys(cls, doc)
         doc = dict(doc)
         if isinstance(doc.get("chain"), dict):
@@ -303,12 +304,15 @@ def _cell(
     the 8-cell, 5000-sample reference grid from 38.75 to 39.25 MB (three runs
     each on one CPU).
     """
-    psi = pooled_psi(
-        psi1_exponent(lambda_, n, facts.l_ell, facts.data, facts.gains),
-        psi2_exponent(lambda_, n, facts.l_ell, facts.constants, facts.data.b_q,
-                      facts.gains, facts.s0_norm),
-    )
-    z_hat, kl, post = gibbs_log_estimates(-lambda_ * losses, losses)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi1 = psi1_exponent(lambda_, n, facts.l_ell, facts.data, facts.gains)
+        psi2 = psi2_exponent(lambda_, n, facts.l_ell, facts.constants, facts.data.b_q,
+                             facts.gains, facts.s0_norm)
+        log_beta = -lambda_ * losses
+    if not all(np.isfinite(v).all() for v in (psi1, psi2, log_beta)):
+        raise InstabilityError(f"lambda = {lambda_!r} overflows the bound's exponents at n = {n}")
+    psi = pooled_psi(psi1, psi2)
+    z_hat, kl, post = gibbs_log_estimates(log_beta, losses)
     r_n = pac_bound(lambda_, delta, kl, psi)
     return BoundReport(n=n, seed=seed, lambda_=lambda_, delta=delta, kl=kl, psi_hat=psi,
                        r_n=r_n, post_emp_loss=post, total=post + r_n, z_hat=z_hat,

@@ -43,11 +43,20 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def check_finite_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Coerce to a float64 2-d array and reject non-finite entries."""
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+def check_finite_array(value, name: str, shape: tuple) -> np.ndarray:
+    """Coerce ``value`` to a float64 array and check it against ``shape``, one
+    entry per axis: a length, or None for any length.  Raises ValueError
+    naming ``name`` at the first failure: not numbers, the wrong number of
+    axes, a wrong length, or a non-finite entry."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of numbers") from None
+    if arr.ndim != len(shape):
+        raise ValueError(f"{name} must be {len(shape)}-dimensional, got shape {arr.shape}")
+    if any(want is not None and want != got for want, got in zip(shape, arr.shape)):
+        expected = str(shape).replace("None", "*")  # (*, 2): any number of rows of 2
+        raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -186,8 +195,8 @@ def discrete_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     below one; divergence is detected on the series term a_k.T @ q @ a_k and
     reported as instability.
     """
-    a = check_finite_matrix(a, "a")
-    q = check_finite_matrix(q, "q")
+    a = check_finite_array(a, "a", (None, None))
+    q = check_finite_array(q, "q", (None, None))
     if a.shape[0] != a.shape[1] or a.shape != q.shape:
         raise ValueError("a and q must be square matrices of the same size")
     scale = max(float(np.linalg.norm(q)), 1.0)

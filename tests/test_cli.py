@@ -301,6 +301,18 @@ class TestBoundCommand:
         err = capsys.readouterr().err.splitlines()[-1]
         assert err == "stablepac bound: error: argument --n: n must be > 0, got 0"
 
+    @pytest.mark.parametrize("command", ["bound", "experiment"])
+    def test_overflowing_lambda_is_a_typed_error(self, command, tmp_path, capsys):
+        # lambda^2 overflows psi1's exponent; no RuntimeWarning, no traceback.
+        cfg = {"n_grid": [20], "n_seeds": 1, "n_f": 50, "lambda_rule": 1e200,
+               "chain": {"burn_in": 20}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--n", "20"] if command == "bound" else [])) == 2
+        err = capsys.readouterr().err
+        assert err == "error: lambda = 1e+200 overflows the bound's exponents at n = 20\n"
+
     def test_underflowing_weights_exit_0(self, tmp_path, capsys):
         from stablepac.cloudloss import prefix_losses
         from stablepac.experiment import _prior_cloud
@@ -425,14 +437,17 @@ def test_no_option_parses_with_a_bare_int_or_float():
     [
         (["constants", "--model"], None, "No such file"),
         (["constants", "--model"], {"B": None}, "no key 'B'"),
-        (["constants", "--model"], {"A": [[0.5, 0.1, 0.0], [0.1, 0.2, 0.0]]}, "square"),
+        (["constants", "--model"], {"A": [[0.5, 0.1, 0.0], [0.1, 0.2, 0.0]]},
+         "a must have shape (2, 2), got (2, 3)"),
+        (["constants", "--model"], {"b_s": ["a", "b"]}, "b_s must be an array of numbers"),
+        (["constants", "--model"], "[1, 2]", "model must be an object, got [1, 2]"),
         (["check-stability", "--model"], {"sigma_f": "gelu"}, "activation"),
         (["data-constants", "--model"], "{", "Expecting"),
         (["experiment", "--config"], None, "No such file"),
         (["experiment", "--config"], "{", "is not JSON"),
     ],
-    ids=["missing", "no-B", "non-square", "gelu", "not-json", "missing-config",
-         "not-json-config"],
+    ids=["missing", "no-B", "non-square", "non-numeric-b_s", "not-an-object", "gelu",
+         "not-json", "missing-config", "not-json-config"],
 )
 def test_bad_input_file_is_usage_error(
     argv, content, message, generator_path, tmp_path, capsys

@@ -177,6 +177,35 @@ class TestActivation:
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+SYSTEM_ARRAYS = ["a", "b", "b_s", "c", "d", "b_y"]
+
+
+class TestRnnSystem:
+    @pytest.mark.parametrize("field", SYSTEM_ARRAYS)
+    def test_wrong_shape_names_the_array(self, field):
+        # One extra entry along the last axis, but for b, whose last axis
+        # sets n_v: a longer one there would be read as d's error.
+        gen = build_reference_generator()
+        arr, axis = getattr(gen, field), 0 if field == "b" else -1
+        wider = np.concatenate([arr, arr.take([0], axis)], axis)
+        with pytest.raises(ValueError, match=rf"^{field} must have shape \(.*, got \("):
+            dataclasses.replace(gen, **{field: wider})
+
+    @pytest.mark.parametrize("field", SYSTEM_ARRAYS)
+    def test_nan_entry_names_the_array(self, field):
+        gen = build_reference_generator()
+        arr = getattr(gen, field).copy()
+        arr.flat[-1] = np.nan
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite entries$"):
+            dataclasses.replace(gen, **{field: arr})
+
+    def test_one_dimensional_b_rejected(self):
+        # n_v is b's column count, so a 1-d b must not be read as one.
+        gen = build_reference_generator()
+        with pytest.raises(ValueError, match=r"^b must be 2-dimensional, got shape \(2,\)$"):
+            dataclasses.replace(gen, b=gen.b[:, 0])
+
+
 class TestSimulate:
     def test_zero_system(self):
         sys = RnnSystem(
@@ -439,9 +468,9 @@ class TestSimulate:
 
     def test_dimension_mismatch_rejected(self):
         gen = build_reference_generator()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^s0 must have shape \(2,\), got \(3,\)$"):
             simulate(gen, np.zeros(3), np.zeros((5, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^inputs must have shape \(\*, 2\), got \(5, 3\)$"):
             simulate(gen, np.zeros(2), np.zeros((5, 3)))
 
     def test_tanh_outputs_strictly_inside_unit_box(self):
